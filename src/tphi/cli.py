@@ -200,8 +200,8 @@ def cmd_mccord_verify(args) -> int:
             print(json.dumps({"element": c.element, "certificate": c.kind, "size": c.size}))
         print(json.dumps({"verdict": rep.verdict, "homology": format_homology(rep.homology)}))
     else:
-        width = max(len(c.element) for c in rep.certificates)
-        kw = max(len(c.kind) for c in rep.certificates)
+        width = max((len(c.element) for c in rep.certificates), default=0)
+        kw = max((len(c.kind) for c in rep.certificates), default=0)
         for c in rep.certificates:
             print(f"{c.element.ljust(width)}  {c.kind.ljust(kw)}  {c.size}")
         print(f"verdict: {rep.verdict}")

@@ -1,11 +1,20 @@
 """Integer simplicial homology via sparse Smith normal form.
 
 Boundary matrices of the complexes built here are huge but very sparse
-with all entries +-1, so elimination runs in two phases: a unit-pivot
-phase choosing pivots by Markowitz cost (least fill-in) from a lazy heap,
-then a classical min-entry phase on whatever small residue remains.
+with all entries +-1.  homology_groups builds them straight into row
+dicts, from the top dimension down, and one eliminator reduces each: a
+unit-pivot phase taking the shortest row first from a lazy heap, then a
+classical min-entry phase on whatever small residue remains.
 Divisibility of the invariant factors is restored afterwards by pairwise
 gcd/lcm exchanges, which is cheaper than enforcing it during elimination.
+
+Going down lets each boundary map skip the columns that the one above it
+already settles: a d-face that phase 1 pivoted on as a row is dropped as
+a column one dimension lower ("clearing", after Chen & Kerber,
+"Persistent homology computation with a twist", EuroCG 2011).
+homology_groups says why that is exact over Z.  boundary_matrix and
+smith_normal_form expose the same row builder and eliminator on an
+explicit IntegerMatrix, without clearing.
 """
 
 from __future__ import annotations
@@ -56,26 +65,50 @@ class IntegerMatrix:
         return grid
 
 
+def _boundary_rows(c: SimplicialComplex, dim: int, cleared=frozenset()) -> tuple:
+    """The boundary map from dim-faces (dim >= 1) as (rows, col_index),
+    the eliminator's form: rows[i] = {j: sign} for each non-zero row and
+    col_index[j] = rows of column j.
+
+    Column f = (v0 < ... < vd) holds (-1)^t at the row of f minus its t-th
+    vertex.  Columns listed in cleared are left out, but their facets are
+    still looked up, so a face missing from the complex raises either way.
+    """
+    row_pos = {f: i for i, f in enumerate(c.faces_of_dim(dim - 1))}
+    rows = {}
+    col_index = {}
+    for j, f in enumerate(c.faces_of_dim(dim)):
+        facets = [row_pos[f[:t] + f[t + 1 :]] for t in range(len(f))]
+        col = set(facets)
+        if len(col) < len(facets):
+            raise ValueError(f"duplicate entry in column {j}")
+        if j in cleared:
+            continue
+        col_index[j] = col
+        sign = 1
+        for i in facets:
+            r = rows.get(i)
+            if r is None:
+                rows[i] = {j: sign}
+            else:
+                r[j] = sign
+            sign = -sign
+    return rows, col_index
+
+
 def boundary_matrix(c: SimplicialComplex, dim: int) -> IntegerMatrix:
     """Boundary map from dim-faces to (dim-1)-faces.
 
-    Column f = (v0 < ... < vd) holds (-1)^t at the row of f minus its t-th
-    vertex.  dim 0 maps to a zero-row matrix; dim == c.dim + 1 has no
-    columns.
+    dim 0 maps to a zero-row matrix; dim == c.dim + 1 has no columns.
     """
     if dim < 0 or dim > c.dim + 1:
         raise DimOutOfRangeError(f"dimension {dim} not in 0..{c.dim + 1}")
-    cols = c.faces_of_dim(dim)
+    cols = len(c.faces_of_dim(dim))
     if dim == 0:
-        return IntegerMatrix(0, len(cols))
-    rows = c.faces_of_dim(dim - 1)
-    row_pos = {f: i for i, f in enumerate(rows)}
-    entries = []
-    for j, f in enumerate(cols):
-        for t in range(len(f)):
-            facet = f[:t] + f[t + 1 :]
-            entries.append((row_pos[facet], j, -1 if t % 2 else 1))
-    return IntegerMatrix(len(rows), len(cols), tuple(entries))
+        return IntegerMatrix(0, cols)
+    rows, _ = _boundary_rows(c, dim)
+    entries = tuple((i, j, v) for i, r in rows.items() for j, v in r.items())
+    return IntegerMatrix(len(c.faces_of_dim(dim - 1)), cols, entries)
 
 
 def _row_sub(rows, col_index, i, src, q):
@@ -93,14 +126,15 @@ def _row_sub(rows, col_index, i, src, q):
         del rows[i]
 
 
-def smith_normal_form(m: IntegerMatrix) -> tuple:
-    """Nonzero invariant factors of m, positive and in divisibility order."""
-    rows = {}
-    col_index = {}
-    for i, j, v in m.entries:
-        rows.setdefault(i, {})[j] = v
-        col_index.setdefault(j, set()).add(i)
+def _eliminate(rows: dict, col_index: dict) -> tuple:
+    """Reduce a matrix given as row dicts plus column index, consuming both.
+
+    Returns (invariant factors, phase-1 pivot rows): the non-zero factors,
+    positive and in divisibility order, and the rows that phase 1 pivoted
+    on with a unit entry.
+    """
     factors = []
+    unit_pivot_rows = set()
 
     # phase 1: unit pivots, shortest row first.  Keys are just row
     # lengths, so stale heap entries cost one O(1) check instead of a
@@ -128,6 +162,7 @@ def smith_normal_form(m: IntegerMatrix) -> tuple:
         j0 = best[1]
         v0 = r0[j0]
         factors.append(1)
+        unit_pivot_rows.add(i0)
         touched = [i for i in col_index[j0] if i != i0]
         for i in touched:
             _row_sub(rows, col_index, i, r0, rows[i][j0] * v0)
@@ -202,64 +237,17 @@ def smith_normal_form(m: IntegerMatrix) -> tuple:
                     changed = True
         tail.sort()
     factors[ones:] = tail
-    return tuple(factors)
+    return tuple(factors), unit_pivot_rows
 
 
-def rational_rank(m: IntegerMatrix) -> int:
-    """Rank over the rationals.
-
-    Same sparse row-elimination scheme as phase 1 of the Smith form, but
-    any nonzero pivot works: touched rows are cross-scaled to stay
-    integral (a*row_i - b*row_0 with a = pivot/g, b = entry/g), which
-    preserves rank."""
+def smith_normal_form(m: IntegerMatrix) -> tuple:
+    """Nonzero invariant factors of m, positive and in divisibility order."""
     rows = {}
     col_index = {}
     for i, j, v in m.entries:
         rows.setdefault(i, {})[j] = v
         col_index.setdefault(j, set()).add(i)
-    rank = 0
-    heap = [(len(r), i) for i, r in rows.items()]
-    heapq.heapify(heap)
-    while heap:
-        key, i0 = heapq.heappop(heap)
-        r0 = rows.get(i0)
-        if not r0:
-            continue
-        if len(r0) > key:
-            heapq.heappush(heap, (len(r0), i0))
-            continue
-        j0 = min(r0, key=lambda j: (len(col_index[j]), j))
-        v0 = r0[j0]
-        rank += 1
-        for i in list(col_index[j0]):
-            if i == i0:
-                continue
-            ri = rows[i]
-            e = ri.pop(j0)
-            col_index[j0].discard(i)
-            g = math.gcd(e, v0)
-            a, b = v0 // g, e // g
-            if a != 1:
-                for j in ri:
-                    ri[j] *= a
-            for j, w in r0.items():
-                if j == j0:
-                    continue
-                nv = ri.get(j, 0) - b * w
-                if nv:
-                    ri[j] = nv
-                    col_index[j].add(i)
-                elif j in ri:
-                    del ri[j]
-                    col_index[j].discard(i)
-            if ri:
-                heapq.heappush(heap, (len(ri), i))
-            else:
-                del rows[i]
-        for j in r0:
-            col_index[j].discard(i0)
-        del rows[i0]
-    return rank
+    return _eliminate(rows, col_index)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,13 +288,23 @@ def homology_groups(c: SimplicialComplex, reduced: bool = False) -> HomologySumm
     top = c.dim
     if top < 0:
         return HomologySummary((), -1, reduced)
-    counts = {d: len(c.faces_of_dim(d)) for d in range(top + 1)}
-    factors = {d: smith_normal_form(boundary_matrix(c, d)) for d in range(1, top + 1)}
-    ranks = {d: len(factors.get(d, ())) for d in range(top + 2)}
-    ranks[0] = 0
+    # Clearing: the d-faces S that were phase-1 pivot rows of M, the map
+    # from dimension d+1, are left out as columns of the map from d.
+    # Phase 1 only adds multiples of earlier pivot rows to later ones, so
+    # with T the pivot columns, M[S,T] has determinant +-1, the product of
+    # the unit pivots.  Swapping the cycles (boundary of tau, tau in T) in
+    # for the basis vectors (e_sigma, sigma in S) is then a change of
+    # Z-basis of the d-chains.  The map from d is zero on the new vectors
+    # and unchanged on the rest, so its rank and torsion are the same.
+    # Phase-2 pivot rows are never cleared.
+    factors = {}
+    cleared = frozenset()
+    for d in range(top, 0, -1):
+        factors[d], cleared = _eliminate(*_boundary_rows(c, d, cleared))
     groups = []
     for d in range(top + 1):
-        betti = counts[d] - ranks[d] - ranks[d + 1]
+        ranks = len(factors.get(d, ())) + len(factors.get(d + 1, ()))
+        betti = len(c.faces_of_dim(d)) - ranks
         if d == 0 and reduced:
             betti -= 1
         torsion = tuple(t for t in factors.get(d + 1, ()) if t > 1)
@@ -316,26 +314,13 @@ def homology_groups(c: SimplicialComplex, reduced: bool = False) -> HomologySumm
 
 
 def rational_betti(c: SimplicialComplex, reduced: bool = False) -> HomologySummary:
-    """Betti numbers over the rationals, skipping torsion.
-
-    Faster than the integral route on large complexes; the summary
-    carries empty torsion lists, so it only equals the integral answer
-    when the space is torsion-free."""
-    top = c.dim
-    if top < 0:
-        return HomologySummary((), -1, reduced)
-    counts = {d: len(c.faces_of_dim(d)) for d in range(top + 1)}
-    ranks = {d: rational_rank(boundary_matrix(c, d)) for d in range(1, top + 1)}
-    ranks[0] = 0
-    ranks[top + 1] = 0
-    groups = []
-    for d in range(top + 1):
-        betti = counts[d] - ranks[d] - ranks[d + 1]
-        if d == 0 and reduced:
-            betti -= 1
-        if betti:
-            groups.append((d, (betti, ())))
-    return HomologySummary(tuple(groups), top, reduced)
+    """Betti numbers over the rationals: the integral result with torsion
+    dropped, which by the universal coefficient theorem leaves the free
+    ranks.  It equals the integral answer only when the space is
+    torsion-free."""
+    s = homology_groups(c, reduced)
+    groups = tuple((d, (betti, ())) for d, (betti, _) in s.groups if betti)
+    return HomologySummary(groups, s.top_dim, reduced)
 
 
 def format_homology(s: HomologySummary) -> list:

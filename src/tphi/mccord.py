@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .homology import HomologySummary, homology_groups
-from .poset import FinitePoset, chain_count, discrete_type_classes
+from .poset import FinitePoset, _chains_by_minimum, discrete_type_classes
 from .simplicial import (
     DEFAULT_SIMPLEX_CAP,
     SimplicialComplex,
@@ -113,19 +113,12 @@ def basis_certificates(
 
     x is the minimum of its own upset, so the fiber complex is a cone
     with apex x; that is decided at the poset level and the complex is
-    never built (its size comes from the chain-counting recurrence).  The
-    ladder fallback is kept for form's sake.
+    never built.  The upset's chains are the c(x) with minimum x and the
+    c(x) - 1 that miss x (each of those but {x}, with x removed), so its
+    size is 2c(x) - 1.
     """
-    certs = []
-    for x in p.labels:
-        up = p.upset([x])
-        if all(y == x or p.less(x, y) for y in up):
-            size = chain_count(p.induced(up))
-            certs.append(BasisCertificate(x, CONE, x, size))
-        else:
-            cx = comparison_fiber_complex(p, x, cap)
-            cert = contractibility_certificate(cx)
-            certs.append(BasisCertificate(x, cert.kind, cert.apex, len(cx)))
+    counts = _chains_by_minimum(p)
+    certs = [BasisCertificate(x, CONE, x, 2 * c - 1) for x, c in zip(p.labels, counts)]
     hom = finite_space_homology(p, cap) if include_homology else None
     all_cone = all(c.kind == CONE for c in certs)
     return McCordReport(tuple(certs), all_cone, hom)

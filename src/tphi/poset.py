@@ -145,16 +145,20 @@ def build_poset(elements: Iterable[str], pairs: Iterable[tuple]) -> FinitePoset:
     return FinitePoset(elements, pairs)
 
 
-def chain_count(p: FinitePoset) -> int:
-    """Number of non-empty chains, counted without enumerating them.
-
-    Counts chains by their minimum: c(x) = 1 + sum of c(y) over y > x.
-    """
+def _chains_by_minimum(p: FinitePoset) -> list:
+    """c(x) for every element x in label order: the number of chains whose
+    minimum is x, c(x) = 1 + sum of c(y) over y > x."""
     counts = [0] * len(p.labels)
     order = sorted(range(len(p.labels)), key=lambda i: len(p.above[i]))
     for i in order:
         counts[i] = 1 + sum(counts[j] for j in p.above[i])
-    return sum(counts)
+    return counts
+
+
+def chain_count(p: FinitePoset) -> int:
+    """Number of non-empty chains, counted by their minimum without
+    enumerating them."""
+    return sum(_chains_by_minimum(p))
 
 
 @dataclass(frozen=True)

@@ -246,6 +246,17 @@ def test_mccord_verify_json(tmp_path, capsys):
     assert rows[-1]["homology"] == ["H_0 = Z^1", "H_1 = Z^1"]
 
 
+def test_empty_input(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "empty.poset"
+    f.write_text("")
+    code, out, err = run(capsys, "mccord-verify", str(f))
+    assert (code, out, err) == (0, "verdict: all basic opens certified contractible\n", "")
+    code, out, err = run(capsys, "cw-report", str(f))
+    assert (code, out, err) == (0, "verdict: CW type\n", "")
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    assert run(capsys, "homology", "-") == (0, "", "")
+
+
 def test_cw_report_chain_and_obstructed(tmp_path, capsys):
     f = tmp_path / "chain.poset"
     f.write_text(CHAIN_FILE)

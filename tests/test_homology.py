@@ -17,14 +17,22 @@ from tphi.errors import DimOutOfRangeError
 from tphi.homology import (
     HomologySummary,
     IntegerMatrix,
+    _boundary_rows,
+    _eliminate,
     boundary_matrix,
     format_homology,
     homology_groups,
     rational_betti,
     smith_normal_form,
 )
-from tphi.homology import rational_rank as sparse_rational_rank
-from tphi.simplicial import SimplicialComplex, euler_characteristic, join
+from tphi.models import build_tphi_power
+from tphi.simplicial import (
+    SimplicialComplex,
+    barycentric_subdivision,
+    euler_characteristic,
+    join,
+    order_complex,
+)
 
 # ---------------------------------------------------------------- oracles
 
@@ -263,27 +271,87 @@ def test_format_reduced_prefix():
     assert format_homology(s) == ["H~_0 = 0", "H~_1 = Z^1"]
 
 
+# -------------------------------------------------------------- clearing
+
+
+def uncleared_homology(c, reduced):
+    """Homology assembled from the Smith form of every full boundary
+    matrix, with no column left out."""
+    top = c.dim
+    factors = {d: smith_normal_form(boundary_matrix(c, d)) for d in range(1, top + 2)}
+    groups = []
+    for d in range(top + 1):
+        betti = len(c.faces_of_dim(d)) - len(factors.get(d, ())) - len(factors[d + 1])
+        if d == 0 and reduced:
+            betti -= 1
+        torsion = tuple(t for t in factors[d + 1] if t > 1)
+        if betti or torsion:
+            groups.append((d, (betti, torsion)))
+    return HomologySummary(tuple(groups), top, reduced)
+
+
+def relabeled(c, rng):
+    """The same complex with its vertices put in a shuffled order, so that
+    faces are indexed, and pivots chosen, differently.  A new label is
+    'w<new index>:<old label>'."""
+    perm = list(range(len(c.labels)))
+    rng.shuffle(perm)
+    labels = [f"w{perm[v]:04d}:{lab}" for v, lab in enumerate(c.labels)]
+    faces = [tuple(sorted(perm[v] for v in f)) for f in c.faces]
+    return SimplicialComplex(labels, faces, closed=True)
+
+
+def test_clearing_matches_uncleared_smith_form():
+    rng = random.Random(20261018)
+    rp2 = projective_plane()
+    suspension = join(rp2, two_points("s", "t"))
+    assert homology_groups(suspension).group(2) == (0, (2,))
+    spaces = [relabeled(rp2, rng) for _ in range(20)]
+    # the suspension has three boundary maps, so clearing runs twice
+    spaces += [suspension, barycentric_subdivision(rp2)]
+    spaces += [relabeled(suspension, rng) for _ in range(5)]
+    for n, k in ((3, 2), (2, 4)):
+        c = order_complex(build_tphi_power(n, k).poset)
+        spaces += [relabeled(c, rng) for _ in range(5)]
+    for c in spaces:
+        for reduced in (False, True):
+            assert homology_groups(c, reduced) == uncleared_homology(c, reduced)
+
+
+def test_relabeling_changes_the_cleared_set():
+    rng = random.Random(20261018)
+    seen = set()
+    for _ in range(20):
+        c = relabeled(projective_plane(), rng)
+        factors, pivots = _eliminate(*_boundary_rows(c, 2))
+        # nine unit pivots clear nine edges; the row behind the factor 2
+        # comes from phase 2 and stays
+        assert factors == (1,) * 9 + (2,)
+        assert len(pivots) == 9
+        edges = c.faces_of_dim(1)
+        seen.add(frozenset(
+            frozenset(lab.split(":")[1] for lab in c.face_labels(edges[i]))
+            for i in pivots
+        ))
+    assert len(seen) > 1
+
+
+def test_boundary_rows_keep_failure_modes():
+    # a column whose facets repeat a row, and a missing facet, both raise
+    # even when the column is cleared
+    bad = SimplicialComplex(["a", "b"], [(0,), (1,), (0, 0)], closed=True)
+    with pytest.raises(ValueError):
+        boundary_matrix(bad, 1)
+    with pytest.raises(ValueError):
+        _boundary_rows(bad, 1, frozenset({0}))
+    open_edge = SimplicialComplex(["a", "b"], [(0,), (0, 1)], closed=True)
+    with pytest.raises(KeyError):
+        homology_groups(open_edge)
+    with pytest.raises(KeyError):
+        _boundary_rows(open_edge, 1, frozenset({0}))
+
+
 # -------------------------------------------------------- rational route
-
-
-def test_rational_rank_matches_dense_elimination():
-    rng = random.Random(20240815)
-    for _ in range(250):
-        rows = rng.randrange(1, 7)
-        cols = rng.randrange(1, 7)
-        grid = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        if rng.random() < 0.3:
-            # strip unit entries so the scaled-subtraction path runs
-            grid = [[2 * v for v in row] for row in grid]
-        m = IntegerMatrix.from_dense(grid)
-        assert sparse_rational_rank(m) == rational_rank(grid)
-
-
-def test_rational_rank_edge_shapes():
-    assert sparse_rational_rank(IntegerMatrix(0, 5)) == 0
-    assert sparse_rational_rank(IntegerMatrix(5, 0)) == 0
-    assert sparse_rational_rank(IntegerMatrix(3, 3)) == 0
-    assert sparse_rational_rank(IntegerMatrix.from_dense([[6, 10], [15, 25]])) == 1
 
 
 def test_rational_betti_agrees_when_torsion_free():
