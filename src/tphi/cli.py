@@ -243,7 +243,7 @@ def cmd_model_build(args) -> int:
         return 0
     if args.family == "perp":
         print(DISCRETIZATION_CAVEAT, file=sys.stderr)
-        pruned = perp_pruned_strata(list(vectors), args.k)
+        pruned = perp_pruned_strata(built, args.n)
         if pruned:
             print(
                 "empty strata pruned from the index chain: "

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .errors import EmptySumError
@@ -331,6 +332,18 @@ def format_value(v: TPhi) -> str:
     if v.is_zero:
         return "0"
     return f"{v.angle.numerator}/{v.angle.denominator}"
+
+
+def format_scalars(k: int) -> list[str]:
+    """``[format_value(s) for s in scalars(k)]``, computed from the residues
+    alone: position 0 is zero and position j+1 is j/k turns in lowest terms."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    out = ["0"]
+    for j in range(k):
+        g = gcd(j, k)
+        out.append(f"{j // g}/{k // g}")
+    return out
 
 
 def parse_value(text: str) -> TPhi:

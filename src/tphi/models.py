@@ -6,6 +6,12 @@ zero sits below every unit and distinct units are incomparable, so x < y
 exactly when x arises from y by zeroing some coordinates.  Its order
 complex is the barycentric subdivision of a join of antichains, which
 pins the expected homology used as a test oracle.
+
+The power and perp builders run on integer residues: residue 0 is zero and
+residue j+1 is j/k turns, the positions of ``scalars(k)``.  Labels are joined
+from one ``format_scalars(k)`` table, so no scalar object is made per
+element; the order is read off the non-zero residues.  Perp members arrive
+as scalars from ``perp_enumerate`` and are converted once.
 """
 
 from __future__ import annotations
@@ -15,14 +21,8 @@ from dataclasses import dataclass
 
 from .errors import BadArityError, EmptyPerpError, SizeCapExceededError
 from .homology import HomologySummary
-from .hyperfield import ONE, ZERO, in_tphi_k, phase_key, scalars
-from .phased import (
-    GPFunction,
-    format_vector,
-    gp_verify_all,
-    perp_enumerate,
-    support,
-)
+from .hyperfield import ONE, ZERO, format_scalars, in_tphi_k, phase_key, scalars
+from .phased import GPFunction, gp_verify_all, perp_enumerate
 from .poset import FinitePoset, MirroredPoset, build_poset, mirrored
 from .simplicial import DEFAULT_SIMPLEX_CAP
 
@@ -70,10 +70,6 @@ def _chain_poset(labels) -> FinitePoset:
     return build_poset(labels, list(zip(labels, labels[1:])))
 
 
-def _dominates(y, x) -> bool:
-    return all(a.is_zero or a == b for a, b in zip(x, y))
-
-
 def build_tphi_power(n: int, k: int, cap: int = DEFAULT_SIMPLEX_CAP) -> MirroredPoset:
     """All nonzero length-n vectors over the k-point discretization,
     ordered by zeroing coordinates, mirrored onto 1..n by support size."""
@@ -82,54 +78,71 @@ def build_tphi_power(n: int, k: int, cap: int = DEFAULT_SIMPLEX_CAP) -> Mirrored
     size = (k + 1) ** n - 1
     if size > cap:
         raise SizeCapExceededError(f"power poset has {size} elements, cap is {cap}")
-    pool = scalars(k)
-    vectors = [
-        v for v in itertools.product(pool, repeat=n) if not all(e.is_zero for e in v)
-    ]
-    labels = [format_vector(v) for v in vectors]
+    table = format_scalars(k)
+    strata = [str(s) for s in range(n + 1)]
     pairs = []
-    for v, lab in zip(vectors, labels):
-        if len(support(v)) < 2:
+    assignment = {}
+    # residue vectors in lexicographic order; the first is the zero vector
+    for v in itertools.islice(itertools.product(range(k + 1), repeat=n), 1, None):
+        parts = list(map(table.__getitem__, v))
+        lab = ",".join(parts)
+        rank = n - v.count(0)
+        assignment[lab] = strata[rank]
+        if rank < 2:
             continue
-        for i in support(v):
-            below = v[:i] + (ZERO,) + v[i + 1 :]
-            pairs.append((format_vector(below), lab))
-    poset = build_poset(labels, pairs)
-    index = _chain_poset(str(s) for s in range(1, n + 1))
-    assignment = {lab: str(len(support(v))) for v, lab in zip(vectors, labels)}
+        for i, e in enumerate(v):
+            if e:
+                parts[i] = "0"
+                pairs.append((",".join(parts), lab))
+                parts[i] = table[e]
+    poset = build_poset(list(assignment), pairs)
+    index = _chain_poset(strata[1:])
     return mirrored(poset, index, assignment)
+
+
+def _residue(e, k: int) -> int:
+    """Position of the scalar e in scalars(k)."""
+    return 0 if e.is_zero else e.angle.numerator * (k // e.angle.denominator) + 1
 
 
 def build_perp_poset(vs, k: int, cap: int = DEFAULT_SIMPLEX_CAP) -> MirroredPoset:
     """The subposet of the power model orthogonal to every constraint.
 
-    The support-size mirror is kept, with empty strata dropped from the
-    index chain (pruned_strata reports which).
+    The members below y are the vectors that zero a non-empty proper subset
+    of y's support and are members themselves; the perp set is not closed
+    under zeroing, so every subset is looked up, not only single
+    coordinates.  The support-size mirror is kept, with empty strata
+    dropped from the index chain (perp_pruned_strata reports which).
     """
-    members = perp_enumerate(vs, k)
+    members = perp_enumerate(vs, k, cap)
     if not members:
         raise EmptyPerpError("no nonzero vector is orthogonal to the constraints")
-    if len(members) > cap:
-        raise SizeCapExceededError(f"perp has {len(members)} elements, cap is {cap}")
-    labels = [format_vector(m) for m in members]
+    table = format_scalars(k)
+    rows = (tuple(_residue(e, k) for e in m) for m in members)
+    label_of = {r: ",".join(table[e] for e in r) for r in rows}
     pairs = []
-    for x, lx in zip(members, labels):
-        for y, ly in zip(members, labels):
-            if x is not y and _dominates(y, x) and lx != ly:
-                pairs.append((lx, ly))
-    poset = build_poset(labels, pairs)
-    occupied = sorted({len(support(m)) for m in members})
-    index = _chain_poset(str(s) for s in occupied)
-    assignment = {lab: str(len(support(m))) for m, lab in zip(members, labels)}
+    assignment = {}
+    for r, lab in label_of.items():
+        nonzero = [i for i, e in enumerate(r) if e]
+        assignment[lab] = str(len(nonzero))
+        for size in range(1, len(nonzero)):
+            for zeroed in itertools.combinations(nonzero, size):
+                below = list(r)
+                for i in zeroed:
+                    below[i] = 0
+                lx = label_of.get(tuple(below))
+                if lx is not None:
+                    pairs.append((lx, lab))
+    poset = build_poset(list(assignment), pairs)
+    index = _chain_poset(sorted(set(assignment.values()), key=int))
     return mirrored(poset, index, assignment)
 
 
-def perp_pruned_strata(vs, k: int) -> tuple:
-    """Support sizes 1..n whose perp stratum is empty (the strata removed
-    from the index chain by build_perp_poset)."""
-    members = perp_enumerate(vs, k)
-    occupied = {len(support(m)) for m in members}
-    return tuple(s for s in range(1, len(vs[0]) + 1) if s not in occupied)
+def perp_pruned_strata(mp: MirroredPoset, n: int) -> tuple:
+    """Support sizes 1..n missing from the index chain of a perp model
+    built by build_perp_poset on length-n constraints."""
+    occupied = set(mp.index_poset.labels)
+    return tuple(s for s in range(1, n + 1) if str(s) not in occupied)
 
 
 def _gp_sort_key(tuples):

@@ -21,6 +21,7 @@ from .errors import (
     IndexOutOfRangeError,
     LengthMismatchError,
     OddDiscretizationError,
+    SizeCapExceededError,
     ZeroVectorError,
 )
 from .hyperfield import (
@@ -34,6 +35,7 @@ from .hyperfield import (
     scalars,
     unit,
 )
+from .simplicial import DEFAULT_SIMPLEX_CAP
 
 PhasedVector = tuple
 
@@ -73,12 +75,15 @@ def perp_membership(vs: Sequence[PhasedVector], x: PhasedVector) -> bool:
     return True
 
 
-def perp_enumerate(vs: Sequence[PhasedVector], k: int) -> list:
+def perp_enumerate(
+    vs: Sequence[PhasedVector], k: int, cap: int = DEFAULT_SIMPLEX_CAP
+) -> list:
     """All non-zero vectors with entries in the k-point discretization that
     are orthogonal to every vector of vs, in lexicographic order (zero
     before units, units by angle).
 
     k must be even so that the discretization is closed under negation.
+    The (k+1)^n - 1 candidates are counted first and refused above cap.
     """
     if not vs:
         raise ZeroVectorError("need at least one constraint vector")
@@ -93,6 +98,9 @@ def perp_enumerate(vs: Sequence[PhasedVector], k: int) -> list:
                 raise ValueError(
                     f"constraint entry {format_value(e)} is not a {k}-th root of unity"
                 )
+    candidates = (k + 1) ** n - 1
+    if candidates > cap:
+        raise SizeCapExceededError(f"perp has {candidates} candidates, cap is {cap}")
     pool = scalars(k)
     out = []
     for cand in itertools.product(pool, repeat=n):

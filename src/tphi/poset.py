@@ -238,7 +238,8 @@ def geometric_discrete_check(mp: MirroredPoset) -> GeometricReport:
     in stratum s.  The openness and refinement axioms hold vacuously over
     discrete strata; the basis axiom reduces to the fact that the upset of
     a single element meets higher strata in elements genuinely above it.
-    Those two are reported as notes, the second after a structural sweep.
+    Those two are reported as notes, the second with the number of
+    higher-stratum elements that the up-sets reach.
     """
     fibers = mp.fibers()
     poset = mp.poset
@@ -250,10 +251,7 @@ def geometric_discrete_check(mp: MirroredPoset) -> GeometricReport:
             hits = poset.upset([x]) & high
             if not hits:
                 violations.append(f"nothing above {x} in stratum {s}")
-            for y in sorted(hits):
-                # structural singleton-basis check: y really sits above x
-                assert poset.less(x, y)
-                checked += 1
+            checked += len(hits)
     notes = (
         "openness: subsets of discrete strata are open, nothing to check",
         "refinement of covers inside a stratum is vacuous at discrete scale",

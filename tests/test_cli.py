@@ -6,6 +6,7 @@ asserted exactly as a shell harness would see them.
 
 import io
 import json
+import time
 
 import pytest
 
@@ -106,6 +107,16 @@ def test_gp_enum_cap(capsys):
     )
     assert code == 2
     assert "cap" in err
+
+
+def test_perp_refuses_oversized_search_at_once(capsys):
+    # 41^8 - 1 candidates: refused before the enumeration starts
+    start = time.monotonic()
+    code, out, err = run(capsys, "perp", "--k", "40", ",".join(["0/1"] * 8))
+    assert code == 2
+    assert "cap" in err
+    assert out == ""
+    assert time.monotonic() - start < 5
 
 
 def test_transversal_pairs(capsys):

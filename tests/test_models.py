@@ -8,13 +8,14 @@ from the brute-force filter, which is re-run here as the oracle.
 """
 
 import itertools
+import random
 from functools import reduce
 
 import pytest
 
 from tphi.errors import BadArityError, EmptyPerpError, SizeCapExceededError
 from tphi.homology import homology_groups
-from tphi.hyperfield import ONE, format_value, unit, units, scalars
+from tphi.hyperfield import ONE, ZERO, format_scalars, format_value, unit, units, scalars
 from tphi.models import (
     DISCRETIZATION_CAVEAT,
     TPhiModelSpec,
@@ -27,13 +28,15 @@ from tphi.models import (
 )
 from tphi.phased import (
     GPFunction,
+    format_vector,
     gp_normalize,
     gp_verify_all,
     parse_vector,
+    perp_enumerate,
     perp_membership,
     support,
 )
-from tphi.poset import geometric_discrete_check, mirror_check
+from tphi.poset import build_poset, geometric_discrete_check, mirror_check, mirrored
 from tphi.simplicial import (
     SimplicialComplex,
     barycentric_subdivision,
@@ -176,12 +179,96 @@ def test_perp_order_is_induced():
 
 
 def test_perp_pruning_and_errors():
-    assert perp_pruned_strata([(P, P, P)], 2) == (1,)
-    assert perp_pruned_strata([(P, P)], 2) == (1,)
+    assert perp_pruned_strata(build_perp_poset([(P, P, P)], 2), 3) == (1,)
+    assert perp_pruned_strata(build_perp_poset([(P, P)], 2), 2) == (1,)
+    # (0,0,a) is orthogonal to (1,1,0), so no stratum is empty
+    assert perp_pruned_strata(build_perp_poset([(P, P, ZERO)], 2), 3) == ()
     with pytest.raises(EmptyPerpError):
         build_perp_poset([(P,)], 2)
     with pytest.raises(SizeCapExceededError):
         build_perp_poset([(P, P, P)], 2, cap=5)
+
+
+def _reference_chain(labels):
+    labels = list(labels)
+    return build_poset(labels, list(zip(labels, labels[1:])))
+
+
+def _reference_power(n, k):
+    """The power model built on scalars: every vector and label made from
+    TPhi values, below-labels by zeroing one coordinate."""
+    vectors = [
+        v for v in itertools.product(scalars(k), repeat=n) if not all(e.is_zero for e in v)
+    ]
+    labels = [format_vector(v) for v in vectors]
+    pairs = []
+    for v, lab in zip(vectors, labels):
+        if len(support(v)) < 2:
+            continue
+        for i in support(v):
+            below = v[:i] + (ZERO,) + v[i + 1 :]
+            pairs.append((format_vector(below), lab))
+    poset = build_poset(labels, pairs)
+    index = _reference_chain(str(s) for s in range(1, n + 1))
+    assignment = {lab: str(len(support(v))) for v, lab in zip(vectors, labels)}
+    return mirrored(poset, index, assignment)
+
+
+def _reference_perp(vs, k):
+    """The perp model ordered by comparing every pair of members."""
+    members = perp_enumerate(vs, k)
+    if not members:
+        raise EmptyPerpError("no nonzero vector is orthogonal to the constraints")
+    labels = [format_vector(m) for m in members]
+    pairs = []
+    for x, lx in zip(members, labels):
+        for y, ly in zip(members, labels):
+            if x is not y and all(a.is_zero or a == b for a, b in zip(x, y)):
+                pairs.append((lx, ly))
+    poset = build_poset(labels, pairs)
+    occupied = sorted({len(support(m)) for m in members})
+    index = _reference_chain(str(s) for s in occupied)
+    assignment = {lab: str(len(support(m))) for m, lab in zip(members, labels)}
+    return mirrored(poset, index, assignment)
+
+
+def test_format_scalars_matches_format_value():
+    for k in range(1, 241):
+        assert format_scalars(k) == [format_value(s) for s in scalars(k)], k
+    with pytest.raises(ValueError):
+        format_scalars(0)
+
+
+def test_power_matches_scalar_reference():
+    cases = [(1, k) for k in range(1, 201)]
+    cases += [
+        (n, k)
+        for n in range(2, 11)
+        for k in range(1, 36)
+        if (k + 1) ** n <= 1300
+    ]
+    assert (2, 35) in cases and (5, 3) in cases and (10, 1) in cases
+    for n, k in cases:
+        assert build_tphi_power(n, k) == _reference_power(n, k), (n, k)
+
+
+def test_perp_matches_pairwise_reference():
+    rng = random.Random(20211)
+    checked = 0
+    for n, k in [(3, 2), (4, 2), (4, 4), (5, 2), (4, 6)]:
+        pool = scalars(k)
+        for m in (1, 2):
+            for _ in range(3):
+                vs = [tuple(rng.choice(pool) for _ in range(n)) for _ in range(m)]
+                try:
+                    want = _reference_perp(vs, k)
+                except EmptyPerpError:
+                    with pytest.raises(EmptyPerpError):
+                        build_perp_poset(vs, k)
+                    continue
+                assert build_perp_poset(vs, k) == want, (n, k, vs)
+                checked += 1
+    assert checked >= 25
 
 
 def test_grassmannian_counts_frozen():

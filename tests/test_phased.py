@@ -15,6 +15,7 @@ from tphi.errors import (
     IndexOutOfRangeError,
     LengthMismatchError,
     OddDiscretizationError,
+    SizeCapExceededError,
     ZeroVectorError,
 )
 from tphi.hyperfield import ONE, TPhi, ZERO, contains_zero, scalars, unit, units
@@ -125,6 +126,13 @@ def test_perp_enumerate_validation():
         perp_enumerate([(P, P), (P,)], 2)
     with pytest.raises(ZeroVectorError):
         perp_enumerate([], 2)
+
+
+def test_perp_enumerate_cap_counts_candidates():
+    # 3^3 - 1 = 26 candidates, of which 12 are members
+    assert len(perp_enumerate([(P, P, P)], 2, cap=26)) == 12
+    with pytest.raises(SizeCapExceededError, match="26 candidates"):
+        perp_enumerate([(P, P, P)], 2, cap=25)
 
 
 def test_gp_construction_and_validation():
