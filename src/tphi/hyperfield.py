@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import EmptySumError
@@ -287,31 +287,48 @@ def boxplus_fold(terms: Sequence[TPhi]) -> ArcSet:
     return acc
 
 
+def zero_in_residue_sum(residues, h: int) -> bool:
+    """Whether zero lies in the multivalued sum of the circle points with
+    the given integer residues mod 2h (h residues make half a turn).
+
+    Zero terms are left out by the caller; no residues at all means the
+    sum is zero.  Zero is in the sum exactly when two points are antipodal
+    or no open semicircle holds them all, i.e. the largest circular gap
+    between consecutive distinct points is under h.  A gap of exactly h
+    has antipodal end points, so the two tests together say that no gap
+    exceeds h.  One point alone leaves a gap of 2h.
+    """
+    m = 2 * h
+    points = sorted({x % m for x in residues})
+    if not points:
+        return True
+    prev = points[-1] - m
+    for x in points:
+        if x - prev > h:
+            return False
+        prev = x
+    return True
+
+
+def angle_residues(values: Sequence[TPhi]) -> tuple[list[int], int]:
+    """The non-zero values as (residues, h): each angle put over the lcm h
+    of the angle denominators, as an integer residue mod 2h, so that h
+    residues make half a turn."""
+    angles = [v.angle for v in values]
+    h = lcm(*(a.denominator for a in angles))
+    return [a.numerator * (2 * h // a.denominator) for a in angles], h
+
+
 def contains_zero(terms: Sequence[TPhi]) -> bool:
     """Whether zero lies in the multivalued sum of the terms.
 
-    Decided without folding: after dropping zero terms and duplicates,
-    zero is in the sum exactly when two entries are antipodal or when no
-    open semicircle contains all entries, i.e. the largest circular gap
-    between consecutive entries is under half a turn.  A gap of exactly
-    half a turn forces an antipodal pair, so the boundary case is covered
-    by the first test.
+    Decided without folding, by ``zero_in_residue_sum`` on the
+    ``angle_residues`` of the non-zero terms.
     """
     terms = list(terms)
     if not terms:
         raise EmptySumError("cannot sum an empty sequence of scalars")
-    angles = sorted({t.angle for t in terms if not t.is_zero})
-    if not angles:
-        return True
-    present = set(angles)
-    if any((a + HALF) % 1 in present for a in angles):
-        return True
-    if len(angles) == 1:
-        return False
-    largest_gap = (angles[0] - angles[-1]) % 1
-    for prev, nxt in zip(angles, angles[1:]):
-        largest_gap = max(largest_gap, nxt - prev)
-    return largest_gap < HALF
+    return zero_in_residue_sum(*angle_residues([t for t in terms if not t.is_zero]))
 
 
 def scale_arcset(a: TPhi, s: ArcSet) -> ArcSet:

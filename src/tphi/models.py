@@ -17,12 +17,19 @@ as scalars from ``perp_enumerate`` and are converted once.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import BadArityError, EmptyPerpError, SizeCapExceededError
 from .homology import HomologySummary
-from .hyperfield import ONE, ZERO, format_scalars, in_tphi_k, phase_key, scalars
-from .phased import GPFunction, gp_verify_all, perp_enumerate
+from .hyperfield import angle_residues, format_scalars, in_tphi_k, scalars
+from .phased import (
+    GPFunction,
+    _gp_relation_holds,
+    _gp_relations_by_last_tuple,
+    _relation_count,
+    perp_enumerate,
+)
 from .poset import FinitePoset, MirroredPoset, build_poset, mirrored
 from .simplicial import DEFAULT_SIMPLEX_CAP
 
@@ -145,12 +152,29 @@ def perp_pruned_strata(mp: MirroredPoset, n: int) -> tuple:
     return tuple(s for s in range(1, n + 1) if str(s) not in occupied)
 
 
-def _gp_sort_key(tuples):
-    def key(phi):
-        values = dict(phi.entries)
-        return tuple(phase_key(values.get(t, ZERO)) for t in tuples)
+def _min_search_steps(n: int, r: int, k: int) -> int:
+    """A lower bound on the steps of the enum_grassmannian search, taken
+    from its shape alone.
 
-    return key
+    A function with one nonzero value passes every exchange relation, so
+    for every tuple p the branch with zeros before p and 1 at p tries all
+    k + 1 values at every later tuple q and checks every relation that
+    closes at q, at 1 + c_q steps each.  No relation closes at the first
+    tuple, and every tuple T is in degree relations: T is xs less one entry
+    x not in ys, or ys is T less one entry y in xs, or both (T inside xs,
+    ys inside T).  So at least relations - p * degree of them close after
+    p.
+    """
+    count = math.comb(n, r)
+    relations = _relation_count(n, r, False)
+    if relations == 0:
+        return 0  # r == n: a single tuple
+    degree = (
+        (n - r) * math.comb(n - 1, r - 1) + r * math.comb(n - 1, r) - r * (n - r)
+    )
+    m = min(count - 1, (relations - 1) // degree)
+    closing_after = (m + 1) * relations - degree * m * (m + 1) // 2
+    return (k + 1) * (count * (count - 1) // 2 + closing_after)
 
 
 def enum_grassmannian(
@@ -160,29 +184,64 @@ def enum_grassmannian(
     the k-point discretization, one normalized representative per scalar
     class, sorted by value vector.
 
-    Normalization is built into the search: the first nonzero value (in
-    tuple order) is pinned to 1, so each scalar orbit appears once.
+    A depth-first search assigns the increasing r-tuples their values in
+    lexicographic order, zero first and then the units by angle.
+    Normalization is built into the search: until the first nonzero value
+    the only choices are zero and 1, so each scalar orbit appears once.
+    Once tuple p has its value, every exchange relation whose last tuple
+    is p is checked (none needs checking before a second nonzero value),
+    so the leaves are exactly the functions gp_verify_all passes, in
+    sorted order.
+
+    The cap counts search steps: one per value tried and one per relation
+    checked, stopping at the first that fails.  A search whose lower bound
+    _min_search_steps exceeds cap is refused before anything is built; any
+    other raises once its steps go over cap.
     """
     if not 1 <= r <= n:
         raise BadArityError(f"rank {r} not in 1..{n}")
+    need = _min_search_steps(n, r, k)
+    if need > cap:
+        raise SizeCapExceededError(f"at least {need} search steps exceed cap {cap}")
     tuples = list(itertools.combinations(range(1, n + 1), r))
     count = len(tuples)
-    if (k + 1) ** count > cap:
-        raise SizeCapExceededError(
-            f"{(k + 1) ** count} candidates exceed cap {cap}"
-        )
+    closing = _gp_relations_by_last_tuple(n, r)
     pool = scalars(k)
+    units, h = angle_residues(pool[1:])
+    residue = [None] + units
+    chosen = [0] * count
+    value = [None] * count
+    # options[p]: the values still to try at p; started[p]: some value
+    # before p is nonzero
+    options = [iter((0, 1))] + [None] * (count - 1)
+    started = [False] * count
     found = []
-    for first in range(count):
-        for tail in itertools.product(pool, repeat=count - first - 1):
-            mapping = {tuples[first]: ONE}
-            for t, v in zip(tuples[first + 1 :], tail):
-                if not v.is_zero:
-                    mapping[t] = v
-            phi = GPFunction.from_values(n, r, mapping)
-            if gp_verify_all(phi).ok:
-                found.append(phi)
-    found.sort(key=_gp_sort_key(tuples))
+    steps = 0
+    p = 0
+    while p >= 0:
+        e = next(options[p], None)
+        if e is None:
+            p -= 1
+            continue
+        chosen[p] = e
+        value[p] = residue[e]
+        steps += 1
+        holds = True
+        for terms in closing[p] if started[p] else ():
+            steps += 1
+            if not _gp_relation_holds(terms, value, h):
+                holds = False
+                break
+        if steps > cap:
+            raise SizeCapExceededError(f"search steps exceed cap {cap}")
+        if holds:
+            if p + 1 < count:
+                p += 1
+                started[p] = started[p - 1] or e > 0
+                options[p] = iter(range(k + 1) if started[p] else (0, 1))
+            elif started[p] or e > 0:
+                entries = tuple((t, pool[c]) for t, c in zip(tuples, chosen) if c)
+                found.append(GPFunction(n, r, entries))
     return found
 
 

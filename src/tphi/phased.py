@@ -12,6 +12,7 @@ Ground-set indices are 1-based.  Vector positions are 0-based.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -27,6 +28,7 @@ from .errors import (
 from .hyperfield import (
     TPhi,
     ZERO,
+    angle_residues,
     contains_zero,
     format_value,
     in_tphi_k,
@@ -34,6 +36,7 @@ from .hyperfield import (
     phase_key,
     scalars,
     unit,
+    zero_in_residue_sum,
 )
 from .simplicial import DEFAULT_SIMPLEX_CAP
 
@@ -227,24 +230,96 @@ def gp_verify_all(phi: GPFunction, all_tuples: bool = False) -> GPReport:
     The default sweep runs over strictly increasing index tuples.  With
     all_tuples the sweep runs over arbitrary tuples (repeats included);
     relations with repeated or permuted indices are forced by the
-    alternating rule, so the verdict must coincide.
+    alternating rule, so the verdict must coincide.  The relations are
+    counted first and refused above DEFAULT_SIMPLEX_CAP.
+
+    The values are taken as their angle_residues, and each relation is
+    read from the rows of _gp_sweep as they are generated: the cap allows
+    millions of relations, so no table of them is held.
     """
     if phi.is_zero:
         return GPReport(False, "not identically zero")
-    ground = range(1, phi.n + 1)
-    if all_tuples:
-        xs_sweep = itertools.product(ground, repeat=phi.r + 1)
-    else:
-        xs_sweep = itertools.combinations(ground, phi.r + 1)
-    for xs in xs_sweep:
-        if all_tuples:
-            ys_sweep = itertools.product(ground, repeat=phi.r - 1)
-        else:
-            ys_sweep = itertools.combinations(ground, phi.r - 1)
-        for ys in ys_sweep:
-            if not contains_zero(gp_relation_terms(phi, xs, ys)):
-                return GPReport(False, "exchange relation failed", tuple(xs), tuple(ys))
+    n, r = phi.n, phi.r
+    count = _relation_count(n, r, all_tuples)
+    if count > DEFAULT_SIMPLEX_CAP:
+        raise SizeCapExceededError(
+            f"{count} exchange relations exceed cap {DEFAULT_SIMPLEX_CAP}"
+        )
+    keys = [key for key, _ in phi.entries]
+    residues, h = angle_residues([v for _, v in phi.entries])
+    residue = dict(zip(keys, residues))
+    value = [residue.get(t) for t in itertools.combinations(range(1, n + 1), r)]
+    for xs, ys, terms in _gp_sweep(n, r, all_tuples):
+        if not _gp_relation_holds(terms, value, h):
+            return GPReport(False, "exchange relation failed", xs, ys)
     return GPReport(True)
+
+
+def _relation_count(n: int, r: int, all_tuples: bool) -> int:
+    """The number of exchange relations in the gp_verify_all sweep."""
+    if all_tuples:
+        return n ** (2 * r)
+    return math.comb(n, r + 1) * math.comb(n, r - 1)
+
+
+def _gp_relation_holds(terms, value, h: int) -> bool:
+    """One row of the relation table on residues mod 2h: value[i] is the
+    residue of phi on the i-th increasing tuple, None where phi is zero."""
+    return zero_in_residue_sum(
+        [
+            value[a] + value[b] + h * p
+            for a, b, p in terms
+            if value[a] is not None and value[b] is not None
+        ],
+        h,
+    )
+
+
+def _gp_sweep(n: int, r: int, all_tuples: bool):
+    """Yield (xs, ys, terms) for every exchange relation, in the order of
+    the gp_verify_all sweep.
+
+    terms lists the terms of gp_relation_terms that are not zero for every
+    function, as (a, b, p): the term is phi(A) * phi(B) times a half turn
+    when p is 1, where A and B are the a-th and b-th increasing r-tuples in
+    lexicographic order.  p collects the relation's own sign and the
+    parities of the permutations that sort the two tuples.
+    """
+    ground = range(1, n + 1)
+    index = {t: i for i, t in enumerate(itertools.combinations(ground, r))}
+    if all_tuples:
+        xs_sweep = itertools.product(ground, repeat=r + 1)
+        ys_sweep = list(itertools.product(ground, repeat=r - 1))
+        candidates = itertools.permutations(ground, r)
+    else:
+        xs_sweep = itertools.combinations(ground, r + 1)
+        ys_sweep = list(itertools.combinations(ground, r - 1))
+        # the tuples a relation on increasing xs, ys can reach: one entry
+        # moved in front of an increasing (r-1)-tuple
+        candidates = ((x,) + ys for ys in ys_sweep for x in ground if x not in ys)
+    # tuple -> (index of its sorted form, parity of the sort); tuples with
+    # repeated entries are missing, since phi vanishes on them
+    signed = {t: (index[tuple(sorted(t))], _inversions(t) % 2) for t in candidates}
+    for xs in xs_sweep:
+        for ys in ys_sweep:
+            terms = []
+            for k in range(r + 1):
+                a = signed.get(xs[:k] + xs[k + 1 :])
+                b = signed.get((xs[k],) + ys)
+                if a is not None and b is not None:
+                    # gp_relation_terms puts a half turn on its odd 1-based k
+                    terms.append((a[0], b[0], (a[1] + b[1] + k + 1) % 2))
+            yield xs, ys, tuple(terms)
+
+
+def _gp_relations_by_last_tuple(n: int, r: int) -> list:
+    """The exchange relations on increasing tuples, filed by their last
+    tuple: entry q lists the terms of every relation whose largest tuple
+    index is q, so it can be checked once tuples 0..q have values."""
+    closing = [[] for _ in range(math.comb(n, r))]
+    for _, _, terms in _gp_sweep(n, r, False):
+        closing[max(max(a, b) for a, b, _ in terms)].append(terms)
+    return closing
 
 
 def scalar_multiply(t: TPhi, phi: GPFunction) -> GPFunction:
@@ -293,9 +368,15 @@ def transpositions(tup: Sequence[int]) -> list:
 
 def transversal(n: int, r: int) -> Transversal:
     """Greedy construction in lexicographic order: keep the least remaining
-    tuple, discard everything one transposition away from it, repeat."""
+    tuple, discard everything one transposition away from it, repeat.
+
+    The n!/(n-r)! tuples are counted first and refused above
+    DEFAULT_SIMPLEX_CAP."""
     if not 1 <= r <= n:
         raise BadArityError(f"need 1 <= r <= n, got r={r}, n={n}")
+    count = math.perm(n, r)
+    if count > DEFAULT_SIMPLEX_CAP:
+        raise SizeCapExceededError(f"{count} tuples exceed cap {DEFAULT_SIMPLEX_CAP}")
     alive = set(itertools.permutations(range(1, n + 1), r))
     chosen = []
     for tup in sorted(alive):
@@ -329,13 +410,21 @@ def parse_gp_file(text: str) -> GPFunction:
     header = lines[0].split()
     if len(header) != 2:
         raise ValueError(f"bad header {lines[0]!r}: expected 'n r'")
-    n, r = int(header[0]), int(header[1])
+    try:
+        n, r = int(header[0]), int(header[1])
+    except ValueError:
+        raise ValueError(f"bad header {lines[0]!r}: expected 'n r'") from None
     values = {}
     for ln in lines[1:]:
         if ":" not in ln:
             raise ValueError(f"bad line {ln!r}: expected 'i1 .. ir : value'")
         left, right = ln.rsplit(":", 1)
-        key = tuple(int(tok) for tok in left.split())
+        try:
+            key = tuple(int(tok) for tok in left.split())
+        except ValueError:
+            raise ValueError(
+                f"bad tuple {left.strip()!r} in line {ln!r}: expected integers"
+            ) from None
         if key in values:
             raise ValueError(f"duplicate tuple {key}")
         values[key] = parse_value(right)

@@ -119,6 +119,55 @@ def test_perp_refuses_oversized_search_at_once(capsys):
     assert time.monotonic() - start < 5
 
 
+def test_gp_check_refuses_oversized_sweep_at_once(tmp_path, capsys):
+    # C(40,21) * C(40,19) relations: refused before any table is built
+    f = tmp_path / "big.gp"
+    f.write_text("40 20\n" + " ".join(map(str, range(1, 21))) + " : 0/1\n")
+    start = time.monotonic()
+    code, out, err = run(capsys, "gp-check", str(f))
+    assert code == 2
+    assert "cap" in err
+    assert out == ""
+    assert time.monotonic() - start < 5
+
+
+@pytest.mark.parametrize("n, r", [(13, 6), (70, 2)])
+def test_gp_enum_refuses_oversized_search_at_once(capsys, n, r):
+    # millions of relations, each search needing far more steps than cap
+    start = time.monotonic()
+    code, out, err = run(
+        capsys, "gp-enum", "--n", str(n), "--r", str(r), "--k", "1"
+    )
+    assert code == 2
+    assert "cap" in err
+    assert out == ""
+    assert time.monotonic() - start < 5
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [("a b\n1 : 1/2\n", "bad header 'a b'"), ("2 1\n1 x : 1/2\n", "bad tuple '1 x'")],
+)
+def test_gp_check_parse_errors_are_clean(tmp_path, capsys, text, named):
+    f = tmp_path / "bad.gp"
+    f.write_text(text)
+    code, out, err = run(capsys, "gp-check", str(f))
+    assert code == 2
+    assert out == ""
+    assert named in err
+    assert "invalid literal" not in err
+
+
+def test_transversal_refuses_oversized_search_at_once(capsys):
+    # 11! = 39916800 tuples: refused before any is built
+    start = time.monotonic()
+    code, out, err = run(capsys, "transversal", "--n", "11", "--r", "11")
+    assert code == 2
+    assert "cap" in err
+    assert out == ""
+    assert time.monotonic() - start < 5
+
+
 def test_transversal_pairs(capsys):
     code, out, _ = run(capsys, "transversal", "--n", "3", "--r", "2")
     assert code == 0

@@ -35,6 +35,7 @@ from tphi.hyperfield import (
     scale_arcset,
     unit,
     units,
+    zero_in_residue_sum,
 )
 
 
@@ -212,6 +213,41 @@ def test_criterion_vs_fold_random_tphi24():
         size = rng.randint(1, 8)
         combo = [pool[rng.randrange(len(pool))] for _ in range(size)]
         assert contains_zero(combo) == _fold_says_zero(combo), combo
+
+
+def test_residue_zero_test_vs_fold_exhaustive():
+    # every multiset of at most 4 terms over {0} and the k-th roots of
+    # unity, k <= 12; j/k turns is residue 2j mod 2k
+    for k in range(1, 13):
+        pool = scalars(k)
+        for size in range(1, 5):
+            for combo in itertools.combinations_with_replacement(range(k + 1), size):
+                terms = [pool[e] for e in combo]
+                residues = [2 * (e - 1) for e in combo if e]
+                want = _fold_says_zero(terms)
+                assert zero_in_residue_sum(residues, k) == want, (k, combo)
+                assert contains_zero(terms) == want, (k, combo)
+
+
+def test_residue_zero_test_scales_and_wraps():
+    # the same points over a finer modulus, and residues outside 0..2h-1
+    assert zero_in_residue_sum([], 1)
+    assert not zero_in_residue_sum([5], 3)
+    assert zero_in_residue_sum([0, 3], 3)
+    assert zero_in_residue_sum([0, 9], 3)
+    assert not zero_in_residue_sum([0, 2], 3)
+    assert not zero_in_residue_sum([0, 4], 6)
+    assert zero_in_residue_sum([0, 2, 4], 3)
+    assert zero_in_residue_sum([-2, 2, 6], 3)
+    assert zero_in_residue_sum([0, 4, 8], 6)
+
+
+def test_contains_zero_mixed_denominators_seeded():
+    rng = random.Random(20261018)
+    pool = [unit(p, q) for q in (3, 4, 5, 6, 8, 10, 12) for p in range(q)] + [ZERO]
+    for _ in range(3000):
+        terms = [rng.choice(pool) for _ in range(rng.randint(1, 7))]
+        assert contains_zero(terms) == _fold_says_zero(terms), terms
 
 
 def test_commutativity_and_identity_exhaustive():

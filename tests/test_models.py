@@ -15,10 +15,20 @@ import pytest
 
 from tphi.errors import BadArityError, EmptyPerpError, SizeCapExceededError
 from tphi.homology import homology_groups
-from tphi.hyperfield import ONE, ZERO, format_scalars, format_value, unit, units, scalars
+from tphi.hyperfield import (
+    ONE,
+    ZERO,
+    format_scalars,
+    format_value,
+    phase_key,
+    scalars,
+    unit,
+    units,
+)
 from tphi.models import (
     DISCRETIZATION_CAVEAT,
     TPhiModelSpec,
+    _min_search_steps,
     build_model,
     build_perp_poset,
     build_tphi_power,
@@ -28,6 +38,7 @@ from tphi.models import (
 )
 from tphi.phased import (
     GPFunction,
+    _gp_relations_by_last_tuple,
     format_vector,
     gp_normalize,
     gp_verify_all,
@@ -43,6 +54,8 @@ from tphi.simplicial import (
     join,
     order_complex,
 )
+
+from test_phased import sweep_report
 
 P = ONE
 M = unit(1, 2)
@@ -304,6 +317,79 @@ def test_grassmannian_equals_brute_force():
         got = enum_grassmannian(n, r, k)
         assert len(set(got)) == len(got)
         assert set(got) == _brute_grassmannian(n, r, k), (n, r, k)
+
+
+def _pinned_loop_grassmannian(n, r, k):
+    """The exhaustive loop the backtracking search replaced: every
+    candidate with its first nonzero value pinned to 1, kept when the
+    term-by-term sweep passes, sorted by value vector."""
+    tuples = list(itertools.combinations(range(1, n + 1), r))
+    found = []
+    for first in range(len(tuples)):
+        for tail in itertools.product(scalars(k), repeat=len(tuples) - first - 1):
+            values = {tuples[first]: ONE, **dict(zip(tuples[first + 1 :], tail))}
+            phi = GPFunction.from_values(n, r, values)
+            if sweep_report(phi)[0]:
+                found.append(phi)
+    found.sort(key=lambda phi: [phase_key(phi.values.get(t, ZERO)) for t in tuples])
+    return found
+
+
+def test_grassmannian_equals_pinned_loop():
+    cases = [(3, 2, 2), (4, 2, 2), (4, 2, 3), (5, 2, 1), (5, 3, 1), (2, 2, 4), (3, 1, 4)]
+    for n, r, k in cases:
+        assert enum_grassmannian(n, r, k) == _pinned_loop_grassmannian(n, r, k), (n, r, k)
+
+
+def test_grassmannian_pinned_counts_and_step_cap():
+    # counts pinned from the output of the exhaustive loop
+    assert len(enum_grassmannian(4, 2, 4)) == 1190
+    assert len(enum_grassmannian(4, 2, 6)) == 5442
+    assert len(enum_grassmannian(5, 2, 2)) == 1802
+    # refused before the relation table is built
+    for n, r in ((40, 20), (13, 6), (70, 2)):
+        with pytest.raises(SizeCapExceededError, match="at least"):
+            enum_grassmannian(n, r, 1)
+
+
+def _search_steps(n, r, k):
+    """The least cap under which enum_grassmannian(n, r, k) finishes."""
+    lo, hi = 0, 1 << 20
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            enum_grassmannian(n, r, k, cap=mid)
+            hi = mid
+        except SizeCapExceededError:
+            lo = mid + 1
+    return lo
+
+
+def test_min_search_steps_is_a_lower_bound():
+    # The closed form equals the bound with the relations packed as early
+    # as their tuples allow (c_0 = 0, c_q at most the relations that hold
+    # a tuple); that lies under the bound from the relations that really
+    # close at each tuple, which lies under the steps taken.
+    for n, r, k in [(3, 2, 2), (4, 2, 2), (5, 2, 1), (5, 3, 1), (3, 1, 4), (4, 1, 3)]:
+        rows = _gp_relations_by_last_tuple(n, r)
+        count = len(rows)
+        closing = [len(row) for row in rows]
+        holding = [0] * count
+        for terms in itertools.chain.from_iterable(rows):
+            for t in {t for a, b, _ in terms for t in (a, b)}:
+                holding[t] += 1
+        degree, relations = max(holding), sum(closing)
+        packed = [0] + [
+            max(0, min(degree, relations - degree * (q - 1))) for q in range(1, count)
+        ]
+        assert min(holding) == degree and sum(packed) == relations
+        bound = (k + 1) * sum(q * (1 + c) for q, c in enumerate(packed))
+        exact = (k + 1) * sum(q * (1 + c) for q, c in enumerate(closing))
+        steps = _search_steps(n, r, k)
+        assert 0 < _min_search_steps(n, r, k) == bound <= exact <= steps, (n, r, k)
+        with pytest.raises(SizeCapExceededError, match="^search steps"):
+            enum_grassmannian(n, r, k, cap=steps - 1)
+    assert _min_search_steps(4, 4, 2) == 0
 
 
 def test_grassmannian_output_is_normalized_and_verified():

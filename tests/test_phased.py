@@ -6,6 +6,7 @@ oracle stay separate.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -18,7 +19,17 @@ from tphi.errors import (
     SizeCapExceededError,
     ZeroVectorError,
 )
-from tphi.hyperfield import ONE, TPhi, ZERO, contains_zero, scalars, unit, units
+from tphi.hyperfield import (
+    ONE,
+    TPhi,
+    ZERO,
+    boxplus_fold,
+    contains_zero,
+    scalars,
+    unit,
+    units,
+)
+from tphi.models import enum_grassmannian
 from tphi.phased import (
     GPFunction,
     GPReport,
@@ -226,6 +237,81 @@ def test_verify_all_scalar_invariance():
     base = gp_verify_all(phi).ok
     for t in units(4):
         assert gp_verify_all(scalar_multiply(t, phi)).ok == base
+
+
+def sweep_report(phi, all_tuples=False):
+    """Oracle for gp_verify_all: the sweep term by term, each relation's
+    gp_relation_terms summed by boxplus_fold.  Returns (ok, xs, ys)."""
+    if phi.is_zero:
+        return False, (), ()
+    ground = range(1, phi.n + 1)
+    if all_tuples:
+        xs_sweep = itertools.product(ground, repeat=phi.r + 1)
+        ys_sweep = list(itertools.product(ground, repeat=phi.r - 1))
+    else:
+        xs_sweep = itertools.combinations(ground, phi.r + 1)
+        ys_sweep = list(itertools.combinations(ground, phi.r - 1))
+    for xs in xs_sweep:
+        for ys in ys_sweep:
+            if not boxplus_fold(gp_relation_terms(phi, xs, ys)).has_zero:
+                return False, xs, ys
+    return True, (), ()
+
+
+# Phases of the 2x2 minors of [[1, 0, 1, 1], [0, 1, w, i]], w = exp(2 pi i/3):
+# a realizable, hence strong, function mixing thirds, quarters and 1/24.
+MIXED_REALIZABLE = GPFunction.from_values(
+    4,
+    2,
+    {
+        (1, 2): ONE,
+        (1, 3): unit(1, 3),
+        (1, 4): unit(1, 4),
+        (2, 3): M,
+        (2, 4): M,
+        (3, 4): unit(1, 24),
+    },
+)
+
+
+def test_verify_all_matches_term_sweep():
+    rng = random.Random(20261018)
+    mixed = [ZERO, ZERO] + units(3) + units(4) + units(6)
+    funcs = [MIXED_REALIZABLE, scalar_multiply(unit(1, 5), MIXED_REALIZABLE)]
+    for phi in enum_grassmannian(4, 2, 2)[::15]:
+        funcs.append(scalar_multiply(unit(1, 3), phi))
+    for n, r in ((3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (4, 1)):
+        tuples = list(itertools.combinations(range(1, n + 1), r))
+        for _ in range(6):
+            values = {t: rng.choice(mixed) for t in tuples}
+            funcs.append(GPFunction.from_values(n, r, values))
+    passed = 0
+    for phi in funcs:
+        want = sweep_report(phi)
+        rep = gp_verify_all(phi)
+        assert (rep.ok, rep.xs, rep.ys) == want, format_gp(phi)
+        passed += rep.ok
+        if phi.n <= 4:
+            want = sweep_report(phi, all_tuples=True)
+            rep = gp_verify_all(phi, all_tuples=True)
+            assert (rep.ok, rep.xs, rep.ys) == want, format_gp(phi)
+    assert sweep_report(MIXED_REALIZABLE)[0]
+    assert 12 <= passed < len(funcs)
+
+
+def test_verify_all_counts_relations_against_cap():
+    # C(40,21) * C(40,19) relations on increasing tuples
+    phi = GPFunction.from_values(40, 20, {tuple(range(1, 21)): ONE})
+    with pytest.raises(SizeCapExceededError):
+        gp_verify_all(phi)
+    # C(11,5) * C(11,3) = 76230 relations on increasing tuples pass the
+    # cap, 11^8 on all tuples do not
+    phi = GPFunction.from_values(11, 4, {(1, 2, 3, 4): ONE})
+    assert gp_verify_all(phi).ok
+    with pytest.raises(SizeCapExceededError):
+        gp_verify_all(phi, all_tuples=True)
+    # the zero function is reported before anything is counted
+    assert not gp_verify_all(GPFunction(40, 20)).ok
 
 
 def test_normalize():
