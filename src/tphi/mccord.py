@@ -23,7 +23,6 @@ from .simplicial import (
     DEFAULT_SIMPLEX_CAP,
     SimplicialComplex,
     collapse_certify,
-    cone_apexes,
     order_complex,
 )
 
@@ -51,29 +50,21 @@ def contractibility_certificate(c: SimplicialComplex) -> Certificate:
     """Strongest available certificate: cone, else collapse sequence,
     else trivial reduced homology, else the non-trivial homology itself.
 
-    Only the first two prove contractibility.  An obstruction disproves
-    it; homology-only settles nothing either way.
+    The cone and the collapse both come from one `collapse_certify` call,
+    which tests for a cone first.  Only these two prove contractibility.
+    An obstruction disproves it; homology-only settles nothing either way.
     """
     if len(c) == 0:
         raise ValueError("empty complex has no contractibility certificate")
-    apexes = cone_apexes(c)
-    if apexes:
-        return Certificate(CONE, apex=apexes[0])
     res = collapse_certify(c)
+    if res.method == "cone":
+        return Certificate(CONE, apex=res.apex)
     if res.collapsible:
         return Certificate(COLLAPSE, steps=res.steps)
     h = homology_groups(c, reduced=True)
     if h.groups == ():
         return Certificate(HOMOLOGY_ONLY, homology=h)
     return Certificate(OBSTRUCTION, homology=h)
-
-
-def comparison_fiber_complex(
-    p: FinitePoset, x: str, cap: int = DEFAULT_SIMPLEX_CAP
-) -> SimplicialComplex:
-    """Order complex of the upset of x: the retract of the comparison
-    map's fiber over the basic open at x."""
-    return order_complex(p.induced(p.upset([x])), cap)
 
 
 @dataclass(frozen=True)

@@ -257,6 +257,19 @@ def test_homology_from_file_and_reduced(tmp_path, capsys):
     assert out == "H~_0 = 0\nH~_1 = Z^1\n"
 
 
+def test_homology_refuses_oversized_line_at_once(capsys, monkeypatch):
+    # one 23-label line closes to 2^23 - 1 faces: refused before closing
+    line = " ".join(f"v{i}" for i in range(23))
+    monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+    start = time.monotonic()
+    code, out, err = run(capsys, "homology", "-")
+    assert code == 2
+    assert "cap" in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert time.monotonic() - start < 5
+
+
 def test_homology_json(tmp_path, capsys):
     f = tmp_path / "circle.cx"
     f.write_text("a b\nb c\na c\n")

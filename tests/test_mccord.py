@@ -7,18 +7,24 @@ whose boundary word glues three edge classes; the construction verifies
 itself (Euler characteristic, no free faces) before being used.
 """
 
+import random
+import time
+
 import pytest
 
+from test_acceptance import _model_battery
+from test_homology import projective_plane
 from tphi.errors import UnknownElementError
 from tphi.homology import homology_groups
 from tphi.hyperfield import ONE
+import tphi.mccord
 from tphi.mccord import (
     COLLAPSE,
     CONE,
     HOMOLOGY_ONLY,
     OBSTRUCTION,
+    Certificate,
     basis_certificates,
-    comparison_fiber_complex,
     contractibility_certificate,
     cw_type_report,
     finite_space_homology,
@@ -26,6 +32,7 @@ from tphi.mccord import (
 from tphi.models import build_perp_poset, build_tphi_power
 from tphi.poset import build_poset
 from tphi.simplicial import (
+    DEFAULT_SIMPLEX_CAP,
     SimplicialComplex,
     barycentric_subdivision,
     cone_apexes,
@@ -38,6 +45,46 @@ P = ONE
 
 CHAIN = build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
 CROWN = build_poset(["a", "b", "x", "y"], [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")])
+
+
+def comparison_fiber_complex(p, x, cap=DEFAULT_SIMPLEX_CAP):
+    """Order complex of the upset of x: the retract of the comparison
+    map's fiber over the basic open at x."""
+    return order_complex(p.induced(p.upset([x])), cap)
+
+
+def two_cone_ladder(c):
+    """The former `contractibility_certificate`: its own cone test, then
+    `collapse_certify`, which tests for a cone again."""
+    apexes = cone_apexes(c)
+    if apexes:
+        return Certificate(CONE, apex=apexes[0])
+    res = collapse_certify(c)
+    if res.collapsible:
+        return Certificate(COLLAPSE, steps=res.steps)
+    h = homology_groups(c, reduced=True)
+    if h.groups == ():
+        return Certificate(HOMOLOGY_ONLY, homology=h)
+    return Certificate(OBSTRUCTION, homology=h)
+
+
+def random_posets(count, seed):
+    """Seeded random posets on up to 9 elements: each pair i < j is
+    related with a random density, so components and cones vary."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 9)
+        density = rng.choice((0.15, 0.3, 0.5))
+        labels = [f"e{i}" for i in range(n)]
+        pairs = [
+            (labels[i], labels[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < density
+        ]
+        out.append(build_poset(labels, pairs))
+    return out
 
 
 def dunce_hat() -> SimplicialComplex:
@@ -202,6 +249,37 @@ def test_face_poset_space_recovers_complex_homology():
     )
     s = finite_space_homology(face_poset(octa))
     assert s.groups == ((0, (1, ())), (2, (1, ())))
+
+
+def test_ladder_equals_two_cone_ladder(monkeypatch):
+    posets = [p for _, p in _model_battery()] + random_posets(20, 20261018)
+    posets += [p.opposite() for p in posets] + [face_poset(dunce_hat())]
+    complexes = [order_complex(p) for p in posets] + [projective_plane(), dunce_hat()]
+    for c in complexes:
+        assert contractibility_certificate(c) == two_cone_ladder(c)
+    kinds = set()
+    for p in posets:
+        new = cw_type_report(p)
+        for comp in new.components:
+            sub = order_complex(p.induced(comp.elements))
+            assert comp.certificate == two_cone_ladder(sub)
+            kinds.add(comp.certificate.kind)
+        with monkeypatch.context() as m:
+            m.setattr(tphi.mccord, "contractibility_certificate", two_cone_ladder)
+            assert cw_type_report(p) == new
+    assert kinds == {CONE, COLLAPSE, HOMOLOGY_ONLY, OBSTRUCTION}
+
+
+def test_cw_report_power_5_3_within_budget():
+    # 1,023 elements, 165,633 chains.  With maximal faces found by probing
+    # every face with every vertex, twice per component, this took 75 s or
+    # more on 2 cores; marking facets once brings it to about 5 s.
+    p = build_tphi_power(5, 3).poset
+    start = time.perf_counter()
+    rep = cw_type_report(p)
+    assert time.perf_counter() - start < 30
+    assert rep.verdict == "obstructed"
+    assert [c.status for c in rep.components] == ["obstructed"]
 
 
 def test_cw_report_chain():

@@ -7,9 +7,13 @@ give circles, and the octahedron shows up as a triple join.
 
 import pytest
 
+from test_acceptance import _model_battery
+from test_homology import projective_plane
+from test_mccord import dunce_hat
 from tphi.errors import SizeCapExceededError
 from tphi.poset import FinitePoset, build_poset, chain_count
 from tphi.simplicial import (
+    DEFAULT_SIMPLEX_CAP,
     CollapseResult,
     SimplicialComplex,
     barycentric_subdivision,
@@ -33,6 +37,36 @@ def cycle_complex(n):
     return SimplicialComplex.from_simplices(
         [[verts[i], verts[(i + 1) % n]] for i in range(n)]
     )
+
+
+def vertex_probe_maximal_faces(c):
+    """The former `maximal_faces`: probe every face with every vertex it
+    lacks, O(faces x vertices x dim)."""
+    out = []
+    for f in c.faces:
+        if not any(
+            tuple(sorted(f + (v,))) in c.faces
+            for v in range(len(c.labels))
+            if v not in f
+        ):
+            out.append(f)
+    return sorted(out)
+
+
+def test_maximal_faces_equals_vertex_probe():
+    spaces = []
+    for _, p in _model_battery():
+        spaces += [order_complex(p), order_complex(p.opposite())]
+    tri = SimplicialComplex.from_simplices([["a", "b", "c"]])
+    spaces += [projective_plane(), dunce_hat(), cycle_complex(3), cycle_complex(8)]
+    spaces += [join(cycle_complex(5), two_points("u", "v")), barycentric_subdivision(tri)]
+    # closed=True takes the faces as given.  Both versions look only at
+    # codimension-1 cofaces: (0,) lies in (0, 1, 2) but in no edge, so it
+    # stays maximal; (1, 2) is the one facet of (0, 1, 2) present.
+    spaces.append(SimplicialComplex("abcd", [(0,), (3,), (1, 2), (0, 1, 2), (2, 3)], closed=True))
+    for c in spaces:
+        assert c.maximal_faces() == vertex_probe_maximal_faces(c)
+    assert spaces[-1].maximal_faces() == [(0,), (0, 1, 2), (2, 3)]
 
 
 def test_closure_of_triangle_generator():
@@ -81,6 +115,16 @@ def test_order_complex_of_diamond():
     assert euler_characteristic(c) == 1
     assert c.has_face(["b", "m1", "t"])
     assert not c.has_face(["m1", "m2"])
+
+
+def test_generator_closure_is_capped_before_building():
+    # 2^22 - 1 faces are under the cap, 2^23 - 1 are over it
+    labels = [f"v{i:02d}" for i in range(23)]
+    with pytest.raises(SizeCapExceededError, match="cap"):
+        SimplicialComplex.from_simplices([labels])
+    with pytest.raises(SizeCapExceededError):
+        SimplicialComplex(labels, [tuple(range(23))])
+    assert 2**22 - 1 <= DEFAULT_SIMPLEX_CAP < 2**23 - 1
 
 
 def test_order_complex_cap():
