@@ -1,20 +1,25 @@
-"""Integer simplicial homology via sparse Smith normal form.
+"""Integer simplicial homology through discrete Morse theory.
 
-Boundary matrices of the complexes built here are huge but very sparse
-with all entries +-1.  homology_groups builds them straight into row
-dicts, from the top dimension down, and one eliminator reduces each: a
-unit-pivot phase taking the shortest row first from a lazy heap, then a
-classical min-entry phase on whatever small residue remains.
-Divisibility of the invariant factors is restored afterwards by pairwise
-gcd/lcm exchanges, which is cheaper than enforcing it during elimination.
+homology_groups runs one element matching over the faces (Jonsson,
+"Simplicial Complexes of Graphs", LNM 1928): taking the vertices in the
+complex's vertex_order, it pairs every still unmatched face f containing
+v with f - v when that face is unmatched too.  A sequence of element
+matchings is acyclic, so by Forman ("Morse theory for cell complexes",
+Adv. Math. 134, 1998) the faces left over, the critical cells, span a
+chain complex with the homology of the whole.  Its boundary follows
+each critical cell's boundary along the matching to the critical cells
+one dimension down, and is built only between dimensions that both hold
+critical cells.  On the order complexes of the power models, whose
+vertex order comes from the poset, only Betti + 1 cells are critical, so
+no boundary is built at all.
 
-Going down lets each boundary map skip the columns that the one above it
-already settles: a d-face that phase 1 pivoted on as a row is dropped as
-a column one dimension lower ("clearing", after Chen & Kerber,
-"Persistent homology computation with a twist", EuroCG 2011).
-homology_groups says why that is exact over Z.  boundary_matrix and
-smith_normal_form expose the same row builder and eliminator on an
-explicit IntegerMatrix, without clearing.
+The Morse boundaries are reduced by one eliminator: a unit-pivot phase
+taking the shortest row first from a lazy heap, then a classical
+min-entry phase on whatever small residue remains.  Divisibility of the
+invariant factors is restored afterwards by pairwise gcd/lcm exchanges,
+which is cheaper than enforcing it during elimination.
+boundary_matrix and smith_normal_form expose the full boundary maps and
+the same eliminator on an explicit IntegerMatrix.
 """
 
 from __future__ import annotations
@@ -65,50 +70,25 @@ class IntegerMatrix:
         return grid
 
 
-def _boundary_rows(c: SimplicialComplex, dim: int, cleared=frozenset()) -> tuple:
-    """The boundary map from dim-faces (dim >= 1) as (rows, col_index),
-    the eliminator's form: rows[i] = {j: sign} for each non-zero row and
-    col_index[j] = rows of column j.
-
-    Column f = (v0 < ... < vd) holds (-1)^t at the row of f minus its t-th
-    vertex.  Columns listed in cleared are left out, but their facets are
-    still looked up, so a face missing from the complex raises either way.
-    """
-    row_pos = {f: i for i, f in enumerate(c.faces_of_dim(dim - 1))}
-    rows = {}
-    col_index = {}
-    for j, f in enumerate(c.faces_of_dim(dim)):
-        facets = [row_pos[f[:t] + f[t + 1 :]] for t in range(len(f))]
-        col = set(facets)
-        if len(col) < len(facets):
-            raise ValueError(f"duplicate entry in column {j}")
-        if j in cleared:
-            continue
-        col_index[j] = col
-        sign = 1
-        for i in facets:
-            r = rows.get(i)
-            if r is None:
-                rows[i] = {j: sign}
-            else:
-                r[j] = sign
-            sign = -sign
-    return rows, col_index
-
-
 def boundary_matrix(c: SimplicialComplex, dim: int) -> IntegerMatrix:
     """Boundary map from dim-faces to (dim-1)-faces.
 
-    dim 0 maps to a zero-row matrix; dim == c.dim + 1 has no columns.
+    Column f = (v0 < ... < vd) holds (-1)^t at the row of f minus its t-th
+    vertex.  dim 0 maps to a zero-row matrix; dim == c.dim + 1 has no
+    columns.  A missing facet raises KeyError, a repeated one ValueError.
     """
     if dim < 0 or dim > c.dim + 1:
         raise DimOutOfRangeError(f"dimension {dim} not in 0..{c.dim + 1}")
-    cols = len(c.faces_of_dim(dim))
+    cols = c.faces_of_dim(dim)
     if dim == 0:
-        return IntegerMatrix(0, cols)
-    rows, _ = _boundary_rows(c, dim)
-    entries = tuple((i, j, v) for i, r in rows.items() for j, v in r.items())
-    return IntegerMatrix(len(c.faces_of_dim(dim - 1)), cols, entries)
+        return IntegerMatrix(0, len(cols))
+    row_pos = {f: i for i, f in enumerate(c.faces_of_dim(dim - 1))}
+    entries = tuple(
+        (row_pos[f[:t] + f[t + 1 :]], j, (-1) ** t)
+        for j, f in enumerate(cols)
+        for t in range(len(f))
+    )
+    return IntegerMatrix(len(row_pos), len(cols), entries)
 
 
 def _row_sub(rows, col_index, i, src, q):
@@ -129,12 +109,10 @@ def _row_sub(rows, col_index, i, src, q):
 def _eliminate(rows: dict, col_index: dict) -> tuple:
     """Reduce a matrix given as row dicts plus column index, consuming both.
 
-    Returns (invariant factors, phase-1 pivot rows): the non-zero factors,
-    positive and in divisibility order, and the rows that phase 1 pivoted
-    on with a unit entry.
+    Returns the non-zero invariant factors, positive and in divisibility
+    order.
     """
     factors = []
-    unit_pivot_rows = set()
 
     # phase 1: unit pivots, shortest row first.  Keys are just row
     # lengths, so stale heap entries cost one O(1) check instead of a
@@ -162,7 +140,6 @@ def _eliminate(rows: dict, col_index: dict) -> tuple:
         j0 = best[1]
         v0 = r0[j0]
         factors.append(1)
-        unit_pivot_rows.add(i0)
         touched = [i for i in col_index[j0] if i != i0]
         for i in touched:
             _row_sub(rows, col_index, i, r0, rows[i][j0] * v0)
@@ -237,7 +214,7 @@ def _eliminate(rows: dict, col_index: dict) -> tuple:
                     changed = True
         tail.sort()
     factors[ones:] = tail
-    return tuple(factors), unit_pivot_rows
+    return tuple(factors)
 
 
 def smith_normal_form(m: IntegerMatrix) -> tuple:
@@ -247,7 +224,7 @@ def smith_normal_form(m: IntegerMatrix) -> tuple:
     for i, j, v in m.entries:
         rows.setdefault(i, {})[j] = v
         col_index.setdefault(j, set()).add(i)
-    return _eliminate(rows, col_index)[0]
+    return _eliminate(rows, col_index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,14 +232,16 @@ class HomologySummary:
     """Integer homology of one complex.
 
     groups maps dimension to (betti rank, torsion factors), keeping only
-    nontrivial entries.  Equality compares groups and the reduced flag but
-    not top_dim, so complexes of different dimension with the same
-    homology compare equal.
+    nontrivial entries.  critical counts the critical cells per dimension
+    0..top_dim that the element matching left.  Equality compares groups
+    and the reduced flag but not top_dim or critical, so complexes of
+    different dimension with the same homology compare equal.
     """
 
     groups: tuple  # sorted ((dim, (betti, torsion)), ...)
     top_dim: int
     reduced: bool = False
+    critical: tuple = ()
 
     def __eq__(self, other):
         if not isinstance(other, HomologySummary):
@@ -282,35 +261,137 @@ class HomologySummary:
         return self.group(d)[0]
 
 
+def _element_matching(c: SimplicialComplex) -> list:
+    """One element-matching pass over the faces of c, in c.vertex_order.
+
+    Faces are rewritten as sorted tuples of vertex ranks, which also
+    orients them by rank; homology does not depend on the orientation.
+    For each rank r in turn, every unmatched face f that contains r and
+    has two or more vertices is matched with f - r when that face is
+    unmatched too.  A face waits in the list of the next of its vertices
+    to try, so it sits in one list at a time.  Returns partner[m] for
+    every face size m: rank face -> its partner, or None for a critical
+    face.  A missing facet f - r raises KeyError.
+    """
+    rank = [0] * len(c.labels)
+    for r, v in enumerate(c.vertex_order):
+        rank[v] = r
+    to_rank = rank.__getitem__
+    partner = [{} for _ in range(c.dim + 2)]
+    waiting = [[] for _ in rank]
+    for f in c.faces:
+        f = tuple(sorted(map(to_rank, f)))
+        partner[len(f)][f] = None
+        if len(f) > 1:
+            waiting[f[0]].append(f)
+    for r, faces in enumerate(waiting):
+        for f in faces:
+            up = partner[len(f)]
+            if up[f] is not None:
+                continue
+            t = f.index(r)
+            g = f[:t] + f[t + 1 :]
+            down = partner[len(g)]
+            if down[g] is not None:
+                if t + 1 < len(f):
+                    waiting[f[t + 1]].append(f)
+                continue
+            up[f] = g
+            down[g] = f
+        waiting[r] = None
+    return partner
+
+
+def _facets(u: tuple) -> list:
+    return [u[:k] + u[k + 1 :] for k in range(len(u))]
+
+
+def _signed_sum(u: tuple, skip, flow: dict) -> dict:
+    """Sum of (-1)^k flow[u minus its k-th vertex] over the facets of u
+    other than skip, with zero entries dropped."""
+    acc = {}
+    for k, g in enumerate(_facets(u)):
+        if g != skip:
+            w = -1 if k % 2 else 1
+            for i, x in flow[g].items():
+                acc[i] = acc.get(i, 0) + w * x
+    return {i: x for i, x in acc.items() if x}
+
+
+def _morse_rows(partner: list, critical: list, d: int) -> tuple:
+    """The Morse boundary from critical d-cells to critical (d-1)-cells,
+    as (rows, col_index) for _eliminate.
+
+    flow[tau] is where a (d-1)-cell tau ends up among the critical cells,
+    following the matching: itself if critical, nothing if it is matched
+    with a (d-2)-cell, and otherwise, with tau matched to the d-cell u,
+    -[u:tau] times the flow of the rest of the boundary of u.  The
+    matching is acyclic, so this terminates; it is evaluated with an
+    explicit stack and memoized, since gradient paths can be long.
+    """
+    row = {f: i for i, f in enumerate(critical[d - 1])}
+    low = partner[d]
+    flow = {}
+    rows, col_index = {}, {}
+    for j, s in enumerate(critical[d]):
+        stack = _facets(s)
+        while stack:
+            f = stack[-1]
+            if f in flow:
+                stack.pop()
+                continue
+            u = low[f]
+            if u is None:
+                flow[f] = {row[f]: 1}
+            elif len(u) < len(f):
+                flow[f] = {}
+            else:
+                todo = [g for g in _facets(u) if g != f and g not in flow]
+                if todo:
+                    stack.extend(todo)
+                    continue
+                sign = 1 if _facets(u).index(f) % 2 else -1
+                flow[f] = {i: sign * x for i, x in _signed_sum(u, f, flow).items()}
+            stack.pop()
+        col = _signed_sum(s, None, flow)
+        if col:
+            col_index[j] = set(col)
+            for i, x in col.items():
+                rows.setdefault(i, {})[j] = x
+    return rows, col_index
+
+
 def homology_groups(c: SimplicialComplex, reduced: bool = False) -> HomologySummary:
-    """Homology in every dimension from ranks and torsion of the boundary
-    maps; reduced only lowers rank in dimension 0."""
+    """Homology in every dimension through one element matching.
+
+    The critical cells of the matching span the Morse complex, which has
+    the homology of c.  Its boundary from d is zero unless critical cells
+    lie in both d and d-1, and from 1 also when one vertex is critical, so
+    only the remaining maps are built and reduced; reduced only lowers
+    rank in dimension 0."""
     top = c.dim
     if top < 0:
         return HomologySummary((), -1, reduced)
-    # Clearing: the d-faces S that were phase-1 pivot rows of M, the map
-    # from dimension d+1, are left out as columns of the map from d.
-    # Phase 1 only adds multiples of earlier pivot rows to later ones, so
-    # with T the pivot columns, M[S,T] has determinant +-1, the product of
-    # the unit pivots.  Swapping the cycles (boundary of tau, tau in T) in
-    # for the basis vectors (e_sigma, sigma in S) is then a change of
-    # Z-basis of the d-chains.  The map from d is zero on the new vectors
-    # and unchanged on the rest, so its rank and torsion are the same.
-    # Phase-2 pivot rows are never cleared.
-    factors = {}
-    cleared = frozenset()
-    for d in range(top, 0, -1):
-        factors[d], cleared = _eliminate(*_boundary_rows(c, d, cleared))
+    if top == 0:
+        counts, factors = (len(c.faces),), {}
+    else:
+        partner = _element_matching(c)
+        critical = [[f for f, g in partner[d + 1].items() if g is None] for d in range(top + 1)]
+        counts = tuple(map(len, critical))
+        factors = {
+            d: _eliminate(*_morse_rows(partner, critical, d))
+            for d in range(1, top + 1)
+            if counts[d] and counts[d - 1] and not (d == 1 and counts[0] == 1)
+        }
     groups = []
     for d in range(top + 1):
-        ranks = len(factors.get(d, ())) + len(factors.get(d + 1, ()))
-        betti = len(c.faces_of_dim(d)) - ranks
+        betti = counts[d] - len(factors.get(d, ())) - len(factors.get(d + 1, ()))
         if d == 0 and reduced:
             betti -= 1
         torsion = tuple(t for t in factors.get(d + 1, ()) if t > 1)
         if betti or torsion:
             groups.append((d, (betti, torsion)))
-    return HomologySummary(tuple(groups), top, reduced)
+    return HomologySummary(tuple(groups), top, reduced, counts)
 
 
 def rational_betti(c: SimplicialComplex, reduced: bool = False) -> HomologySummary:
@@ -320,7 +401,7 @@ def rational_betti(c: SimplicialComplex, reduced: bool = False) -> HomologySumma
     torsion-free."""
     s = homology_groups(c, reduced)
     groups = tuple((d, (betti, ())) for d, (betti, _) in s.groups if betti)
-    return HomologySummary(groups, s.top_dim, reduced)
+    return HomologySummary(groups, s.top_dim, reduced, s.critical)
 
 
 def format_homology(s: HomologySummary) -> list:

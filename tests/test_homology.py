@@ -17,15 +17,14 @@ from tphi.errors import DimOutOfRangeError
 from tphi.homology import (
     HomologySummary,
     IntegerMatrix,
-    _boundary_rows,
-    _eliminate,
     boundary_matrix,
     format_homology,
     homology_groups,
     rational_betti,
     smith_normal_form,
 )
-from tphi.models import build_tphi_power
+from tphi.models import build_tphi_power, expected_join_betti
+from tphi.poset import build_poset
 from tphi.simplicial import (
     SimplicialComplex,
     barycentric_subdivision,
@@ -271,12 +270,12 @@ def test_format_reduced_prefix():
     assert format_homology(s) == ["H~_0 = 0", "H~_1 = Z^1"]
 
 
-# -------------------------------------------------------------- clearing
+# ------------------------------------------------------- Morse complex
 
 
 def uncleared_homology(c, reduced):
     """Homology assembled from the Smith form of every full boundary
-    matrix, with no column left out."""
+    matrix, with no face left out."""
     top = c.dim
     factors = {d: smith_normal_form(boundary_matrix(c, d)) for d in range(1, top + 2)}
     groups = []
@@ -292,7 +291,7 @@ def uncleared_homology(c, reduced):
 
 def relabeled(c, rng):
     """The same complex with its vertices put in a shuffled order, so that
-    faces are indexed, and pivots chosen, differently.  A new label is
+    faces are indexed, and matched, differently.  A new label is
     'w<new index>:<old label>'."""
     perm = list(range(len(c.labels)))
     rng.shuffle(perm)
@@ -301,54 +300,98 @@ def relabeled(c, rng):
     return SimplicialComplex(labels, faces, closed=True)
 
 
-def test_clearing_matches_uncleared_smith_form():
+def relabeled_poset(p, rng):
+    """The same order on shuffled labels, so that ties in the vertex order
+    of its order complex fall differently."""
+    perm = list(range(len(p.labels)))
+    rng.shuffle(perm)
+    new = {lab: f"x{perm[i]:06d}" for i, lab in enumerate(p.labels)}
+    return build_poset(new.values(), [(new[a], new[b]) for a, b in p.strict_pairs()])
+
+
+def test_morse_complex_matches_uncleared_smith_form():
+    from test_acceptance import _model_battery
+    from test_mccord import random_posets
+
     rng = random.Random(20261018)
     rp2 = projective_plane()
     suspension = join(rp2, two_points("s", "t"))
+    assert homology_groups(rp2).group(1) == (0, (2,))
     assert homology_groups(suspension).group(2) == (0, (2,))
-    spaces = [relabeled(rp2, rng) for _ in range(20)]
-    # the suspension has three boundary maps, so clearing runs twice
-    spaces += [suspension, barycentric_subdivision(rp2)]
-    spaces += [relabeled(suspension, rng) for _ in range(5)]
+    spaces = [rp2, suspension, barycentric_subdivision(rp2)]
+    spaces += [relabeled(rp2, rng) for _ in range(20)]
+    spaces += [relabeled(suspension, rng) for _ in range(20)]
     for n, k in ((3, 2), (2, 4)):
         c = order_complex(build_tphi_power(n, k).poset)
         spaces += [relabeled(c, rng) for _ in range(5)]
+    posets = [p for _, p in _model_battery()] + random_posets(20, 20261018)
+    spaces += [order_complex(q) for p in posets for q in (p, p.opposite())]
+    built = 0
     for c in spaces:
+        h = homology_groups(c)
+        # matched pairs cancel in the Euler characteristic
+        assert sum((-1) ** d * n for d, n in enumerate(h.critical)) == euler_characteristic(c)
+        # the Morse boundary is built when critical cells lie in two
+        # adjacent dimensions, other than one vertex and some edges
+        counts = h.critical
+        built += any(
+            counts[d] and counts[d - 1] and not (d == 1 and counts[0] == 1)
+            for d in range(1, len(counts))
+        )
         for reduced in (False, True):
             assert homology_groups(c, reduced) == uncleared_homology(c, reduced)
+    assert built >= 40
 
 
-def test_relabeling_changes_the_cleared_set():
-    rng = random.Random(20261018)
-    seen = set()
-    for _ in range(20):
-        c = relabeled(projective_plane(), rng)
-        factors, pivots = _eliminate(*_boundary_rows(c, 2))
-        # nine unit pivots clear nine edges; the row behind the factor 2
-        # comes from phase 2 and stays
-        assert factors == (1,) * 9 + (2,)
-        assert len(pivots) == 9
-        edges = c.faces_of_dim(1)
-        seen.add(frozenset(
-            frozenset(lab.split(":")[1] for lab in c.face_labels(edges[i]))
-            for i in pivots
-        ))
-    assert len(seen) > 1
+def test_power_models_leave_betti_plus_one_critical_cells():
+    rng = random.Random(7)
+    for n, k in ((7, 1), (4, 5), (5, 2), (3, 11), (5, 3), (2, 10)):
+        base = build_tphi_power(n, k).poset
+        want = expected_join_betti(n, k)
+        for _ in range(3):
+            h = homology_groups(order_complex(relabeled_poset(base, rng)), reduced=True)
+            assert h == want
+            assert sum(h.critical) == sum(b for _, (b, _) in want.groups) + 1, (n, k)
+
+
+def test_long_gradient_paths_need_no_recursion():
+    c = cycle_complex(5000)
+    assert c.vertex_order == tuple(range(5000))
+    h = homology_groups(c)
+    assert h.groups == ((0, (1, ())), (1, (1, ())))
+    # label order c0, c1, c10, c100, ... leaves many critical vertices
+    # and edges, so the Morse boundary is built along paths thousands of
+    # edges long
+    assert h.critical[0] > 1 and h.critical[1] > 1
 
 
 def test_boundary_rows_keep_failure_modes():
-    # a column whose facets repeat a row, and a missing facet, both raise
-    # even when the column is cleared
-    bad = SimplicialComplex(["a", "b"], [(0,), (1,), (0, 0)], closed=True)
+    # a face with a repeated vertex and a missing facet both raise when
+    # the complex is built, and boundary_matrix still raises on either
+    with pytest.raises(ValueError, match="repeats"):
+        SimplicialComplex(["a", "b"], [(0,), (1,), (0, 0)], closed=True)
+    with pytest.raises(ValueError, match="repeats"):
+        SimplicialComplex(["a", "b"], [(0, 0, 1)])
+    with pytest.raises(KeyError):
+        SimplicialComplex(["a", "b"], [(0,), (0, 1)], closed=True)
+    bad = SimplicialComplex._closed(("a", "b"), [(0,), (1,), (0, 0)])
     with pytest.raises(ValueError):
         boundary_matrix(bad, 1)
-    with pytest.raises(ValueError):
-        _boundary_rows(bad, 1, frozenset({0}))
-    open_edge = SimplicialComplex(["a", "b"], [(0,), (0, 1)], closed=True)
+    open_edge = SimplicialComplex._closed(("a", "b"), [(0,), (0, 1)])
+    with pytest.raises(KeyError):
+        boundary_matrix(open_edge, 1)
     with pytest.raises(KeyError):
         homology_groups(open_edge)
-    with pytest.raises(KeyError):
-        _boundary_rows(open_edge, 1, frozenset({0}))
+
+
+def test_critical_cells_do_not_change_equality():
+    c = cycle_complex(6)
+    h = homology_groups(c)
+    assert h.critical == (1, 1)
+    assert h == HomologySummary(h.groups, h.top_dim, h.reduced, (6, 6))
+    assert hash(h) == hash(HomologySummary(h.groups, h.top_dim, h.reduced))
+    points = homology_groups(SimplicialComplex.from_simplices([["p"], ["q"], ["r"]]))
+    assert points.critical == (3,)
 
 
 # -------------------------------------------------------- rational route

@@ -5,12 +5,17 @@ the diamond gives two triangles glued along an edge, joins of point pairs
 give circles, and the octahedron shows up as a triple join.
 """
 
+import gc
+import random
+
 import pytest
 
+import tphi.simplicial
 from test_acceptance import _model_battery
 from test_homology import projective_plane
 from test_mccord import dunce_hat
 from tphi.errors import SizeCapExceededError
+from tphi.models import build_tphi_power
 from tphi.poset import FinitePoset, build_poset, chain_count
 from tphi.simplicial import (
     DEFAULT_SIMPLEX_CAP,
@@ -60,10 +65,14 @@ def test_maximal_faces_equals_vertex_probe():
     tri = SimplicialComplex.from_simplices([["a", "b", "c"]])
     spaces += [projective_plane(), dunce_hat(), cycle_complex(3), cycle_complex(8)]
     spaces += [join(cycle_complex(5), two_points("u", "v")), barycentric_subdivision(tri)]
-    # closed=True takes the faces as given.  Both versions look only at
+    # A face set that is not closed downward: closed=True refuses it, the
+    # unchecked builder takes it as given.  Both versions look only at
     # codimension-1 cofaces: (0,) lies in (0, 1, 2) but in no edge, so it
     # stays maximal; (1, 2) is the one facet of (0, 1, 2) present.
-    spaces.append(SimplicialComplex("abcd", [(0,), (3,), (1, 2), (0, 1, 2), (2, 3)], closed=True))
+    unclosed = [(0,), (3,), (1, 2), (0, 1, 2), (2, 3)]
+    with pytest.raises(KeyError):
+        SimplicialComplex("abcd", unclosed, closed=True)
+    spaces.append(SimplicialComplex._closed(tuple("abcd"), unclosed))
     for c in spaces:
         assert c.maximal_faces() == vertex_probe_maximal_faces(c)
     assert spaces[-1].maximal_faces() == [(0,), (0, 1, 2), (2, 3)]
@@ -125,6 +134,53 @@ def test_generator_closure_is_capped_before_building():
     with pytest.raises(SizeCapExceededError):
         SimplicialComplex(labels, [tuple(range(23))])
     assert 2**22 - 1 <= DEFAULT_SIMPLEX_CAP < 2**23 - 1
+
+
+def test_closure_stops_at_the_cap(monkeypatch):
+    # each 10-label line closes to 1,023 faces, far under the cap, but
+    # together they pass it; the closure is counted as it grows
+    monkeypatch.setattr(tphi.simplicial, "DEFAULT_SIMPLEX_CAP", 5_000)
+    rng = random.Random(5)
+    labels = [f"v{i:02d}" for i in range(40)]
+    lines = [rng.sample(labels, 10) for _ in range(12)]
+    with pytest.raises(SizeCapExceededError, match="closure"):
+        SimplicialComplex.from_simplices(lines)
+    assert len(SimplicialComplex.from_simplices(lines[:4])) <= 5_000
+
+
+def test_faces_are_checked_when_built():
+    # repeated vertices and missing facets: test_boundary_rows_keep_failure_modes
+    with pytest.raises(ValueError, match="unknown"):
+        SimplicialComplex(["a", "b"], [(0, 2)])
+    with pytest.raises(ValueError, match="non-empty"):
+        SimplicialComplex(["a"], [(0,), ()], closed=True)
+    closed = SimplicialComplex(["a", "b"], [(0,), (1,), (0, 1)], closed=True)
+    assert closed == SimplicialComplex.from_simplices([["a", "b"]])
+
+
+def test_order_complex_leaves_no_garbage():
+    p = build_tphi_power(4, 2).poset
+    gc.collect()
+    gc.disable()
+    try:
+        c = order_complex(p)
+        assert len(c) == chain_count(p)
+        del c
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_vertex_order_follows_the_poset():
+    # maximal elements first, the one with the most below leading; the
+    # vertex order takes no part in equality
+    p = build_poset(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("a", "d")])
+    c = order_complex(p)
+    assert [c.labels[v] for v in c.vertex_order] == ["c", "d", "b", "a"]
+    assert c == SimplicialComplex.from_simplices([["a", "b", "c"], ["a", "d"]])
+    assert SimplicialComplex.from_simplices([["b", "a"]]).vertex_order == (0, 1)
+    antichain = order_complex(build_poset(["z", "y", "x"], []))
+    assert antichain.vertex_order == (0, 1, 2)
 
 
 def test_order_complex_cap():
