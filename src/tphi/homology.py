@@ -1,17 +1,17 @@
 """Integer simplicial homology through discrete Morse theory.
 
 homology_groups runs one element matching over the faces (Jonsson,
-"Simplicial Complexes of Graphs", LNM 1928): taking the vertices in the
-complex's vertex_order, it pairs every still unmatched face f containing
-v with f - v when that face is unmatched too.  A sequence of element
+"Simplicial Complexes of Graphs", LNM 1928): taking the vertices v in
+index order, it pairs every still unmatched face f containing v with
+f - v when that face is unmatched too.  A sequence of element
 matchings is acyclic, so by Forman ("Morse theory for cell complexes",
 Adv. Math. 134, 1998) the faces left over, the critical cells, span a
 chain complex with the homology of the whole.  Its boundary follows
 each critical cell's boundary along the matching to the critical cells
 one dimension down, and is built only between dimensions that both hold
 critical cells.  On the order complexes of the power models, whose
-vertex order comes from the poset, only Betti + 1 cells are critical, so
-no boundary is built at all.
+vertices order_complex numbers from the poset, only Betti + 1 cells are
+critical, so no boundary is built at all.
 
 The Morse boundaries are reduced by one eliminator: a unit-pivot phase
 taking the shortest row first from a lazy heap, then a classical
@@ -262,25 +262,19 @@ class HomologySummary:
 
 
 def _element_matching(c: SimplicialComplex) -> list:
-    """One element-matching pass over the faces of c, in c.vertex_order.
+    """One element-matching pass over the faces of c, in vertex index
+    order.
 
-    Faces are rewritten as sorted tuples of vertex ranks, which also
-    orients them by rank; homology does not depend on the orientation.
-    For each rank r in turn, every unmatched face f that contains r and
+    For each vertex r in turn, every unmatched face f that contains r and
     has two or more vertices is matched with f - r when that face is
     unmatched too.  A face waits in the list of the next of its vertices
     to try, so it sits in one list at a time.  Returns partner[m] for
-    every face size m: rank face -> its partner, or None for a critical
-    face.  A missing facet f - r raises KeyError.
+    every face size m: face -> its partner, or None for a critical face.
+    A missing facet f - r raises KeyError.
     """
-    rank = [0] * len(c.labels)
-    for r, v in enumerate(c.vertex_order):
-        rank[v] = r
-    to_rank = rank.__getitem__
     partner = [{} for _ in range(c.dim + 2)]
-    waiting = [[] for _ in rank]
+    waiting = [[] for _ in c.labels]
     for f in c.faces:
-        f = tuple(sorted(map(to_rank, f)))
         partner[len(f)][f] = None
         if len(f) > 1:
             waiting[f[0]].append(f)

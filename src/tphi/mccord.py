@@ -81,11 +81,11 @@ class BasisCertificate:
 @dataclass(frozen=True)
 class McCordReport:
     """Per-element basis certificates plus the homology of the whole
-    order complex (None when skipped)."""
+    order complex."""
 
     certificates: tuple
     all_cone: bool
-    homology: HomologySummary | None
+    homology: HomologySummary
 
     @property
     def verdict(self) -> str:
@@ -94,11 +94,7 @@ class McCordReport:
         return "contractibility not certified for every basic open"
 
 
-def basis_certificates(
-    p: FinitePoset,
-    cap: int = DEFAULT_SIMPLEX_CAP,
-    include_homology: bool = True,
-) -> McCordReport:
+def basis_certificates(p: FinitePoset, cap: int = DEFAULT_SIMPLEX_CAP) -> McCordReport:
     """Certify every basic open of the finite space, one certificate per
     element in label order.
 
@@ -110,9 +106,8 @@ def basis_certificates(
     """
     counts = _chains_by_minimum(p)
     certs = [BasisCertificate(x, CONE, x, 2 * c - 1) for x, c in zip(p.labels, counts)]
-    hom = finite_space_homology(p, cap) if include_homology else None
     all_cone = all(c.kind == CONE for c in certs)
-    return McCordReport(tuple(certs), all_cone, hom)
+    return McCordReport(tuple(certs), all_cone, finite_space_homology(p, cap))
 
 
 def finite_space_homology(

@@ -16,13 +16,14 @@ as scalars from ``perp_enumerate`` and are converted once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 from .errors import BadArityError, EmptyPerpError, SizeCapExceededError
 from .homology import HomologySummary
-from .hyperfield import angle_residues, format_scalars, in_tphi_k, scalars
+from .hyperfield import format_scalars, in_tphi_k, unit
 from .phased import (
     GPFunction,
     _gp_relation_holds,
@@ -200,17 +201,20 @@ def enum_grassmannian(
     """
     if not 1 <= r <= n:
         raise BadArityError(f"rank {r} not in 1..{n}")
+    if k < 1:
+        raise ValueError("k must be positive")
     need = _min_search_steps(n, r, k)
     if need > cap:
         raise SizeCapExceededError(f"at least {need} search steps exceed cap {cap}")
     tuples = list(itertools.combinations(range(1, n + 1), r))
     count = len(tuples)
     closing = _gp_relations_by_last_tuple(n, r)
-    pool = scalars(k)
-    units, h = angle_residues(pool[1:])
-    residue = [None] + units
     chosen = [0] * count
+    # value[p]: the residue of chosen[p] mod 2k; choice e > 0 is (e-1)/k
+    # turns, and the unit angles put over their lcm k give residue 2(e-1)
     value = [None] * count
+    # the scalars of the functions found, one object per choice
+    scalar = functools.cache(lambda e: unit(e - 1, k))
     # options[p]: the values still to try at p; started[p]: some value
     # before p is nonzero
     options = [iter((0, 1))] + [None] * (count - 1)
@@ -224,12 +228,12 @@ def enum_grassmannian(
             p -= 1
             continue
         chosen[p] = e
-        value[p] = residue[e]
+        value[p] = 2 * e - 2 if e else None
         steps += 1
         holds = True
         for terms in closing[p] if started[p] else ():
             steps += 1
-            if not _gp_relation_holds(terms, value, h):
+            if not _gp_relation_holds(terms, value, k):
                 holds = False
                 break
         if steps > cap:
@@ -240,7 +244,7 @@ def enum_grassmannian(
                 started[p] = started[p - 1] or e > 0
                 options[p] = iter(range(k + 1) if started[p] else (0, 1))
             elif started[p] or e > 0:
-                entries = tuple((t, pool[c]) for t, c in zip(tuples, chosen) if c)
+                entries = tuple((t, scalar(c)) for t, c in zip(tuples, chosen) if c)
                 found.append(GPFunction(n, r, entries))
     return found
 

@@ -18,7 +18,7 @@ from .errors import CycleDetectedError, UnknownElementError
 class FinitePoset:
     """Strict partial order on string labels, stored transitively closed."""
 
-    __slots__ = ("labels", "_pos", "above", "below", "_topo")
+    __slots__ = ("labels", "_pos", "above", "below")
 
     def __init__(self, elements: Iterable[str], pairs: Iterable[tuple]):
         labels = tuple(sorted(elements))
@@ -27,7 +27,6 @@ class FinitePoset:
         pos = {lab: i for i, lab in enumerate(labels)}
         direct = [set() for _ in labels]
         indegree = [0] * len(labels)
-        seen_pairs = set()
         for a, b in pairs:
             if a not in pos:
                 raise UnknownElementError(f"unknown element {a!r}")
@@ -36,8 +35,7 @@ class FinitePoset:
             if a == b:
                 raise CycleDetectedError(f"{a!r} < {a!r}")
             ia, ib = pos[a], pos[b]
-            if (ia, ib) not in seen_pairs:
-                seen_pairs.add((ia, ib))
+            if ib not in direct[ia]:
                 direct[ia].add(ib)
                 indegree[ib] += 1
         # Kahn's algorithm: anything left over sits on a cycle.
@@ -66,7 +64,6 @@ class FinitePoset:
         self._pos = pos
         self.above = tuple(frozenset(s) for s in above)
         self.below = tuple(frozenset(s) for s in below)
-        self._topo = tuple(topo)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -90,10 +87,7 @@ class FinitePoset:
             raise UnknownElementError(f"unknown element {label!r}") from None
 
     def less(self, a: str, b: str) -> bool:
-        return self._pos_of(b) in self.above[self._pos_of(a)]
-
-    def _pos_of(self, label: str) -> int:
-        return self.index_of(label)
+        return self.index_of(b) in self.above[self.index_of(a)]
 
     def strict_pairs(self) -> list:
         """All pairs (a, b) with a < b, sorted."""

@@ -1,7 +1,7 @@
 """Finite simplicial complexes, with order complexes of posets as the main
 source.
 
-A complex stores its vertex labels (sorted) and every face as a sorted
+A complex stores its vertex labels and every face as an increasing
 tuple of vertex indices.  The order complex of a poset has one vertex per
 element and one face per non-empty chain; building it is guarded by a
 simplex-count cap because chain counts explode much faster than poset
@@ -27,12 +27,13 @@ class SimplicialComplex:
 
     Every face is checked when the complex is built: non-empty, no vertex
     twice, known vertex indices, and with closed=True every facet present.
-    vertex_order is the order in which homology_groups matches faces;
-    order_complex sets it from the poset, every other complex keeps index
-    order.  Equality and hash ignore it.
+    The vertex indices are the order in which homology_groups matches
+    faces: order_complex numbers the vertices from the poset, every other
+    constructor in label order.  Equality and hash see only the labels,
+    so one complex numbered two ways compares equal.
     """
 
-    __slots__ = ("labels", "_pos", "faces", "_by_dim", "vertex_order")
+    __slots__ = ("labels", "_pos", "faces", "_by_dim")
 
     def __init__(self, labels: Iterable[str], faces: Iterable[tuple], closed: bool = False):
         labels = tuple(sorted(labels))
@@ -55,21 +56,20 @@ class SimplicialComplex:
                             raise KeyError(f"face {f} lacks its facet {f[:i] + f[i + 1 :]}")
         else:
             face_set = _closure(gens)
-        self._init(labels, face_set, range(len(labels)))
+        self._init(labels, face_set)
 
-    def _init(self, labels: tuple, faces, vertex_order) -> None:
+    def _init(self, labels: tuple, faces) -> None:
         self.labels = labels
         self._pos = {lab: i for i, lab in enumerate(labels)}
         self.faces = frozenset(faces)
         self._by_dim = None
-        self.vertex_order = tuple(vertex_order)
 
     @classmethod
-    def _closed(cls, labels: tuple, faces, vertex_order=None) -> "SimplicialComplex":
-        """A complex from sorted labels and faces that are closed by
-        construction, with no check; for order_complex and join."""
+    def _closed(cls, labels: tuple, faces) -> "SimplicialComplex":
+        """A complex from distinct labels and increasing faces that are
+        closed by construction, with no check; for order_complex and join."""
         c = cls.__new__(cls)
-        c._init(labels, faces, range(len(labels)) if vertex_order is None else vertex_order)
+        c._init(labels, faces)
         return c
 
     @classmethod
@@ -84,10 +84,16 @@ class SimplicialComplex:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self.labels == other.labels and self.faces == other.faces
+        if self.labels == other.labels:
+            return self.faces == other.faces
+        if self._pos.keys() != other._pos.keys() or len(self.faces) != len(other.faces):
+            return False
+        to_self = [self._pos[lab] for lab in other.labels]
+        return all(tuple(sorted(map(to_self.__getitem__, f))) in self.faces for f in other.faces)
 
     def __hash__(self):
-        return hash((self.labels, self.faces))
+        # the label set and the face count do not depend on the numbering
+        return hash((frozenset(self.labels), len(self.faces)))
 
     def __len__(self) -> int:
         return len(self.faces)
@@ -116,7 +122,8 @@ class SimplicialComplex:
         return tuple(len(self.faces_of_dim(d)) for d in range(self.dim + 1))
 
     def face_labels(self, face: tuple) -> tuple:
-        return tuple(self.labels[i] for i in face)
+        """The labels of a face, sorted."""
+        return tuple(sorted(map(self.labels.__getitem__, face)))
 
     def has_face(self, simplex: Iterable[str]) -> bool:
         try:
@@ -189,8 +196,8 @@ def _hasse_order(p: FinitePoset) -> list:
 
 
 def order_complex(p: FinitePoset, cap: int = DEFAULT_SIMPLEX_CAP) -> SimplicialComplex:
-    """The complex of non-empty chains of p, with the vertex order of
-    _hasse_order.
+    """The complex of non-empty chains of p, its vertices numbered in the
+    order of _hasse_order.
 
     Chain counts are computed first; anything beyond the cap raises
     SizeCapExceededError instead of building.
@@ -200,26 +207,31 @@ def order_complex(p: FinitePoset, cap: int = DEFAULT_SIMPLEX_CAP) -> SimplicialC
         raise SizeCapExceededError(
             f"order complex would hold {total} chains, cap is {cap}"
         )
-    succ = [sorted(s) for s in p.above]
+    order = _hasse_order(p)
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+    below = p.below
     faces = []
-    for i in range(len(p.labels)):
-        # depth-first over the chains with minimum i: chain[t] < chain[t+1],
-        # and ups[t] yields the elements above chain[t] still to try
-        faces.append((i,))
-        if not succ[i]:
+    for r, i in enumerate(order):
+        # depth-first down the chains with maximum i: an element below x
+        # comes after x in the order, so every chain of ranks increases;
+        # downs[t] yields the elements below chain[t] still to try
+        faces.append((r,))
+        if not below[i]:
             continue
-        chain = [i]
-        ups = [iter(succ[i])]
-        while ups:
-            j = next(ups[-1], None)
+        chain = [r]
+        downs = [iter(below[i])]
+        while downs:
+            j = next(downs[-1], None)
             if j is None:
-                ups.pop()
+                downs.pop()
                 chain.pop()
                 continue
-            chain.append(j)
-            faces.append(tuple(sorted(chain)))
-            ups.append(iter(succ[j]))
-    return SimplicialComplex._closed(p.labels, faces, _hasse_order(p))
+            chain.append(rank[j])
+            faces.append(tuple(chain))
+            downs.append(iter(below[j]))
+    return SimplicialComplex._closed(tuple(p.labels[i] for i in order), faces)
 
 
 def euler_characteristic(c: SimplicialComplex) -> int:

@@ -241,7 +241,7 @@ def test_criterion_04_sign_perp_circle_and_sphere():
 def test_criterion_05_basic_opens_certified_as_cones():
     for name, p in _model_battery():
         assert p.labels, name
-        report = basis_certificates(p, include_homology=False)
+        report = basis_certificates(p)
         assert len(report.certificates) == len(p.labels), name
         assert report.all_cone, name
         assert all(cert.kind == CONE for cert in report.certificates), name

@@ -6,6 +6,7 @@ asserted exactly as a shell harness would see them.
 
 import io
 import json
+import random
 import time
 
 import pytest
@@ -107,6 +108,15 @@ def test_gp_enum_cap(capsys):
     )
     assert code == 2
     assert "cap" in err
+
+
+def test_gp_enum_full_rank_builds_no_scalar_pool(capsys):
+    # r = n: one tuple, tried at 0 and 1 only, whatever k is
+    start = time.monotonic()
+    code, out, _ = run(capsys, "gp-enum", "--n", "2", "--r", "2", "--k", "2000000")
+    assert code == 0
+    assert out == "1,2:0/1\ncount: 1\n"
+    assert time.monotonic() - start < 2
 
 
 def test_perp_refuses_oversized_search_at_once(capsys):
@@ -401,3 +411,134 @@ def test_byte_identical_reruns(tmp_path, capsys):
         assert code == 0
         outs.add(out)
     assert len(outs) == 1
+
+
+# ------------------------------------------------------------------ fuzzing
+
+# Integer flags stay at most 4: the default cap admits legal work that a
+# unit test cannot afford (model-build power --n 4 --k 40 holds 2.8M
+# elements, transversal --n 40 --r 4 takes seconds).
+FUZZ_VALUES = (("0", "0/1", "1/2", "1/4", "3/4", "2/3"), ("5/4", "-1/2", "1/0", "0/0", "a", "1/", ""))
+FUZZ_INTS = (("-1", "0", "1", "2", "3", "4"), ("x", "2.5", ""))
+FUZZ_LABELS = ("a", "b", "c", "d", "0/1", "x,y", "é", "a:b")
+
+
+def _pick(rng, pool):
+    """A good value from pool[0], or now and then a bad one from pool[1]."""
+    return rng.choice(pool[rng.random() < 0.1])
+
+
+def _fuzz_poset(rng):
+    """A poset file: a model file with lines dropped, repeated or cut, or
+    random lines of every kind."""
+    if rng.random() < 0.5:
+        lines = format_poset_file(build_tphi_power(rng.randint(1, 2), rng.randint(1, 3))).splitlines()
+        for _ in range(rng.randint(0, 2)):
+            i = rng.randrange(len(lines))
+            action = rng.randrange(3)
+            if action == 0:
+                lines.insert(i, lines[rng.randrange(len(lines))])
+            elif action == 1 and len(lines) > 1:
+                del lines[i]
+            else:
+                lines[i] = lines[i][: rng.randrange(len(lines[i]) + 1)]
+        return "\n".join(lines) + "\n"
+    lab = lambda: rng.choice(FUZZ_LABELS)
+    kinds = (
+        lambda: f"elem {lab()}",
+        lambda: f"elem {lab()}",
+        lambda: f"rel {lab()} < {lab()}",
+        lambda: f"rel {lab()} > {lab()}",
+        lambda: "index",
+        lambda: f"elem {rng.randint(0, 3)}",
+        lambda: f"rel {rng.randint(0, 3)} < {rng.randint(0, 3)}",
+        lambda: f"mirror {lab()} -> {rng.randint(0, 3)}",
+        lambda: rng.choice(("# note", "", "elem", "elem a b", "mirror a b", "\t", "rel a <")),
+    )
+    return "\n".join(rng.choice(kinds)() for _ in range(rng.randint(0, 12))) + "\n"
+
+
+def _fuzz_complex(rng):
+    lines = []
+    for _ in range(rng.randint(0, 8)):
+        roll = rng.random()
+        if roll < 0.8:
+            lines.append(" ".join(rng.choice(FUZZ_LABELS) for _ in range(rng.randint(1, 4))))
+        elif roll < 0.9:
+            lines.append(" ".join(f"v{i}" for i in range(rng.choice((5, 30)))))
+        else:
+            lines.append(rng.choice(("# note", "", "  ", "\x00")))
+    return "\n".join(lines) + "\n"
+
+
+def _fuzz_function(rng):
+    n, r = _pick(rng, FUZZ_INTS), _pick(rng, FUZZ_INTS)
+    lines = [rng.choice((f"{n} {r}", f"{n} {r}", f"{n}", f"{n} {r} 1"))]
+    for _ in range(rng.randint(0, 5)):
+        key = " ".join(str(rng.randint(0, 4)) for _ in range(rng.randint(0, 3)))
+        value = _pick(rng, FUZZ_VALUES)
+        lines.append(rng.choice((f"{key} : {value}", f"{key} : {value}", key, f"{key} : x : 1/2")))
+    return "\n".join(lines) + "\n"
+
+
+def _fuzz_argv(rng, path):
+    """One random command line and the text of its input file, which is
+    read through path, through stdin as '-', or from a missing file."""
+    num = lambda: _pick(rng, FUZZ_INTS)
+    vector = lambda: ",".join(_pick(rng, FUZZ_VALUES) for _ in range(rng.randint(1, 3)))
+    file_arg = rng.choice((str(path),) * 3 + ("-", str(path) + ".missing"))
+    fmt = ["--format", _pick(rng, (("text", "json-lines"), ("yaml",)))] if rng.random() < 0.5 else []
+    cap = ["--cap", rng.choice(("-1", "0", "10", "1000", "x"))] if rng.random() < 0.3 else []
+    sub = rng.choice(
+        ("hfcalc", "perp", "gp-check", "gp-enum", "transversal", "poset-check", "order-complex",
+         "homology", "mccord-verify", "cw-report", "model-build", "bogus")
+    )
+    text = ""
+    if sub == "hfcalc":
+        args = [" + ".join(_pick(rng, FUZZ_VALUES) for _ in range(rng.randint(0, 4)))]
+    elif sub == "perp":
+        args = ["--k", num()] + [vector() for _ in range(rng.randint(0, 2))]
+    elif sub == "gp-check":
+        text = _fuzz_function(rng)
+        args = [file_arg] + (["--all-tuples"] if rng.random() < 0.3 else [])
+    elif sub == "gp-enum":
+        args = ["--n", num(), "--r", num(), "--k", num()] + cap
+    elif sub == "transversal":
+        args = ["--n", num(), "--r", num()]
+    elif sub in ("poset-check", "order-complex", "mccord-verify", "cw-report"):
+        text = _fuzz_poset(rng)
+        args = [file_arg] + (cap if sub != "poset-check" else [])
+    elif sub == "homology":
+        text = _fuzz_complex(rng)
+        args = [file_arg] + (["--reduced"] if rng.random() < 0.5 else [])
+    elif sub == "model-build":
+        family = _pick(rng, (("power", "perp", "grassmannian"), ("cube",)))
+        args = ["--family", family, "--n", num(), "--k", num()]
+        args += ["--r", num()] if rng.random() < 0.5 else []
+        args += [vector() for _ in range(rng.randint(0, 2))] + cap
+    else:
+        args = []
+    if rng.random() < 0.05 and args:
+        del args[rng.randrange(len(args))]
+    return [sub] + args + fmt, text
+
+
+def test_fuzzed_calls_exit_cleanly(tmp_path, capsys, monkeypatch):
+    # seeded random and malformed inputs for every subcommand: each call
+    # ends with exit 0, 1 or 2 and no Python traceback
+    rng = random.Random(20261018)
+    path = tmp_path / "input"
+    codes = set()
+    for _ in range(2000):
+        argv, text = _fuzz_argv(rng, path)
+        path.write_text(text, encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        try:
+            code = main(argv)
+        except Exception as exc:
+            pytest.fail(f"{argv} on {text!r} raised {exc!r}")
+        _, err = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        codes.add(code)
+    assert codes == {0, 1, 2}

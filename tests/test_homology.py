@@ -356,7 +356,7 @@ def test_power_models_leave_betti_plus_one_critical_cells():
 
 def test_long_gradient_paths_need_no_recursion():
     c = cycle_complex(5000)
-    assert c.vertex_order == tuple(range(5000))
+    assert c.labels == tuple(sorted(c.labels))
     h = homology_groups(c)
     assert h.groups == ((0, (1, ())), (1, (1, ())))
     # label order c0, c1, c10, c100, ... leaves many critical vertices

@@ -189,8 +189,8 @@ def test_basis_certificates_power_model():
 
 def test_basis_certificate_sizes_match_fibers():
     for p in (CHAIN, CROWN, build_tphi_power(2, 2).poset):
-        rep = basis_certificates(p, include_homology=False)
-        assert rep.homology is None
+        rep = basis_certificates(p)
+        assert rep.homology == finite_space_homology(p)
         for cert in rep.certificates:
             assert cert.size == len(comparison_fiber_complex(p, cert.element))
 
@@ -212,7 +212,7 @@ def test_all_cone_across_model_families():
         build_perp_poset([(P, P, P)], 2).poset,
     ]
     for p in posets:
-        assert basis_certificates(p, include_homology=False).all_cone
+        assert basis_certificates(p).all_cone
 
 
 def test_finite_space_homology_antichain():

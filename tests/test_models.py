@@ -350,6 +350,9 @@ def test_grassmannian_pinned_counts_and_step_cap():
     for n, r in ((40, 20), (13, 6), (70, 2)):
         with pytest.raises(SizeCapExceededError, match="at least"):
             enum_grassmannian(n, r, 1)
+    for n, r in ((2, 2), (3, 1)):
+        with pytest.raises(ValueError, match="k must be positive"):
+            enum_grassmannian(n, r, 0)
 
 
 def _search_steps(n, r, k):

@@ -13,7 +13,7 @@ import pytest
 import tphi.simplicial
 from test_acceptance import _model_battery
 from test_homology import projective_plane
-from test_mccord import dunce_hat
+from test_mccord import dunce_hat, random_posets
 from tphi.errors import SizeCapExceededError
 from tphi.models import build_tphi_power
 from tphi.poset import FinitePoset, build_poset, chain_count
@@ -171,16 +171,35 @@ def test_order_complex_leaves_no_garbage():
         gc.enable()
 
 
-def test_vertex_order_follows_the_poset():
+def test_order_complex_numbers_vertices_from_the_poset():
     # maximal elements first, the one with the most below leading; the
-    # vertex order takes no part in equality
+    # numbering takes no part in equality
     p = build_poset(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("a", "d")])
     c = order_complex(p)
-    assert [c.labels[v] for v in c.vertex_order] == ["c", "d", "b", "a"]
+    assert c.labels == ("c", "d", "b", "a")
     assert c == SimplicialComplex.from_simplices([["a", "b", "c"], ["a", "d"]])
-    assert SimplicialComplex.from_simplices([["b", "a"]]).vertex_order == (0, 1)
+    assert SimplicialComplex.from_simplices([["b", "a"]]).labels == ("a", "b")
     antichain = order_complex(build_poset(["z", "y", "x"], []))
-    assert antichain.vertex_order == (0, 1, 2)
+    assert antichain.labels == ("x", "y", "z")
+    # numbered b, c, a: same labels and face count, another edge
+    edge = order_complex(build_poset(["a", "b", "c"], [("a", "b")]))
+    assert edge.labels == ("b", "c", "a")
+    assert edge != SimplicialComplex.from_simplices([["a"], ["b", "c"]])
+
+
+def test_order_complex_numbering_survives_the_file_format():
+    # order_complex numbers vertices in matching order, the file parser in
+    # label order; both give increasing faces and compare equal
+    posets = [p for _, p in _model_battery()]
+    posets += [p.opposite() for p in posets] + random_posets(20, 20261018)
+    for p in posets:
+        c = order_complex(p)
+        assert all(list(f) == sorted(set(f)) for f in c.faces)
+        back = parse_complex_lines(complex_to_lines(c))
+        assert back.labels == tuple(sorted(c.labels))
+        assert c == back and back == c
+        assert hash(c) == hash(back)
+        assert all(list(c.face_labels(f)) == sorted(c.face_labels(f)) for f in c.faces)
 
 
 def test_order_complex_cap():
