@@ -361,3 +361,6 @@ def main(argv=None) -> int:
     except (TphiError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory; try a smaller model or a lower --cap", file=sys.stderr)
+        return 2

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import BadArityError, EmptyPerpError, SizeCapExceededError
@@ -31,8 +32,8 @@ from .phased import (
     _relation_count,
     perp_enumerate,
 )
-from .poset import FinitePoset, MirroredPoset, build_poset, mirrored
-from .simplicial import DEFAULT_SIMPLEX_CAP
+from .poset import FinitePoset, MirroredPoset, _from_ids, build_poset
+from .simplicial import DEFAULT_SIMPLEX_CAP, capped_comb, capped_product
 
 DISCRETIZATION_CAVEAT = (
     "caveat: a perp poset over k-th roots of unity is a finite snapshot; "
@@ -83,29 +84,28 @@ def build_tphi_power(n: int, k: int, cap: int = DEFAULT_SIMPLEX_CAP) -> Mirrored
     ordered by zeroing coordinates, mirrored onto 1..n by support size."""
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-    size = (k + 1) ** n - 1
-    if size > cap:
-        raise SizeCapExceededError(f"power poset has {size} elements, cap is {cap}")
+    if capped_product(itertools.repeat(k + 1, n), cap + 1) > cap + 1:
+        raise SizeCapExceededError(f"power poset has more elements than the cap {cap}")
     table = format_scalars(k)
-    strata = [str(s) for s in range(n + 1)]
-    pairs = []
-    assignment = {}
-    # residue vectors in lexicographic order; the first is the zero vector
-    for v in itertools.islice(itertools.product(range(k + 1), repeat=n), 1, None):
-        parts = list(map(table.__getitem__, v))
-        lab = ",".join(parts)
-        rank = n - v.count(0)
-        assignment[lab] = strata[rank]
-        if rank < 2:
-            continue
-        for i, e in enumerate(v):
-            if e:
-                parts[i] = "0"
-                pairs.append((",".join(parts), lab))
-                parts[i] = table[e]
-    poset = build_poset(list(assignment), pairs)
-    index = _chain_poset(strata[1:])
-    return mirrored(poset, index, assignment)
+    # a vector with z zero residues lies in stratum n - z
+    stratum = [str(n - z) for z in range(n + 1)]
+    # zeroing residue e at coordinate i moves a vector e * weight[i] places
+    # back in lexicographic order
+    weight = [(k + 1) ** (n - 1 - i) for i in range(n)]
+
+    def vectors(values):
+        # length-n vectors in lexicographic order, less the first (zero)
+        # one, so vector number x + 1 gets id x
+        return itertools.islice(itertools.product(values, repeat=n), 1, None)
+
+    labels = list(map(",".join, vectors(table)))
+    zeros = list(map(operator.countOf, vectors(range(k + 1)), itertools.repeat(0)))
+    # only vectors with two or more non-zero residues have a vector below
+    upper = itertools.compress(enumerate(vectors(range(k + 1))), map((n - 1).__gt__, zeros))
+    pairs = [(x - e * w, x) for x, v in upper for e, w in zip(v, weight) if e]
+    poset = _from_ids(labels, pairs)
+    index = _chain_poset(str(s) for s in range(1, n + 1))
+    return MirroredPoset(poset, index, tuple(zip(labels, map(stratum.__getitem__, zeros))))
 
 
 def _residue(e, k: int) -> int:
@@ -126,24 +126,24 @@ def build_perp_poset(vs, k: int, cap: int = DEFAULT_SIMPLEX_CAP) -> MirroredPose
     if not members:
         raise EmptyPerpError("no nonzero vector is orthogonal to the constraints")
     table = format_scalars(k)
-    rows = (tuple(_residue(e, k) for e in m) for m in members)
-    label_of = {r: ",".join(table[e] for e in r) for r in rows}
-    pairs = []
-    assignment = {}
-    for r, lab in label_of.items():
+    rows = [tuple(_residue(e, k) for e in m) for m in members]
+    id_of = {r: x for x, r in enumerate(rows)}
+    labels, stratum, pairs = [], [], []
+    for x, r in enumerate(rows):
+        labels.append(",".join(table[e] for e in r))
         nonzero = [i for i, e in enumerate(r) if e]
-        assignment[lab] = str(len(nonzero))
+        stratum.append(str(len(nonzero)))
         for size in range(1, len(nonzero)):
             for zeroed in itertools.combinations(nonzero, size):
                 below = list(r)
                 for i in zeroed:
                     below[i] = 0
-                lx = label_of.get(tuple(below))
-                if lx is not None:
-                    pairs.append((lx, lab))
-    poset = build_poset(list(assignment), pairs)
-    index = _chain_poset(sorted(set(assignment.values()), key=int))
-    return mirrored(poset, index, assignment)
+                y = id_of.get(tuple(below))
+                if y is not None:
+                    pairs.append((y, x))
+    poset = _from_ids(labels, pairs)
+    index = _chain_poset(sorted(set(stratum), key=int))
+    return MirroredPoset(poset, index, tuple(zip(labels, stratum)))
 
 
 def perp_pruned_strata(mp: MirroredPoset, n: int) -> tuple:
@@ -153,7 +153,7 @@ def perp_pruned_strata(mp: MirroredPoset, n: int) -> tuple:
     return tuple(s for s in range(1, n + 1) if str(s) not in occupied)
 
 
-def _min_search_steps(n: int, r: int, k: int) -> int:
+def _min_search_steps(n: int, r: int, k: int, cap: int = DEFAULT_SIMPLEX_CAP) -> int:
     """A lower bound on the steps of the enum_grassmannian search, taken
     from its shape alone.
 
@@ -165,11 +165,16 @@ def _min_search_steps(n: int, r: int, k: int) -> int:
     x not in ys, or ys is T less one entry y in xs, or both (T inside xs,
     ys inside T).  So at least relations - p * degree of them close after
     p.
+
+    Once the tuples or the relations alone pass cap, so does the bound,
+    and cap + 1 is returned without forming either count.
     """
-    count = math.comb(n, r)
-    relations = _relation_count(n, r, False)
+    count = capped_comb(n, r, cap)
+    relations = _relation_count(n, r, False, cap)
     if relations == 0:
         return 0  # r == n: a single tuple
+    if count > cap or relations > cap:
+        return cap + 1
     degree = (
         (n - r) * math.comb(n - 1, r - 1) + r * math.comb(n - 1, r) - r * (n - r)
     )
@@ -203,9 +208,8 @@ def enum_grassmannian(
         raise BadArityError(f"rank {r} not in 1..{n}")
     if k < 1:
         raise ValueError("k must be positive")
-    need = _min_search_steps(n, r, k)
-    if need > cap:
-        raise SizeCapExceededError(f"at least {need} search steps exceed cap {cap}")
+    if _min_search_steps(n, r, k, cap) > cap:
+        raise SizeCapExceededError(f"the search needs at least {cap + 1} steps, cap is {cap}")
     tuples = list(itertools.combinations(range(1, n + 1), r))
     count = len(tuples)
     closing = _gp_relations_by_last_tuple(n, r)

@@ -38,7 +38,7 @@ from .hyperfield import (
     unit,
     zero_in_residue_sum,
 )
-from .simplicial import DEFAULT_SIMPLEX_CAP
+from .simplicial import DEFAULT_SIMPLEX_CAP, capped_comb, capped_product
 
 PhasedVector = tuple
 
@@ -101,9 +101,8 @@ def perp_enumerate(
                 raise ValueError(
                     f"constraint entry {format_value(e)} is not a {k}-th root of unity"
                 )
-    candidates = (k + 1) ** n - 1
-    if candidates > cap:
-        raise SizeCapExceededError(f"perp has {candidates} candidates, cap is {cap}")
+    if capped_product(itertools.repeat(k + 1, n), cap + 1) > cap + 1:
+        raise SizeCapExceededError(f"perp has more candidates than the cap {cap}")
     pool = scalars(k)
     out = []
     for cand in itertools.product(pool, repeat=n):
@@ -240,10 +239,9 @@ def gp_verify_all(phi: GPFunction, all_tuples: bool = False) -> GPReport:
     if phi.is_zero:
         return GPReport(False, "not identically zero")
     n, r = phi.n, phi.r
-    count = _relation_count(n, r, all_tuples)
-    if count > DEFAULT_SIMPLEX_CAP:
+    if _relation_count(n, r, all_tuples, DEFAULT_SIMPLEX_CAP) > DEFAULT_SIMPLEX_CAP:
         raise SizeCapExceededError(
-            f"{count} exchange relations exceed cap {DEFAULT_SIMPLEX_CAP}"
+            f"exchange relations exceed cap {DEFAULT_SIMPLEX_CAP}"
         )
     keys = [key for key, _ in phi.entries]
     residues, h = angle_residues([v for _, v in phi.entries])
@@ -255,11 +253,13 @@ def gp_verify_all(phi: GPFunction, all_tuples: bool = False) -> GPReport:
     return GPReport(True)
 
 
-def _relation_count(n: int, r: int, all_tuples: bool) -> int:
-    """The number of exchange relations in the gp_verify_all sweep."""
+def _relation_count(n: int, r: int, all_tuples: bool, cap: int) -> int:
+    """The number of exchange relations in the gp_verify_all sweep, or
+    cap + 1 as soon as it is known to pass cap."""
     if all_tuples:
-        return n ** (2 * r)
-    return math.comb(n, r + 1) * math.comb(n, r - 1)
+        return capped_product(itertools.repeat(n, 2 * r), cap)
+    # C(n, r+1) is 0 only for r = n, and then it comes first
+    return capped_product((capped_comb(n, r + 1, cap), capped_comb(n, r - 1, cap)), cap)
 
 
 def _gp_relation_holds(terms, value, h: int) -> bool:
@@ -374,9 +374,8 @@ def transversal(n: int, r: int) -> Transversal:
     DEFAULT_SIMPLEX_CAP."""
     if not 1 <= r <= n:
         raise BadArityError(f"need 1 <= r <= n, got r={r}, n={n}")
-    count = math.perm(n, r)
-    if count > DEFAULT_SIMPLEX_CAP:
-        raise SizeCapExceededError(f"{count} tuples exceed cap {DEFAULT_SIMPLEX_CAP}")
+    if capped_product(range(n - r + 1, n + 1), DEFAULT_SIMPLEX_CAP) > DEFAULT_SIMPLEX_CAP:
+        raise SizeCapExceededError(f"r-permutations exceed cap {DEFAULT_SIMPLEX_CAP}")
     alive = set(itertools.permutations(range(1, n + 1), r))
     chosen = []
     for tup in sorted(alive):

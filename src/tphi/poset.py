@@ -1,32 +1,49 @@
 """Finite strict posets, stratifying mirrors, and discreteness checks.
 
-A poset is built from element labels and strict pairs; the constructor
-takes the transitive closure and rejects cycles.  A mirrored poset carries
-a monotone map onto a second poset of stratum indices, mimicking how a
-graded space records the stratum of each point.  All structures are
-immutable once built and every textual output is sorted by label.
+A poset is stored on integer ids: element i is ``labels[i]``, with the
+labels in sorted order, so id order is label order.  Every poset goes
+through one closure pass, ``FinitePoset._close``: the constructor turns
+label pairs into ids, model builders pass id pairs through ``_from_ids``,
+and ``opposite`` and ``induced`` reuse the ids they hold.  The pass takes
+each element's direct successors, rejects cycles by Kahn's algorithm, and
+walks the elements in reverse topological order.  The elements above i are
+its direct successors together with everything above them, and the direct
+successors outside that union are i's up-covers.  The pass stores
+``above`` and ``below`` (frozensets of ids, one shared empty frozenset
+where there is nothing) and ``up_covers`` (tuples of ids), so covers are
+read, never recomputed.  The number of chains with each minimum is counted
+on first use and cached on the poset, so ``chain_count``,
+``order_complex`` and ``basis_certificates`` share one count.
+
+A mirrored poset carries a monotone map onto a second poset of stratum
+indices, mimicking how a graded space records the stratum of each point.
+All structures are immutable once built and every textual output is sorted
+by label.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import CycleDetectedError, UnknownElementError
 
+_EMPTY = frozenset()
+
 
 class FinitePoset:
-    """Strict partial order on string labels, stored transitively closed."""
+    """Strict partial order on string labels, stored transitively closed
+    on the ids of the labels in sorted order."""
 
-    __slots__ = ("labels", "_pos", "above", "below")
+    __slots__ = ("labels", "_pos", "above", "below", "up_covers", "_counts")
 
     def __init__(self, elements: Iterable[str], pairs: Iterable[tuple]):
         labels = tuple(sorted(elements))
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate element labels")
         pos = {lab: i for i, lab in enumerate(labels)}
-        direct = [set() for _ in labels]
-        indegree = [0] * len(labels)
+        if len(pos) != len(labels):
+            raise ValueError("duplicate element labels")
+        direct = defaultdict(set)
         for a, b in pairs:
             if a not in pos:
                 raise UnknownElementError(f"unknown element {a!r}")
@@ -34,36 +51,59 @@ class FinitePoset:
                 raise UnknownElementError(f"unknown element {b!r}")
             if a == b:
                 raise CycleDetectedError(f"{a!r} < {a!r}")
-            ia, ib = pos[a], pos[b]
-            if ib not in direct[ia]:
-                direct[ia].add(ib)
-                indegree[ib] += 1
-        # Kahn's algorithm: anything left over sits on a cycle.
-        queue = [i for i in range(len(labels)) if indegree[i] == 0]
+            direct[pos[a]].add(pos[b])
+        self._close(labels, pos, direct)
+
+    @classmethod
+    def _on_ids(cls, labels: tuple, pos: dict, direct: Mapping) -> "FinitePoset":
+        """The poset on sorted labels, their positions, and the direct
+        successors of each id, with no label looked up."""
+        p = cls.__new__(cls)
+        p._close(labels, pos, direct)
+        return p
+
+    def _close(self, labels: tuple, pos: dict, direct: Mapping) -> None:
+        """The closure pass.  direct maps an id to its direct successors,
+        each once; ids with none may be left out."""
+        n = len(labels)
+        indegree = [0] * n
+        for ds in direct.values():
+            for j in ds:
+                indegree[j] += 1
+        # Kahn's algorithm over the ids with successors: anything left over
+        # sits on a cycle, and every cycle passes through such ids.
+        queue = [i for i in direct if not indegree[i]]
         topo = []
         while queue:
-            nxt = queue.pop()
-            topo.append(nxt)
-            for j in direct[nxt]:
-                indegree[j] -= 1
-                if indegree[j] == 0:
-                    queue.append(j)
-        if len(topo) != len(labels):
-            stuck = sorted(labels[i] for i in range(len(labels)) if indegree[i] > 0)
-            raise CycleDetectedError(f"cycle through {stuck[:4]}")
-        above = [set() for _ in labels]
-        for i in reversed(topo):
+            i = queue.pop()
+            topo.append(i)
             for j in direct[i]:
-                above[i].add(j)
-                above[i] |= above[j]
-        below = [set() for _ in labels]
-        for i, ups in enumerate(above):
+                indegree[j] -= 1
+                if not indegree[j] and j in direct:
+                    queue.append(j)
+        if len(topo) != len(direct):
+            stuck = sorted(labels[i] for i in range(n) if indegree[i])
+            raise CycleDetectedError(f"cycle through {stuck[:4]}")
+        above = [_EMPTY] * n
+        up_covers = [()] * n
+        below = defaultdict(list)
+        for i in reversed(topo):
+            ds = direct[i]
+            reach = _EMPTY.union(*[above[j] for j in ds])
+            ups = reach.union(ds)
+            above[i] = ups
+            up_covers[i] = tuple(j for j in ds if j not in reach)
             for j in ups:
-                below[j].add(i)
+                below[j].append(i)
         self.labels = labels
         self._pos = pos
-        self.above = tuple(frozenset(s) for s in above)
-        self.below = tuple(frozenset(s) for s in below)
+        self.above = tuple(above)
+        downs = [_EMPTY] * n
+        for j, b in below.items():
+            downs[j] = frozenset(b)
+        self.below = tuple(downs)
+        self.up_covers = tuple(up_covers)
+        self._counts = None
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -107,25 +147,28 @@ class FinitePoset:
 
     def covers(self) -> list:
         """Cover pairs (a, b): a < b with nothing strictly between, sorted."""
-        out = []
-        for i, ups in enumerate(self.above):
-            for j in ups:
-                if not (ups & self.below[j]):
-                    out.append((self.labels[i], self.labels[j]))
-        return sorted(out)
+        labels = self.labels
+        return [
+            (labels[i], labels[j]) for i, ups in enumerate(self.up_covers) for j in sorted(ups)
+        ]
 
     def opposite(self) -> "FinitePoset":
-        pairs = [(b, a) for a, b in self.strict_pairs()]
-        return FinitePoset(self.labels, pairs)
+        downs = defaultdict(list)
+        for i, ups in enumerate(self.up_covers):
+            for j in ups:
+                downs[j].append(i)
+        return FinitePoset._on_ids(self.labels, self._pos, downs)
 
     def induced(self, subset: Iterable[str]) -> "FinitePoset":
-        keep = sorted(set(subset))
-        kept = {self.index_of(lab) for lab in keep}
-        pairs = []
-        for i in kept:
-            for j in self.above[i] & kept:
-                pairs.append((self.labels[i], self.labels[j]))
-        return FinitePoset(keep, pairs)
+        ids = sorted({self.index_of(lab) for lab in subset})
+        new = {i: r for r, i in enumerate(ids)}
+        labels = tuple(self.labels[i] for i in ids)
+        direct = {}
+        for r, i in enumerate(ids):
+            ds = [new[j] for j in self.above[i] if j in new]
+            if ds:
+                direct[r] = ds
+        return FinitePoset._on_ids(labels, dict(zip(labels, range(len(labels)))), direct)
 
     def maximal_elements(self) -> list:
         return [lab for i, lab in enumerate(self.labels) if not self.above[i]]
@@ -139,14 +182,34 @@ def build_poset(elements: Iterable[str], pairs: Iterable[tuple]) -> FinitePoset:
     return FinitePoset(elements, pairs)
 
 
-def _chains_by_minimum(p: FinitePoset) -> list:
+def _from_ids(labels: list, pairs: Iterable[tuple]) -> FinitePoset:
+    """The poset on distinct labels, given in any order, with strict pairs
+    (a, b) of positions in that list, each pair once.  For model builders,
+    which make their elements and know the order, so no label is looked
+    up; the ids are renumbered into label order."""
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    new = dict(zip(order, range(len(order))))
+    direct = defaultdict(list)
+    for a, b in pairs:
+        direct[new[a]].append(new[b])
+    ordered = tuple(map(labels.__getitem__, order))
+    return FinitePoset._on_ids(ordered, dict(zip(ordered, range(len(ordered)))), direct)
+
+
+def _chains_by_minimum(p: FinitePoset) -> tuple:
     """c(x) for every element x in label order: the number of chains whose
-    minimum is x, c(x) = 1 + sum of c(y) over y > x."""
-    counts = [0] * len(p.labels)
-    order = sorted(range(len(p.labels)), key=lambda i: len(p.above[i]))
-    for i in order:
-        counts[i] = 1 + sum(counts[j] for j in p.above[i])
-    return counts
+    minimum is x, c(x) = 1 + sum of c(y) over y > x.  Counted once per
+    poset and cached on it."""
+    if p._counts is None:
+        above = p.above
+        sizes = list(map(len, above))
+        counts = [1] * len(above)
+        # y > x has fewer elements above it than x, so comes first
+        for i in sorted(range(len(above)), key=sizes.__getitem__):
+            if sizes[i]:
+                counts[i] += sum(map(counts.__getitem__, above[i]))
+        p._counts = tuple(counts)
+    return p._counts
 
 
 def chain_count(p: FinitePoset) -> int:
@@ -169,17 +232,21 @@ class MirroredPoset:
     assignments: tuple
 
     def __post_init__(self):
-        seen = {}
+        pos, index = self.poset._pos, self.index_poset._pos
+        stratum = [None] * len(pos)
         for lab, idx in self.assignments:
-            self.poset.index_of(lab)
-            self.index_poset.index_of(idx)
-            if lab in seen:
+            i = pos.get(lab)
+            if i is None:
+                raise UnknownElementError(f"unknown element {lab!r}")
+            if idx not in index:
+                raise UnknownElementError(f"unknown element {idx!r}")
+            if stratum[i] is not None:
                 raise ValueError(f"element {lab!r} assigned twice")
-            seen[lab] = idx
-        missing = [lab for lab in self.poset.labels if lab not in seen]
-        if missing:
+            stratum[i] = idx
+        if None in stratum:
+            missing = [lab for lab, idx in zip(self.poset.labels, stratum) if idx is None]
             raise UnknownElementError(f"no stratum for {missing[:4]}")
-        object.__setattr__(self, "assignments", tuple(sorted(seen.items())))
+        object.__setattr__(self, "assignments", tuple(zip(self.poset.labels, stratum)))
 
     @property
     def mirror(self) -> dict:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -20,6 +22,31 @@ from .errors import SizeCapExceededError, UnknownElementError
 from .poset import FinitePoset, chain_count
 
 DEFAULT_SIMPLEX_CAP = 5_000_000
+
+
+def capped_product(factors: Iterable[int], cap: int) -> int:
+    """The product of factors, each at least 1, or cap + 1 as soon as the
+    running product passes cap.  The product never shrinks, so a count far
+    beyond the cap is refused without being formed."""
+    out = 1
+    for f in factors:
+        out *= f
+        if out > cap:
+            return cap + 1
+    return out
+
+
+def capped_comb(n: int, r: int, cap: int) -> int:
+    """math.comb(n, r), or cap + 1 as soon as a partial count passes cap:
+    C(n, i) grows with i up to min(r, n - r)."""
+    if not 0 <= r <= n:
+        return 0
+    out = 1
+    for i in range(min(r, n - r)):
+        out = out * (n - i) // (i + 1)
+        if out > cap:
+            return cap + 1
+    return out
 
 
 class SimplicialComplex:
@@ -33,7 +60,7 @@ class SimplicialComplex:
     so one complex numbered two ways compares equal.
     """
 
-    __slots__ = ("labels", "_pos", "faces", "_by_dim")
+    __slots__ = ("labels", "_pos", "faces", "dim", "_by_dim")
 
     def __init__(self, labels: Iterable[str], faces: Iterable[tuple], closed: bool = False):
         labels = tuple(sorted(labels))
@@ -58,18 +85,21 @@ class SimplicialComplex:
             face_set = _closure(gens)
         self._init(labels, face_set)
 
-    def _init(self, labels: tuple, faces) -> None:
+    def _init(self, labels: tuple, faces, dim: int | None = None) -> None:
         self.labels = labels
-        self._pos = {lab: i for i, lab in enumerate(labels)}
+        self._pos = dict(zip(labels, range(len(labels))))
         self.faces = frozenset(faces)
+        # the largest face has dim + 1 vertices; -1 for the empty complex
+        self.dim = max(map(len, self.faces), default=0) - 1 if dim is None else dim
         self._by_dim = None
 
     @classmethod
-    def _closed(cls, labels: tuple, faces) -> "SimplicialComplex":
+    def _closed(cls, labels: tuple, faces, dim: int | None = None) -> "SimplicialComplex":
         """A complex from distinct labels and increasing faces that are
-        closed by construction, with no check; for order_complex and join."""
+        closed by construction, with no check; for order_complex and join.
+        A caller that knows the dimension passes it."""
         c = cls.__new__(cls)
-        c._init(labels, faces)
+        c._init(labels, faces, dim)
         return c
 
     @classmethod
@@ -100,10 +130,6 @@ class SimplicialComplex:
 
     def __repr__(self) -> str:
         return f"SimplicialComplex({len(self.labels)} vertices, {len(self.faces)} faces, dim {self.dim})"
-
-    @property
-    def dim(self) -> int:
-        return max((len(f) for f in self.faces), default=0) - 1
 
     def _dim_table(self):
         if self._by_dim is None:
@@ -172,13 +198,12 @@ def _hasse_order(p: FinitePoset) -> list:
     n = len(p.labels)
     if n == 0:
         return []
-    height = [(len(ups), -len(downs)) for ups, downs in zip(p.above, p.below)]
-    covers = [[] for _ in range(n)]
-    for i, ups in enumerate(p.above):
+    height = list(zip(map(len, p.above), map(operator.neg, map(len, p.below))))
+    covers = defaultdict(list)
+    for i, ups in enumerate(p.up_covers):
         for j in ups:
-            if ups.isdisjoint(p.below[j]):
-                covers[i].append(j)
-                covers[j].append(i)
+            covers[i].append(j)
+            covers[j].append(i)
     first = min(range(n), key=height.__getitem__)
     layer = [n] * n
     layer[first] = 0
@@ -191,8 +216,10 @@ def _hasse_order(p: FinitePoset) -> list:
                     layer[j] = layer[i] + 1
                     nxt.append(j)
         frontier = nxt
-    keys = [(*h, t, i) for i, (h, t) in enumerate(zip(height, layer))]
-    return sorted(range(n), key=keys.__getitem__)
+    # sorting is stable: by layer, then by height, leaves ties by index
+    order = sorted(range(n), key=layer.__getitem__)
+    order.sort(key=height.__getitem__)
+    return order
 
 
 def order_complex(p: FinitePoset, cap: int = DEFAULT_SIMPLEX_CAP) -> SimplicialComplex:
@@ -200,7 +227,8 @@ def order_complex(p: FinitePoset, cap: int = DEFAULT_SIMPLEX_CAP) -> SimplicialC
     order of _hasse_order.
 
     Chain counts are computed first; anything beyond the cap raises
-    SizeCapExceededError instead of building.
+    SizeCapExceededError instead of building.  The dimension is the
+    longest chain's length less one.
     """
     total = chain_count(p)
     if total > cap:
@@ -212,12 +240,17 @@ def order_complex(p: FinitePoset, cap: int = DEFAULT_SIMPLEX_CAP) -> SimplicialC
     for r, i in enumerate(order):
         rank[i] = r
     below = p.below
-    faces = []
+    # longest[i]: the most elements in a chain with maximum i; the elements
+    # below i come after i in the order
+    longest = [1] * len(order)
+    for i in reversed(order):
+        if below[i]:
+            longest[i] += max(map(longest.__getitem__, below[i]))
+    faces = [(r,) for r in range(len(order))]
     for r, i in enumerate(order):
         # depth-first down the chains with maximum i: an element below x
         # comes after x in the order, so every chain of ranks increases;
         # downs[t] yields the elements below chain[t] still to try
-        faces.append((r,))
         if not below[i]:
             continue
         chain = [r]
@@ -231,7 +264,9 @@ def order_complex(p: FinitePoset, cap: int = DEFAULT_SIMPLEX_CAP) -> SimplicialC
             chain.append(rank[j])
             faces.append(tuple(chain))
             downs.append(iter(below[j]))
-    return SimplicialComplex._closed(tuple(p.labels[i] for i in order), faces)
+    return SimplicialComplex._closed(
+        tuple(map(p.labels.__getitem__, order)), faces, max(longest, default=0) - 1
+    )
 
 
 def euler_characteristic(c: SimplicialComplex) -> int:

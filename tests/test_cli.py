@@ -155,6 +155,51 @@ def test_gp_enum_refuses_oversized_search_at_once(capsys, n, r):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("model-build", "--family", "power", "--n", "10000000", "--k", "2"),
+        ("perp", "--k", "2", ",".join(["0/1"] * 20000)),
+        ("transversal", "--n", "10000000", "--r", "5000000"),
+        ("gp-enum", "--n", "100000", "--r", "50000", "--k", "1"),
+    ],
+)
+def test_huge_counts_are_refused_without_being_formed(capsys, argv):
+    # each count has millions of digits: refused once a running product
+    # passes the cap, and the message names the cap, not the count
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert "cap" in err
+    assert "Exceeds the limit" not in err
+
+
+def test_gp_check_refuses_huge_sweep_without_forming_it(tmp_path, capsys):
+    f = tmp_path / "huge.gp"
+    f.write_text("3000 1500\n" + " ".join(map(str, range(1, 1501))) + " : 0/1\n")
+    for extra in ((), ("--all-tuples",)):
+        start = time.monotonic()
+        code, out, err = run(capsys, "gp-check", str(f), *extra)
+        assert time.monotonic() - start < 0.5
+        assert code == 2
+        assert "cap" in err
+        assert "Exceeds the limit" not in err
+
+
+def test_out_of_memory_is_a_clean_exit(capsys, monkeypatch):
+    def exhaust(args):
+        raise MemoryError
+
+    monkeypatch.setattr("tphi.cli.cmd_model_build", exhaust)
+    code, out, err = run(capsys, "model-build", "--family", "power", "--n", "2", "--k", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: out of memory")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "text, named",
     [("a b\n1 : 1/2\n", "bad header 'a b'"), ("2 1\n1 x : 1/2\n", "bad tuple '1 x'")],
 )

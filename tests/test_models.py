@@ -29,6 +29,7 @@ from tphi.models import (
     DISCRETIZATION_CAVEAT,
     TPhiModelSpec,
     _min_search_steps,
+    _residue,
     build_model,
     build_perp_poset,
     build_tphi_power,
@@ -47,7 +48,13 @@ from tphi.phased import (
     perp_membership,
     support,
 )
-from tphi.poset import build_poset, geometric_discrete_check, mirror_check, mirrored
+from tphi.poset import (
+    build_poset,
+    format_poset_file,
+    geometric_discrete_check,
+    mirror_check,
+    mirrored,
+)
 from tphi.simplicial import (
     SimplicialComplex,
     barycentric_subdivision,
@@ -243,6 +250,65 @@ def _reference_perp(vs, k):
     index = _reference_chain(str(s) for s in occupied)
     assignment = {lab: str(len(support(m))) for m, lab in zip(members, labels)}
     return mirrored(poset, index, assignment)
+
+
+def _label_pair_power(n, k):
+    """The label-pair loop the power builder ran before it passed ids: each
+    label with its stratum, and the strict pairs as label pairs."""
+    table = format_scalars(k)
+    strata = [str(s) for s in range(n + 1)]
+    pairs = []
+    assignment = {}
+    for v in itertools.islice(itertools.product(range(k + 1), repeat=n), 1, None):
+        parts = list(map(table.__getitem__, v))
+        lab = ",".join(parts)
+        rank = n - v.count(0)
+        assignment[lab] = strata[rank]
+        if rank < 2:
+            continue
+        for i, e in enumerate(v):
+            if e:
+                parts[i] = "0"
+                pairs.append((",".join(parts), lab))
+                parts[i] = table[e]
+    return assignment, pairs
+
+
+def _label_pair_perp(vs, k):
+    """The label-pair loop the perp builder ran before it passed ids."""
+    table = format_scalars(k)
+    rows = (tuple(_residue(e, k) for e in m) for m in perp_enumerate(vs, k))
+    label_of = {r: ",".join(table[e] for e in r) for r in rows}
+    pairs = []
+    assignment = {}
+    for r, lab in label_of.items():
+        nonzero = [i for i, e in enumerate(r) if e]
+        assignment[lab] = str(len(nonzero))
+        for size in range(1, len(nonzero)):
+            for zeroed in itertools.combinations(nonzero, size):
+                below = list(r)
+                for i in zeroed:
+                    below[i] = 0
+                lx = label_of.get(tuple(below))
+                if lx is not None:
+                    pairs.append((lx, lab))
+    return assignment, pairs
+
+
+def test_id_builders_match_label_pair_loops_byte_for_byte():
+    models = []
+    for n, k in [(1, 7), (2, 3), (3, 2), (3, 5), (4, 3)]:
+        assignment, pairs = _label_pair_power(n, k)
+        index = _reference_chain(str(s) for s in range(1, n + 1))
+        models.append((build_tphi_power(n, k), assignment, pairs, index))
+    for vs, k in [([(P, P, P, P)], 2), ([(P, P, P), (P, M, P)], 4)]:
+        assignment, pairs = _label_pair_perp(vs, k)
+        index = _reference_chain(sorted(set(assignment.values()), key=int))
+        models.append((build_perp_poset(vs, k), assignment, pairs, index))
+    for built, assignment, pairs, index in models:
+        old = mirrored(build_poset(list(assignment), pairs), index, assignment)
+        assert format_poset_file(built) == format_poset_file(old)
+        assert order_complex(built.poset).labels == order_complex(old.poset).labels
 
 
 def test_format_scalars_matches_format_value():

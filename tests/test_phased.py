@@ -142,7 +142,7 @@ def test_perp_enumerate_validation():
 def test_perp_enumerate_cap_counts_candidates():
     # 3^3 - 1 = 26 candidates, of which 12 are members
     assert len(perp_enumerate([(P, P, P)], 2, cap=26)) == 12
-    with pytest.raises(SizeCapExceededError, match="26 candidates"):
+    with pytest.raises(SizeCapExceededError, match="more candidates than the cap 25$"):
         perp_enumerate([(P, P, P)], 2, cap=25)
 
 

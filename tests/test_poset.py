@@ -1,15 +1,20 @@
 """Poset construction, upsets, mirrors, and the discrete geometry checks."""
 
 import itertools
+import random
 
 import pytest
 
+from test_models import _label_pair_perp, _label_pair_power
 from tphi.errors import CycleDetectedError, UnknownElementError
+from tphi.hyperfield import ONE, unit
+from tphi.models import build_perp_poset, build_tphi_power
 from tphi.poset import (
     FinitePoset,
     GeometricReport,
     MirroredPoset,
     MirrorReport,
+    _chains_by_minimum,
     build_poset,
     chain_count,
     discrete_type_classes,
@@ -19,6 +24,7 @@ from tphi.poset import (
     mirrored,
     parse_poset_file,
 )
+from tphi.simplicial import order_complex
 
 
 def _diamond():
@@ -207,3 +213,181 @@ def test_poset_file_errors_and_comments():
         parse_poset_file("elem a\nrel a < b\n")
     with pytest.raises(ValueError):
         format_poset_file(build_poset(["a b"], []))
+
+
+def reference_closure(elements, pairs):
+    """The set-based closure the id core replaced: labels, above and below
+    as tuples of frozensets of label positions."""
+    labels = tuple(sorted(elements))
+    if len(set(labels)) != len(labels):
+        raise ValueError("duplicate element labels")
+    pos = {lab: i for i, lab in enumerate(labels)}
+    direct = [set() for _ in labels]
+    indegree = [0] * len(labels)
+    for a, b in pairs:
+        if a not in pos:
+            raise UnknownElementError(f"unknown element {a!r}")
+        if b not in pos:
+            raise UnknownElementError(f"unknown element {b!r}")
+        if a == b:
+            raise CycleDetectedError(f"{a!r} < {a!r}")
+        ia, ib = pos[a], pos[b]
+        if ib not in direct[ia]:
+            direct[ia].add(ib)
+            indegree[ib] += 1
+    queue = [i for i in range(len(labels)) if indegree[i] == 0]
+    topo = []
+    while queue:
+        nxt = queue.pop()
+        topo.append(nxt)
+        for j in direct[nxt]:
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                queue.append(j)
+    if len(topo) != len(labels):
+        raise CycleDetectedError("cycle")
+    above = [set() for _ in labels]
+    for i in reversed(topo):
+        for j in direct[i]:
+            above[i].add(j)
+            above[i] |= above[j]
+    below = [set() for _ in labels]
+    for i, ups in enumerate(above):
+        for j in ups:
+            below[j].add(i)
+    return labels, tuple(map(frozenset, above)), tuple(map(frozenset, below))
+
+
+def reference_chain_counts(above):
+    counts = [0] * len(above)
+    for i in sorted(range(len(above)), key=lambda i: len(above[i])):
+        counts[i] = 1 + sum(counts[j] for j in above[i])
+    return tuple(counts)
+
+
+def assert_matches_reference(p, elements, pairs):
+    labels, above, below = reference_closure(elements, pairs)
+    assert p.labels == labels
+    assert p.above == above
+    assert p.below == below
+    ups = [frozenset(j for j in above[i] if not above[i] & below[j]) for i in range(len(labels))]
+    assert [frozenset(c) for c in p.up_covers] == ups
+    assert all(len(set(c)) == len(c) for c in p.up_covers)
+    assert p.covers() == sorted((labels[i], labels[j]) for i in range(len(labels)) for j in ups[i])
+    assert _chains_by_minimum(p) == reference_chain_counts(above)
+    assert chain_count(p) == sum(reference_chain_counts(above))
+
+
+def random_pair_posets(count, seed):
+    """Seeded random posets with shuffled labels; every pair list repeats
+    some pairs and adds some implied by transitivity."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(0, 12)
+        labels = [f"v{rng.randrange(10**6):06d}" for _ in range(n)]
+        labels = list(dict.fromkeys(labels))
+        rng.shuffle(labels)
+        density = rng.choice((0.1, 0.25, 0.5))
+        pairs = [
+            (labels[i], labels[j])
+            for i in range(len(labels))
+            for j in range(i + 1, len(labels))
+            if rng.random() < density
+        ]
+        pairs += rng.sample(pairs, len(pairs) // 3)
+        given = set(pairs)
+        implied = [ab for ab in FinitePoset(labels, pairs).strict_pairs() if ab not in given]
+        pairs += rng.sample(implied, len(implied) // 2)
+        rng.shuffle(pairs)
+        out.append((labels, pairs))
+    return out
+
+
+def test_id_core_matches_reference_closure():
+    battery = [
+        ("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]),
+        ("abc", []),
+        ("", []),
+        ("abcd", [("a", "b"), ("b", "c"), ("c", "d")]),
+        ("abcd", [("a", "b"), ("c", "b"), ("c", "d")]),
+        ("abcde", [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("b", "e")]),
+    ]
+    checked = 0
+    for elements, pairs in battery + random_pair_posets(200, 20260901):
+        p = build_poset(elements, pairs)
+        assert_matches_reference(p, elements, pairs)
+        q = p.opposite()
+        assert_matches_reference(q, p.labels, [(b, a) for a, b in p.strict_pairs()])
+        assert q.opposite() == p
+        rng = random.Random(checked)
+        keep = [lab for lab in p.labels if rng.random() < 0.6]
+        sub = p.induced(keep)
+        kept = set(keep)
+        sub_pairs = [(a, b) for a, b in p.strict_pairs() if a in kept and b in kept]
+        assert_matches_reference(sub, keep, sub_pairs)
+        checked += 1
+    assert checked == 206
+
+
+def test_id_core_raises_like_reference_closure():
+    cases = [
+        ("ab", [("a", "b"), ("b", "a")]),
+        ("a", [("a", "a")]),
+        ("abc", [("a", "b"), ("b", "c"), ("c", "a")]),
+        ("abcd", [("a", "b"), ("c", "d"), ("d", "c")]),
+        ("ab", [("a", "x")]),
+        ("ab", [("x", "a")]),
+        (["a", "a"], []),
+        (["b", "a", "b"], [("a", "b")]),
+    ]
+    for elements, pairs in cases:
+        with pytest.raises(Exception) as want:
+            reference_closure(elements, pairs)
+        with pytest.raises(want.type):
+            build_poset(elements, pairs)
+    with pytest.raises(CycleDetectedError, match=r"cycle through \['c', 'd'\]"):
+        build_poset("abcd", [("a", "b"), ("c", "d"), ("d", "c")])
+
+
+def test_model_posets_match_reference_closure():
+    for n, k in [(1, 1), (1, 7), (2, 3), (3, 2), (3, 4), (4, 2), (5, 1)]:
+        built = build_tphi_power(n, k)
+        assignment, pairs = _label_pair_power(n, k)
+        elements = list(assignment)
+        assert built.poset == build_poset(elements, pairs)
+        assert_matches_reference(built.poset, elements, pairs)
+    for vs, k in [
+        ([(ONE, ONE, ONE)], 2),
+        ([(ONE, ONE, ONE, ONE)], 2),
+        ([(ONE, ONE, ONE), (ONE, unit(1, 2), ONE)], 4),
+    ]:
+        built = build_perp_poset(vs, k)
+        assignment, pairs = _label_pair_perp(vs, k)
+        elements = list(assignment)
+        assert built.poset == build_poset(elements, pairs)
+        assert_matches_reference(built.poset, elements, pairs)
+
+
+def test_chain_counts_are_cached():
+    p = _diamond()
+    counts = _chains_by_minimum(p)
+    assert counts == (6, 2, 2, 1)  # a: {a}, ab, ac, ad, abd, acd
+    assert _chains_by_minimum(p) is counts
+    order_complex(p)
+    assert _chains_by_minimum(p) is counts
+
+
+def test_mirrored_validation_keeps_its_errors():
+    p = build_poset("abc", [("a", "b")])
+    idx = build_poset(["1", "2"], [("1", "2")])
+    with pytest.raises(UnknownElementError):
+        MirroredPoset(p, idx, (("a", "1"), ("z", "1"), ("b", "2"), ("c", "1")))
+    with pytest.raises(UnknownElementError):
+        MirroredPoset(p, idx, (("a", "1"), ("b", "9"), ("c", "1")))
+    with pytest.raises(ValueError, match="assigned twice"):
+        MirroredPoset(p, idx, (("a", "1"), ("b", "2"), ("a", "2"), ("c", "1")))
+    with pytest.raises(UnknownElementError, match=r"no stratum for \['c'\]"):
+        MirroredPoset(p, idx, (("b", "2"), ("a", "1")))
+    mp = MirroredPoset(p, idx, (("c", "1"), ("b", "2"), ("a", "1")))
+    assert mp.assignments == (("a", "1"), ("b", "2"), ("c", "1"))

@@ -308,6 +308,38 @@ def test_single_vertex_and_empty():
     assert empty.dim == -1
 
 
+def test_dim_and_f_vector_for_every_constructor():
+    # dim is stored when a complex is built (order_complex passes its
+    # longest chain); it and the f-vector must equal a count of the faces
+    tri = [(0, 1, 2), (2, 3)]
+    posets = [p for _, p in _model_battery()] + random_posets(10, 20261101)
+    posets += [p.opposite() for p in posets] + [build_poset([], []), build_poset("xyz", [])]
+    complexes = [
+        SimplicialComplex("abcd", tri),
+        SimplicialComplex("abcd", [(0, 1, 2), (0, 1), (0, 2), (1, 2), (0,), (1,), (2,), (3,)], closed=True),
+        SimplicialComplex([], []),
+        SimplicialComplex([], [], closed=True),
+        SimplicialComplex.from_simplices([["a", "b"], ["c"]]),
+        SimplicialComplex.from_simplices([]),
+        parse_complex_lines("a b c\nc d\n"),
+        parse_complex_lines(""),
+        projective_plane(),
+        join(cycle_complex(4), two_points("p", "q")),
+        join(cycle_complex(3), SimplicialComplex([], [])),
+        join(SimplicialComplex([], []), SimplicialComplex([], [])),
+        barycentric_subdivision(cycle_complex(5)),
+        barycentric_subdivision(SimplicialComplex([], [])),
+    ] + [order_complex(p) for p in posets]
+    for c in complexes:
+        dim = max((len(f) for f in c.faces), default=0) - 1
+        assert c.dim == dim
+        assert c.f_vector() == tuple(
+            sum(len(f) == d + 1 for f in c.faces) for d in range(dim + 1)
+        )
+    assert [c.dim for c in complexes[:4]] == [2, 2, -1, -1]
+    assert complexes[-1].dim == 0 and complexes[-2].dim == -1
+
+
 def test_face_poset_of_triangle():
     c = SimplicialComplex.from_simplices([["a", "b", "c"]])
     p = face_poset(c)
