@@ -36,7 +36,6 @@ from .phased import (
     parse_vector,
     perp_enumerate,
     transversal,
-    vector_key,
 )
 from .poset import (
     MirroredPoset,
@@ -75,7 +74,7 @@ def cmd_hfcalc(args) -> int:
 
 def cmd_perp(args) -> int:
     vs = [parse_vector(t) for t in args.vector]
-    members = sorted(perp_enumerate(vs, args.k), key=vector_key)
+    members = perp_enumerate(vs, args.k)
     print(DISCRETIZATION_CAVEAT, file=sys.stderr)
     for m in members:
         if args.format == "json-lines":

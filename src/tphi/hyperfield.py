@@ -7,8 +7,13 @@ them, the sum of a point with its antipode is the whole hyperfield, and zero
 is the neutral element.  Sums of several terms are therefore finite unions
 of closed arcs, represented by ``ArcSet``.
 
-Angles and arc endpoints are ``fractions.Fraction`` values throughout, so
-every membership and equality question is decided exactly.  All values are
+Angles are ``fractions.Fraction`` values, so every membership and equality
+question is decided exactly.  Sums are decided on integer residues: the
+angles of the non-zero terms are put over the lcm h of their denominators,
+as residues mod 2h, and one scan of the gaps between the sorted residues
+settles the sum.  Zero lies in it exactly when no gap is wider than half a
+turn; otherwise the sum is the arc that the one wider gap leaves.
+``Fraction`` appears only at that arc's endpoints.  All values are
 immutable; nothing here keeps hidden state.
 """
 
@@ -126,6 +131,17 @@ class ArcSet:
             object.__setattr__(self, "full", True)
             object.__setattr__(self, "arcs", ())
 
+    @classmethod
+    def _one_arc(cls, start: Fraction, length: Fraction) -> "ArcSet":
+        """The single arc (start, length) without zero, with no check; for
+        boxplus_fold, whose arcs satisfy 0 <= start < 1 and
+        0 <= length < 1/2 by construction."""
+        s = cls.__new__(cls)
+        object.__setattr__(s, "has_zero", False)
+        object.__setattr__(s, "full", False)
+        object.__setattr__(s, "arcs", ((start, length),))
+        return s
+
     @property
     def is_empty(self) -> bool:
         return not (self.has_zero or self.full or self.arcs)
@@ -213,78 +229,58 @@ def arcset_of(v: TPhi) -> ArcSet:
 
 
 def boxplus_pair(a: TPhi, b: TPhi) -> ArcSet:
-    """Multivalued sum of two scalars.
+    """Multivalued sum of two scalars: ``boxplus_fold((a, b))``.
 
     Zero is neutral, a point plus its antipode is everything, and otherwise
     the sum is the smallest closed arc joining the two points (a single
     point when they coincide).
     """
-    if a.is_zero and b.is_zero:
-        return ZERO_ONLY
-    if a.is_zero:
-        return arcset_of(b)
-    if b.is_zero:
-        return arcset_of(a)
-    d = (b.angle - a.angle) % 1
-    if d == HALF:
-        return FULL_WITH_ZERO
-    if d == 0:
-        return arcset_of(a)
-    if d < HALF:
-        return ArcSet(arcs=((a.angle, d),))
-    return ArcSet(arcs=((b.angle, 1 - d),))
-
-
-def _point_with_arc(theta: Fraction, start: Fraction, length: Fraction):
-    """Union of pairwise sums of a circle point with every point of an arc.
-
-    Returns None when the antipode of theta lies on the arc, in which case
-    the union is the whole hyperfield.  Otherwise the union is the unique
-    closed arc that covers the given arc and theta while avoiding the
-    antipode.
-    """
-    anti = (theta + HALF) % 1
-    if _on_arc(start, length, anti):
-        return None
-    if _on_arc(start, length, theta):
-        return (start, length)
-    lead = (start - theta) % 1
-    trail = (theta - (start + length)) % 1
-    if 0 < (anti - theta) % 1 < lead:
-        return (start, length + trail)
-    return (theta, lead + length)
-
-
-def _extend(acc: ArcSet, t: TPhi) -> ArcSet:
-    if t.is_zero:
-        return acc
-    if acc.full:
-        return FULL_WITH_ZERO
-    pieces = []
-    if acc.has_zero:
-        pieces.append((t.angle, Fraction(0)))
-    for start, length in acc.arcs:
-        hull = _point_with_arc(t.angle, start, length)
-        if hull is None:
-            return FULL_WITH_ZERO
-        pieces.append(hull)
-    return ArcSet(has_zero=False, arcs=tuple(pieces))
+    return boxplus_fold((a, b))
 
 
 def boxplus_fold(terms: Sequence[TPhi]) -> ArcSet:
-    """Multivalued sum of the terms, folded left to right.
+    """Multivalued sum of the terms.
 
-    Each step forms the union of pairwise sums of the accumulated set with
-    the next scalar.  The result does not depend on the order; the fold is
-    merely an evaluation strategy.
+    Zero terms are neutral; zero alone sums to zero.  The sum of circle
+    points holds zero and the whole circle when no open semicircle holds
+    them all (an antipodal pair included); otherwise it is the smallest
+    closed arc holding them, which runs from the end of the one gap wider
+    than half a turn round to its start.  The result does not depend on
+    the order of the terms.
     """
     terms = list(terms)
     if not terms:
         raise EmptySumError("cannot sum an empty sequence of scalars")
-    acc = arcset_of(terms[0])
-    for t in terms[1:]:
-        acc = _extend(acc, t)
-    return acc
+    points = [t for t in terms if not t.is_zero]
+    if not points:
+        return ZERO_ONLY
+    residues, h = angle_residues(points)
+    wide = _wide_gap(residues, h)
+    if wide is None:
+        return FULL_WITH_ZERO
+    gap, end = wide
+    m = 2 * h
+    return ArcSet._one_arc(Fraction(end, m), Fraction(m - gap, m))
+
+
+def _wide_gap(residues, h: int):
+    """The gap wider than h between consecutive distinct points of the
+    residues mod 2h, as (width, end) where end is the point that closes it
+    going counterclockwise, or None when no gap is that wide.
+
+    The gaps add up to 2h, so at most one is wider than h.  One point
+    leaves a gap of 2h; no points at all give None.
+    """
+    m = 2 * h
+    points = sorted({x % m for x in residues})
+    if not points:
+        return None
+    prev = points[-1] - m
+    for x in points:
+        if x - prev > h:
+            return x - prev, x
+        prev = x
+    return None
 
 
 def zero_in_residue_sum(residues, h: int) -> bool:
@@ -296,18 +292,9 @@ def zero_in_residue_sum(residues, h: int) -> bool:
     or no open semicircle holds them all, i.e. the largest circular gap
     between consecutive distinct points is under h.  A gap of exactly h
     has antipodal end points, so the two tests together say that no gap
-    exceeds h.  One point alone leaves a gap of 2h.
+    exceeds h.
     """
-    m = 2 * h
-    points = sorted({x % m for x in residues})
-    if not points:
-        return True
-    prev = points[-1] - m
-    for x in points:
-        if x - prev > h:
-            return False
-        prev = x
-    return True
+    return _wide_gap(residues, h) is None
 
 
 def angle_residues(values: Sequence[TPhi]) -> tuple[list[int], int]:

@@ -11,7 +11,7 @@ The power and perp builders run on integer residues: residue 0 is zero and
 residue j+1 is j/k turns, the positions of ``scalars(k)``.  Labels are joined
 from one ``format_scalars(k)`` table, so no scalar object is made per
 element; the order is read off the non-zero residues.  Perp members arrive
-as scalars from ``perp_enumerate`` and are converted once.
+as such residue rows from the perp search, so no scalar is made at all.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .phased import (
     GPFunction,
     _gp_relation_holds,
     _gp_relations_by_last_tuple,
+    _perp_rows,
     _relation_count,
-    perp_enumerate,
 )
 from .poset import FinitePoset, MirroredPoset, _from_ids, build_poset
 from .simplicial import DEFAULT_SIMPLEX_CAP, capped_comb, capped_product
@@ -79,13 +79,32 @@ def _chain_poset(labels) -> FinitePoset:
     return build_poset(labels, list(zip(labels, labels[1:])))
 
 
+def _power_pair_count(n: int, k: int, cap: int) -> int:
+    """The strict order pairs of build_tphi_power(n, k), or cap + 1 as soon
+    as the running sum passes cap: an element with s non-zero coordinates
+    has 2^s - 2 elements below it.  Called once the (k+1)^n - 1 elements
+    are known to be at most cap, so no term exceeds (cap + 1)^3."""
+    pairs = 0
+    for s in range(2, n + 1):
+        pairs += math.comb(n, s) * k**s * (2**s - 2)
+        if pairs > cap:
+            return cap + 1
+    return pairs
+
+
 def build_tphi_power(n: int, k: int, cap: int = DEFAULT_SIMPLEX_CAP) -> MirroredPoset:
     """All nonzero length-n vectors over the k-point discretization,
-    ordered by zeroing coordinates, mirrored onto 1..n by support size."""
+    ordered by zeroing coordinates, mirrored onto 1..n by support size.
+
+    The elements and then the strict order pairs are counted first, and
+    either count above cap is refused: pairs cost far more memory than
+    elements."""
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
     if capped_product(itertools.repeat(k + 1, n), cap + 1) > cap + 1:
         raise SizeCapExceededError(f"power poset has more elements than the cap {cap}")
+    if _power_pair_count(n, k, cap) > cap:
+        raise SizeCapExceededError(f"power poset has more order pairs than the cap {cap}")
     table = format_scalars(k)
     # a vector with z zero residues lies in stratum n - z
     stratum = [str(n - z) for z in range(n + 1)]
@@ -108,11 +127,6 @@ def build_tphi_power(n: int, k: int, cap: int = DEFAULT_SIMPLEX_CAP) -> Mirrored
     return MirroredPoset(poset, index, tuple(zip(labels, map(stratum.__getitem__, zeros))))
 
 
-def _residue(e, k: int) -> int:
-    """Position of the scalar e in scalars(k)."""
-    return 0 if e.is_zero else e.angle.numerator * (k // e.angle.denominator) + 1
-
-
 def build_perp_poset(vs, k: int, cap: int = DEFAULT_SIMPLEX_CAP) -> MirroredPoset:
     """The subposet of the power model orthogonal to every constraint.
 
@@ -122,11 +136,10 @@ def build_perp_poset(vs, k: int, cap: int = DEFAULT_SIMPLEX_CAP) -> MirroredPose
     coordinates.  The support-size mirror is kept, with empty strata
     dropped from the index chain (perp_pruned_strata reports which).
     """
-    members = perp_enumerate(vs, k, cap)
-    if not members:
+    rows = _perp_rows(vs, k, cap)
+    if not rows:
         raise EmptyPerpError("no nonzero vector is orthogonal to the constraints")
     table = format_scalars(k)
-    rows = [tuple(_residue(e, k) for e in m) for m in members]
     id_of = {r: x for x, r in enumerate(rows)}
     labels, stratum, pairs = [], [], []
     for x, r in enumerate(rows):

@@ -87,6 +87,21 @@ def perp_enumerate(
 
     k must be even so that the discretization is closed under negation.
     The (k+1)^n - 1 candidates are counted first and refused above cap.
+    The search runs on residues (_perp_rows); only its members are made
+    into scalars.
+    """
+    rows = _perp_rows(vs, k, cap)
+    pool = scalars(k)
+    return [tuple(map(pool.__getitem__, row)) for row in rows]
+
+
+def _perp_rows(vs: Sequence[PhasedVector], k: int, cap: int) -> list:
+    """perp_enumerate as rows of positions in scalars(k): 0 is zero and
+    j + 1 is j/k turns.  The rows come in lexicographic order.
+
+    k is even, so the products of a constraint with a candidate are
+    decided mod k with h = k/2: a constraint entry at i/k turns is residue
+    i, and the product with entry j + 1 is residue i + j.
     """
     if not vs:
         raise ZeroVectorError("need at least one constraint vector")
@@ -103,14 +118,25 @@ def perp_enumerate(
                 )
     if capped_product(itertools.repeat(k + 1, n), cap + 1) > cap + 1:
         raise SizeCapExceededError(f"perp has more candidates than the cap {cap}")
-    pool = scalars(k)
-    out = []
-    for cand in itertools.product(pool, repeat=n):
-        if all(e.is_zero for e in cand):
-            continue
-        if perp_membership(vs, cand):
-            out.append(cand)
-    return out
+    if k < 1:  # k = 0 and negative even k pass every check above
+        raise ValueError("k must be positive")
+    # (position, residue less one) of each non-zero constraint entry, so
+    # that adding the candidate's row entry gives the product's residue
+    constraints = [
+        [(i, int(e.angle * k) - 1) for i, e in enumerate(v) if not e.is_zero]
+        for v in vs
+    ]
+    h = k // 2
+    candidates = itertools.product(range(k + 1), repeat=n)
+    next(candidates)  # the zero vector
+    return [
+        row
+        for row in candidates
+        if all(
+            zero_in_residue_sum([r + row[i] for i, r in c if row[i]], h)
+            for c in constraints
+        )
+    ]
 
 
 @dataclass(frozen=True)

@@ -129,6 +129,17 @@ def test_perp_refuses_oversized_search_at_once(capsys):
     assert time.monotonic() - start < 5
 
 
+def test_power_refuses_too_many_order_pairs_at_once(capsys):
+    # 41^4 - 1 = 2,825,760 elements pass the default cap, but their
+    # 37,395,200 strict order pairs do not: refused before anything is built
+    start = time.monotonic()
+    code, out, err = run(capsys, "model-build", "--family", "power", "--n", "4", "--k", "40")
+    assert time.monotonic() - start < 0.5
+    assert code == 2
+    assert "cap" in err
+    assert out == ""
+
+
 def test_gp_check_refuses_oversized_sweep_at_once(tmp_path, capsys):
     # C(40,21) * C(40,19) relations: refused before any table is built
     f = tmp_path / "big.gp"

@@ -1,9 +1,10 @@
 """Arc arithmetic: frozen examples, canonical forms, and algebraic laws.
 
-The membership criterion (antipodal pair / no covering open semicircle) and
-the arc fold are two independent routes to the same question; they are
-checked against each other exhaustively on small discretizations and on a
-seeded random batch.
+boxplus_fold and contains_zero both decide a sum by one scan of the gaps
+between integer residues.  reference_fold below is the pairwise fold on
+Fraction arcs that boxplus_fold replaced; it shares no code with the gap
+scan, so both are checked against it exhaustively on small
+discretizations and on seeded random batches.
 """
 
 import itertools
@@ -14,6 +15,7 @@ import pytest
 
 from tphi.errors import EmptySumError
 from tphi.hyperfield import (
+    HALF,
     ArcSet,
     EMPTY,
     FULL_WITH_ZERO,
@@ -21,6 +23,7 @@ from tphi.hyperfield import (
     TPhi,
     ZERO,
     ZERO_ONLY,
+    _on_arc,
     arcset_of,
     boxplus_fold,
     boxplus_pair,
@@ -37,6 +40,93 @@ from tphi.hyperfield import (
     units,
     zero_in_residue_sum,
 )
+
+
+def reference_pair(a: TPhi, b: TPhi) -> ArcSet:
+    """Multivalued sum of two scalars.
+
+    Zero is neutral, a point plus its antipode is everything, and otherwise
+    the sum is the smallest closed arc joining the two points (a single
+    point when they coincide).
+    """
+    if a.is_zero and b.is_zero:
+        return ZERO_ONLY
+    if a.is_zero:
+        return arcset_of(b)
+    if b.is_zero:
+        return arcset_of(a)
+    d = (b.angle - a.angle) % 1
+    if d == HALF:
+        return FULL_WITH_ZERO
+    if d == 0:
+        return arcset_of(a)
+    if d < HALF:
+        return ArcSet(arcs=((a.angle, d),))
+    return ArcSet(arcs=((b.angle, 1 - d),))
+
+
+def _point_with_arc(theta: Fraction, start: Fraction, length: Fraction):
+    """Union of pairwise sums of a circle point with every point of an arc.
+
+    Returns None when the antipode of theta lies on the arc, in which case
+    the union is the whole hyperfield.  Otherwise the union is the unique
+    closed arc that covers the given arc and theta while avoiding the
+    antipode.
+    """
+    anti = (theta + HALF) % 1
+    if _on_arc(start, length, anti):
+        return None
+    if _on_arc(start, length, theta):
+        return (start, length)
+    lead = (start - theta) % 1
+    trail = (theta - (start + length)) % 1
+    if 0 < (anti - theta) % 1 < lead:
+        return (start, length + trail)
+    return (theta, lead + length)
+
+
+def _extend(acc: ArcSet, t: TPhi) -> ArcSet:
+    if t.is_zero:
+        return acc
+    if acc.full:
+        return FULL_WITH_ZERO
+    pieces = []
+    if acc.has_zero:
+        pieces.append((t.angle, Fraction(0)))
+    for start, length in acc.arcs:
+        hull = _point_with_arc(t.angle, start, length)
+        if hull is None:
+            return FULL_WITH_ZERO
+        pieces.append(hull)
+    return ArcSet(has_zero=False, arcs=tuple(pieces))
+
+
+def reference_fold(terms) -> ArcSet:
+    """Multivalued sum of the terms, folded left to right.
+
+    Each step forms the union of pairwise sums of the accumulated set with
+    the next scalar.  The result does not depend on the order; the fold is
+    merely an evaluation strategy.
+    """
+    terms = list(terms)
+    if not terms:
+        raise EmptySumError("cannot sum an empty sequence of scalars")
+    acc = arcset_of(terms[0])
+    for t in terms[1:]:
+        acc = _extend(acc, t)
+    return acc
+
+
+def _assert_fold_matches_reference(terms):
+    got = boxplus_fold(terms)
+    want = reference_fold(terms)
+    assert got == want, terms
+    assert hash(got) == hash(want), terms
+    assert got.arcs == want.arcs, terms
+    assert format_arcset(got) == format_arcset(want), terms
+    # the unchecked arc is already in the canonical form the checked
+    # constructor would give it
+    assert got == ArcSet(got.has_zero, got.full, got.arcs), terms
 
 
 def _arc(ps, qs, plen_num, plen_den):
@@ -195,7 +285,7 @@ def test_formatting():
 
 
 def _fold_says_zero(terms):
-    return boxplus_fold(terms).has_zero
+    return reference_fold(terms).has_zero
 
 
 def test_criterion_vs_fold_exhaustive_tphi8():
@@ -204,6 +294,7 @@ def test_criterion_vs_fold_exhaustive_tphi8():
     for size in range(1, 6):
         for combo in itertools.combinations_with_replacement(pool, size):
             assert contains_zero(combo) == _fold_says_zero(combo), combo
+            _assert_fold_matches_reference(combo)
 
 
 def test_criterion_vs_fold_random_tphi24():
@@ -227,6 +318,39 @@ def test_residue_zero_test_vs_fold_exhaustive():
                 want = _fold_says_zero(terms)
                 assert zero_in_residue_sum(residues, k) == want, (k, combo)
                 assert contains_zero(terms) == want, (k, combo)
+                _assert_fold_matches_reference(terms)
+
+
+def test_fold_matches_reference_random_with_off_grid_units():
+    rng = random.Random(20261019)
+    pool = scalars(24) + [unit(1, 97), unit(2, 7), unit(96, 97), unit(5, 7), unit(11, 194)]
+    for _ in range(10000):
+        terms = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
+        _assert_fold_matches_reference(terms)
+
+
+def test_fold_matches_reference_edge_cases():
+    cases = [[ZERO], [ZERO, ZERO, ZERO], [ONE], [unit(3, 7)], [ZERO, unit(1, 97), ZERO]]
+    # antipodal pairs, alone and with more terms
+    cases += [[unit(j, 8), unit(j + 4, 8)] for j in range(8)]
+    cases += [[unit(1, 7), unit(9, 14), unit(1, 3)], [unit(1, 97), ZERO, unit(195, 194)]]
+    # arcs that wrap past zero turns, ending exactly at 0/1 and beyond it
+    cases += [
+        [unit(7, 8), unit(1, 8)],
+        [unit(3, 4), ONE],
+        [ONE, unit(5, 6), unit(11, 12)],
+        [unit(96, 97), unit(1, 97), ZERO, unit(2, 97)],
+        [unit(5, 7), unit(1, 7), unit(6, 7)],
+    ]
+    # the widest gap exactly half a turn, and just over it
+    cases += [[ONE, unit(1, 4), unit(1, 2)], [ONE, unit(1, 4), unit(48, 97)]]
+    for terms in cases:
+        for perm in itertools.permutations(terms):
+            _assert_fold_matches_reference(perm)
+    for a, b in itertools.product(scalars(12) + [unit(1, 97), unit(2, 7)], repeat=2):
+        assert boxplus_pair(a, b) == reference_pair(a, b), (a, b)
+    with pytest.raises(EmptySumError):
+        boxplus_fold(iter(()))
 
 
 def test_residue_zero_test_scales_and_wraps():

@@ -7,6 +7,7 @@ antichains have known reduced homology.  Grassmannian counts are frozen
 from the brute-force filter, which is re-run here as the oracle.
 """
 
+import hashlib
 import itertools
 import random
 from functools import reduce
@@ -29,7 +30,7 @@ from tphi.models import (
     DISCRETIZATION_CAVEAT,
     TPhiModelSpec,
     _min_search_steps,
-    _residue,
+    _power_pair_count,
     build_model,
     build_perp_poset,
     build_tphi_power,
@@ -56,6 +57,7 @@ from tphi.poset import (
     mirrored,
 )
 from tphi.simplicial import (
+    DEFAULT_SIMPLEX_CAP,
     SimplicialComplex,
     barycentric_subdivision,
     join,
@@ -100,6 +102,38 @@ def test_power_upset_example():
 def test_power_cap():
     with pytest.raises(SizeCapExceededError):
         build_tphi_power(3, 2, cap=20)
+
+
+def test_power_pair_count_matches_built_order():
+    for n, k in [(3, 2), (2, 3), (4, 2), (3, 4), (1, 5), (5, 1), (2, 1), (4, 3)]:
+        p = build_tphi_power(n, k).poset
+        pairs = sum(map(len, p.below))
+        assert _power_pair_count(n, k, DEFAULT_SIMPLEX_CAP) == pairs, (n, k)
+        # the cap bounds pairs as well as elements: at cap = pairs the
+        # model builds, one below it is refused
+        if pairs >= len(p):
+            assert len(build_tphi_power(n, k, cap=pairs).poset) == len(p)
+            with pytest.raises(SizeCapExceededError, match="order pairs than the cap"):
+                build_tphi_power(n, k, cap=pairs - 1)
+    # power(4, 40): 2,825,760 elements, under the default cap, but
+    # 37,395,200 strict pairs
+    assert _power_pair_count(4, 40, 10**9) == 37395200
+    assert _power_pair_count(4, 40, DEFAULT_SIMPLEX_CAP) == DEFAULT_SIMPLEX_CAP + 1
+    assert _power_pair_count(3, 60, DEFAULT_SIMPLEX_CAP) <= DEFAULT_SIMPLEX_CAP
+    assert _power_pair_count(5, 10, DEFAULT_SIMPLEX_CAP) <= DEFAULT_SIMPLEX_CAP
+
+
+def test_perp_files_are_pinned():
+    # sha256 of format_poset_file output, pinned from the scalar perp search
+    cases = [
+        ([(P, P, P, P)], 2, "a6ec9096bb248b9896b49b38fae0ab4c91683fb0c46681cbcca3e42e8eaada1b"),
+        ([(P, unit(1, 4), ZERO, M)], 4, "2a263873f9fd60fee9cb12d8e1b22a60a257b4d397879d35d18f6ca9dba569fc"),
+        ([(P, P, ZERO, P), (ZERO, P, P, M)], 2, "b8ea971a0b0dc4d4c65d285b7d9face9f4a0af7f608d5f56893af0c259374db5"),
+        ([(P, unit(1, 6), M), (ZERO, P, unit(5, 6))], 6, "8a6b8ddeaf18b3a7a707bc8cfd0d1942d23ef5f31e15fee0866ddc0532735f79"),
+    ]
+    for vs, k, digest in cases:
+        text = format_poset_file(build_perp_poset(vs, k))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (vs, k)
 
 
 def _antichain(i, k):
@@ -277,7 +311,8 @@ def _label_pair_power(n, k):
 def _label_pair_perp(vs, k):
     """The label-pair loop the perp builder ran before it passed ids."""
     table = format_scalars(k)
-    rows = (tuple(_residue(e, k) for e in m) for m in perp_enumerate(vs, k))
+    position = {e: i for i, e in enumerate(scalars(k))}
+    rows = (tuple(map(position.__getitem__, m)) for m in perp_enumerate(vs, k))
     label_of = {r: ",".join(table[e] for e in r) for r in rows}
     pairs = []
     assignment = {}

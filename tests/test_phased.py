@@ -2,7 +2,8 @@
 
 Enumeration results are frozen from hand derivations and double-checked
 against a brute-force filter written inline, so the library path and the
-oracle stay separate.
+oracle stay separate: perp_enumerate searches residue rows, and
+reference_perp filters scalar tuples through perp_membership.
 """
 
 import itertools
@@ -24,12 +25,11 @@ from tphi.hyperfield import (
     TPhi,
     ZERO,
     boxplus_fold,
-    contains_zero,
     scalars,
     unit,
     units,
 )
-from tphi.models import enum_grassmannian
+from tphi.models import build_perp_poset, enum_grassmannian
 from tphi.phased import (
     GPFunction,
     GPReport,
@@ -78,38 +78,54 @@ def test_perp_membership_hand_cases():
         perp_membership([(P, P, P)], (P, M))
 
 
-def _brute_perp(vs, k):
-    out = []
-    for cand in itertools.product(scalars(k), repeat=len(vs[0])):
-        if all(e.is_zero for e in cand):
-            continue
-        good = True
-        for v in vs:
-            if not contains_zero([a * b for a, b in zip(v, cand)]):
-                good = False
-                break
-        if good:
-            out.append(cand)
-    return out
+def reference_perp(vs, k):
+    """The search perp_enumerate ran on scalars: every non-zero candidate
+    over scalars(k), kept when perp_membership holds."""
+    return [
+        cand
+        for cand in itertools.product(scalars(k), repeat=len(vs[0]))
+        if not all(e.is_zero for e in cand) and perp_membership(vs, cand)
+    ]
+
+
+def _seeded_perp_configs():
+    """(vs, k) with n <= 5, k in {2, 4, 6} and 1 to 3 constraints.  Entries
+    are zero about a third of the time, and about a quarter of the
+    constraints have a single non-zero entry."""
+    rng = random.Random(20261020)
+    configs = []
+    for n, k in [(1, 2), (2, 6), (3, 2), (3, 4), (3, 6), (4, 2), (4, 4), (4, 6), (5, 2), (5, 4), (5, 6)]:
+        circle = units(k)
+        for m in (1, 2, 3):
+            vs = []
+            for _ in range(m):
+                if rng.random() < 0.25:
+                    v = [ZERO] * n
+                    v[rng.randrange(n)] = rng.choice(circle)
+                else:
+                    v = [ZERO if rng.random() < 0.3 else rng.choice(circle) for _ in range(n)]
+                vs.append(tuple(v))
+            configs.append((vs, k))
+    return configs
 
 
 def test_perp_enumerate_pair_k2():
     got = perp_enumerate([(P, P)], 2)
     assert got == [(P, M), (M, P)]
-    assert got == _brute_perp([(P, P)], 2)
+    assert got == reference_perp([(P, P)], 2)
 
 
 def test_perp_enumerate_pair_k4():
     got = perp_enumerate([(P, P)], 4)
     # exactly the antipodal pairs (x, -x), both coordinates non-zero
-    assert got == _brute_perp([(P, P)], 4)
+    assert got == reference_perp([(P, P)], 4)
     assert len(got) == 4
     assert all(b == -a for a, b in got)
 
 
 def test_perp_enumerate_triple_k2():
     got = perp_enumerate([(P, P, P)], 2)
-    assert got == _brute_perp([(P, P, P)], 2)
+    assert got == reference_perp([(P, P, P)], 2)
     assert len(got) == 12
     by_support = {2: 0, 3: 0}
     for x in got:
@@ -121,13 +137,29 @@ def test_perp_enumerate_two_constraints():
     # x must oppose itself across both overlapping constraints
     got = perp_enumerate([(P, P, ZERO), (ZERO, P, P)], 2)
     assert got == [(P, M, P), (M, P, M)]
-    assert got == _brute_perp([(P, P, ZERO), (ZERO, P, P)], 2)
+    assert got == reference_perp([(P, P, ZERO), (ZERO, P, P)], 2)
 
 
 def test_perp_enumerate_sorted_lexicographically():
-    got = perp_enumerate([(P, P)], 6)
-    keys = [vector_key(x) for x in got]
-    assert keys == sorted(keys)
+    for vs, k in [([(P, P)], 6)] + _seeded_perp_configs():
+        got = perp_enumerate(vs, k)
+        keys = [vector_key(x) for x in got]
+        assert keys == sorted(keys), (vs, k)
+
+
+def test_perp_enumerate_matches_reference_seeded():
+    configs = _seeded_perp_configs()
+    single = sum(
+        sum(1 for e in v if not e.is_zero) == 1 for vs, _ in configs for v in vs
+    )
+    with_zero = sum(any(e.is_zero for e in v) for vs, _ in configs for v in vs)
+    assert single >= 5 and with_zero >= 20
+    non_empty = 0
+    for vs, k in configs:
+        got = perp_enumerate(vs, k)
+        assert got == reference_perp(vs, k), (vs, k)
+        non_empty += bool(got)
+    assert non_empty >= 20
 
 
 def test_perp_enumerate_validation():
@@ -137,6 +169,27 @@ def test_perp_enumerate_validation():
         perp_enumerate([(P, P), (P,)], 2)
     with pytest.raises(ZeroVectorError):
         perp_enumerate([], 2)
+
+
+def test_perp_search_error_messages():
+    # the residue search keeps the checks and messages of the scalar loop,
+    # for perp_enumerate and for the perp model builder alike
+    cases = [
+        (([], 2), ZeroVectorError, "need at least one constraint vector"),
+        (([(P, P)], 3), OddDiscretizationError, "k must be even, got 3"),
+        (([(P, P), (P,)], 2), LengthMismatchError, "constraint vectors must share one length"),
+        (([(P, unit(1, 3))], 4), ValueError, "constraint entry 1/3 is not a 4-th root of unity"),
+        (([(P, ZERO, unit(1, 8))], 4), ValueError, "constraint entry 1/8 is not a 4-th root of unity"),
+        (([(P, P, P)], 2, 25), SizeCapExceededError, "perp has more candidates than the cap 25"),
+        (([(P, P)], 0), ValueError, "k must be positive"),
+        (([(P, P)], -2), ValueError, "k must be positive"),
+    ]
+    for search in (perp_enumerate, build_perp_poset):
+        for args, error, message in cases:
+            with pytest.raises(error) as caught:
+                search(*args)
+            assert type(caught.value) is error and str(caught.value) == message, (search, args)
+    assert perp_enumerate([()], 2) == []
 
 
 def test_perp_enumerate_cap_counts_candidates():
