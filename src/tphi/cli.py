@@ -4,8 +4,13 @@ Every subcommand wraps one library operation so shell harnesses can
 assert properties directly.  Exit codes separate the three outcomes a
 script cares about: 0 the check ran and passed, 1 the check ran and
 failed, 2 the input could not be checked at all.  Output is deterministic
-byte for byte; `--format json-lines` emits one JSON object per result
-line with keys in a fixed order.
+byte for byte.  Each result line goes through one writer, `_emit`, which
+prints its text form, or under `--format json-lines` its JSON object with
+keys in a fixed order.
+
+Requests go straight to the library builders, which check their own
+inputs, so a refused request prints the library's message on every route
+(`perp` and `model-build --family perp` say the same about an odd k).
 
 `order-complex` and `model-build` emit the plain file formats consumed by
 the other subcommands, so they refuse json-lines instead of inventing a
@@ -25,8 +30,9 @@ from .hyperfield import boxplus_fold, format_arcset, format_value, parse_terms
 from .mccord import basis_certificates, cw_type_report
 from .models import (
     DISCRETIZATION_CAVEAT,
-    TPhiModelSpec,
-    build_model,
+    build_perp_poset,
+    build_tphi_power,
+    enum_grassmannian,
     perp_pruned_strata,
 )
 from .phased import (
@@ -63,12 +69,16 @@ def _poset_of(obj):
     return obj.poset if isinstance(obj, MirroredPoset) else obj
 
 
+def _emit(args, obj, text: str) -> None:
+    """Print one result: obj as a JSON line under --format json-lines,
+    text otherwise."""
+    print(json.dumps(obj) if args.format == "json-lines" else text)
+
+
 def cmd_hfcalc(args) -> int:
     result = boxplus_fold(parse_terms(args.expr))
-    if args.format == "json-lines":
-        print(json.dumps({"sum": format_arcset(result), "contains_zero": result.has_zero}))
-    else:
-        print(format_arcset(result))
+    text = format_arcset(result)
+    _emit(args, {"sum": text, "contains_zero": result.has_zero}, text)
     return 0
 
 
@@ -77,53 +87,36 @@ def cmd_perp(args) -> int:
     members = perp_enumerate(vs, args.k)
     print(DISCRETIZATION_CAVEAT, file=sys.stderr)
     for m in members:
-        if args.format == "json-lines":
-            print(json.dumps({"vector": ",".join(format_value(e) for e in m)}))
-        else:
-            print(",".join(format_value(e) for e in m))
-    if args.format == "json-lines":
-        print(json.dumps({"count": len(members)}))
-    else:
-        print(f"count: {len(members)}")
+        line = ",".join(format_value(e) for e in m)
+        _emit(args, {"vector": line}, line)
+    _emit(args, {"count": len(members)}, f"count: {len(members)}")
     return 0
 
 
 def cmd_gp_check(args) -> int:
     phi = parse_gp_file(_read(args.file))
     rep = gp_verify_all(phi, all_tuples=args.all_tuples)
-    if args.format == "json-lines":
-        obj = {"ok": rep.ok}
-        if not rep.ok:
-            obj["reason"] = rep.reason
-            obj["xs"] = list(rep.xs)
-            obj["ys"] = list(rep.ys)
-        print(json.dumps(obj))
-    elif rep.ok:
-        print("ok: all exchange relations hold")
+    obj = {"ok": rep.ok}
+    if rep.ok:
+        text = "ok: all exchange relations hold"
     else:
+        obj.update(reason=rep.reason, xs=list(rep.xs), ys=list(rep.ys))
         where = ""
         if rep.xs:
             where = f" at xs={','.join(map(str, rep.xs))} ys={','.join(map(str, rep.ys))}"
-        print(f"fail: {rep.reason}{where}")
+        text = f"fail: {rep.reason}{where}"
+    _emit(args, obj, text)
     return 0 if rep.ok else 1
 
 
 def cmd_gp_enum(args) -> int:
-    found = build_model(
-        TPhiModelSpec(args.n, args.k, "grassmannian", r=args.r), args.cap
-    )
+    found = enum_grassmannian(args.n, args.r, args.k, args.cap)
     for phi in found:
         pairs = [
             (",".join(map(str, key)), format_value(val)) for key, val in phi.entries
         ]
-        if args.format == "json-lines":
-            print(json.dumps({"values": dict(pairs)}))
-        else:
-            print(" ".join(f"{key}:{val}" for key, val in pairs))
-    if args.format == "json-lines":
-        print(json.dumps({"count": len(found)}))
-    else:
-        print(f"count: {len(found)}")
+        _emit(args, {"values": dict(pairs)}, " ".join(f"{key}:{val}" for key, val in pairs))
+    _emit(args, {"count": len(found)}, f"count: {len(found)}")
     return 0
 
 
@@ -131,15 +124,12 @@ def cmd_transversal(args) -> int:
     t = transversal(args.n, args.r)
     increasing = math.comb(args.n, args.r)
     for tup in t.tuples:
-        if args.format == "json-lines":
-            print(json.dumps({"tuple": list(tup)}))
-        else:
-            print(" ".join(map(str, tup)))
-    if args.format == "json-lines":
-        print(json.dumps({"size": t.d, "increasing_tuples": increasing}))
-    else:
-        print(f"size: {t.d}")
-        print(f"increasing-tuples: {increasing}")
+        _emit(args, {"tuple": list(tup)}, " ".join(map(str, tup)))
+    _emit(
+        args,
+        {"size": t.d, "increasing_tuples": increasing},
+        f"size: {t.d}\nincreasing-tuples: {increasing}",
+    )
     return 0
 
 
@@ -154,15 +144,10 @@ def cmd_poset_check(args) -> int:
     else:
         checks.append(("poset", True, None))
     for name, ok, detail in checks:
-        if args.format == "json-lines":
-            row = {"check": name, "ok": ok}
-            if detail:
-                row["detail"] = detail
-            print(json.dumps(row))
-        elif ok:
-            print(f"{name}: ok")
-        else:
-            print(f"{name}: FAIL ({detail})")
+        row = {"check": name, "ok": ok}
+        if detail:
+            row["detail"] = detail
+        _emit(args, row, f"{name}: ok" if ok else f"{name}: FAIL ({detail})")
     return 0 if all(ok for _, ok, _ in checks) else 1
 
 
@@ -181,31 +166,29 @@ def cmd_order_complex(args) -> int:
 def cmd_homology(args) -> int:
     c = parse_complex_lines(_read(args.file))
     s = homology_groups(c, reduced=args.reduced)
-    if args.format == "json-lines":
-        for d in range(max(s.top_dim + 1, 0)):
-            betti, torsion = s.group(d)
-            print(json.dumps({"dim": d, "betti": betti, "torsion": list(torsion)}))
-    else:
-        for line in format_homology(s):
-            print(line)
+    for d, line in enumerate(format_homology(s)):
+        betti, torsion = s.group(d)
+        _emit(args, {"dim": d, "betti": betti, "torsion": list(torsion)}, line)
     return 0
 
 
 def cmd_mccord_verify(args) -> int:
     p = _poset_of(parse_poset_file(_read(args.file)))
     rep = basis_certificates(p, args.cap)
-    if args.format == "json-lines":
-        for c in rep.certificates:
-            print(json.dumps({"element": c.element, "certificate": c.kind, "size": c.size}))
-        print(json.dumps({"verdict": rep.verdict, "homology": format_homology(rep.homology)}))
-    else:
-        width = max((len(c.element) for c in rep.certificates), default=0)
-        kw = max((len(c.kind) for c in rep.certificates), default=0)
-        for c in rep.certificates:
-            print(f"{c.element.ljust(width)}  {c.kind.ljust(kw)}  {c.size}")
-        print(f"verdict: {rep.verdict}")
-        for line in format_homology(rep.homology):
-            print(line)
+    width = max((len(c.element) for c in rep.certificates), default=0)
+    kw = max((len(c.kind) for c in rep.certificates), default=0)
+    for c in rep.certificates:
+        _emit(
+            args,
+            {"element": c.element, "certificate": c.kind, "size": c.size},
+            f"{c.element.ljust(width)}  {c.kind.ljust(kw)}  {c.size}",
+        )
+    homology = format_homology(rep.homology)
+    _emit(
+        args,
+        {"verdict": rep.verdict, "homology": homology},
+        "\n".join([f"verdict: {rep.verdict}", *homology]),
+    )
     return 0 if rep.verdict == "all basic opens certified contractible" else 1
 
 
@@ -213,14 +196,12 @@ def cmd_cw_report(args) -> int:
     p = _poset_of(parse_poset_file(_read(args.file)))
     rep = cw_type_report(p, args.cap)
     for comp in rep.components:
-        if args.format == "json-lines":
-            print(json.dumps({"component": list(comp.elements), "status": comp.status}))
-        else:
-            print(f"component {' '.join(comp.elements)}: {comp.status}")
-    if args.format == "json-lines":
-        print(json.dumps({"verdict": rep.verdict}))
-    else:
-        print(f"verdict: {rep.verdict}")
+        _emit(
+            args,
+            {"component": list(comp.elements), "status": comp.status},
+            f"component {' '.join(comp.elements)}: {comp.status}",
+        )
+    _emit(args, {"verdict": rep.verdict}, f"verdict: {rep.verdict}")
     return 0 if rep.verdict == "CW type" else 1
 
 
@@ -230,16 +211,21 @@ def cmd_model_build(args) -> int:
             "model-build emits the poset/function file formats; "
             "--format json-lines is not supported"
         )
-    vectors = tuple(parse_vector(t) for t in args.vector)
-    spec = TPhiModelSpec(args.n, args.k, args.family, vectors=vectors, r=args.r)
-    built = build_model(spec, args.cap)
+    # a malformed vector is refused for every family, not only perp
+    vectors = [parse_vector(t) for t in args.vector]
     if args.family == "grassmannian":
-        for i, phi in enumerate(built):
+        for i, phi in enumerate(enum_grassmannian(args.n, args.r, args.k, args.cap)):
             if i:
                 print()
             sys.stdout.write(format_gp(phi))
         return 0
-    if args.family == "perp":
+    if args.family == "power":
+        built = build_tphi_power(args.n, args.k, args.cap)
+    else:
+        # build_perp_poset takes n from the vectors; --n must agree with them
+        if any(len(v) != args.n for v in vectors):
+            raise ValueError("constraint length differs from n")
+        built = build_perp_poset(vectors, args.k, args.cap)
         print(DISCRETIZATION_CAVEAT, file=sys.stderr)
         pruned = perp_pruned_strata(built, args.n)
         if pruned:

@@ -79,10 +79,6 @@ def neg(v: TPhi) -> TPhi:
     return -v
 
 
-def mul(a: TPhi, b: TPhi) -> TPhi:
-    return a * b
-
-
 def phase_key(v: TPhi):
     """Sort key: zero first, then units by increasing angle."""
     if v.is_zero:

@@ -20,11 +20,10 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from .errors import BadArityError, EmptyPerpError, SizeCapExceededError
 from .homology import HomologySummary
-from .hyperfield import format_scalars, in_tphi_k, unit
+from .hyperfield import format_scalars, unit
 from .phased import (
     GPFunction,
     _gp_relation_holds,
@@ -40,38 +39,6 @@ DISCRETIZATION_CAVEAT = (
     "its order complex need not have the homotopy type of the continuum "
     "perp set (one constraint in two variables gives k points, not a circle)"
 )
-
-
-@dataclass(frozen=True)
-class TPhiModelSpec:
-    """Which finite model to build: a full power, a perp subposet, or the
-    rank-r strong alternating functions."""
-
-    n: int
-    k: int
-    family: str
-    vectors: tuple = ()
-    r: int = 0
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if self.k < 1:
-            raise ValueError("k must be positive")
-        if self.family not in ("power", "perp", "grassmannian"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.family == "perp":
-            if not self.vectors:
-                raise ValueError("perp family needs constraint vectors")
-            if self.k % 2:
-                raise ValueError("perp family needs even k")
-            for v in self.vectors:
-                if len(v) != self.n:
-                    raise ValueError("constraint length differs from n")
-                if not all(in_tphi_k(e, self.k) for e in v):
-                    raise ValueError("constraint entries must lie in the k-point set")
-        if self.family == "grassmannian" and not 1 <= self.r <= self.n:
-            raise ValueError("grassmannian family needs 1 <= r <= n")
 
 
 def _chain_poset(labels) -> FinitePoset:
@@ -273,11 +240,3 @@ def expected_join_betti(n: int, k: int) -> HomologySummary:
     groups = ((n - 1, (rank, ())),) if rank else ()
     return HomologySummary(groups, n - 1, reduced=True)
 
-
-def build_model(spec: TPhiModelSpec, cap: int = DEFAULT_SIMPLEX_CAP):
-    """Dispatch a TPhiModelSpec to its builder."""
-    if spec.family == "power":
-        return build_tphi_power(spec.n, spec.k, cap)
-    if spec.family == "perp":
-        return build_perp_poset(list(spec.vectors), spec.k, cap)
-    return enum_grassmannian(spec.n, spec.r, spec.k, cap)

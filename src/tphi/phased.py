@@ -394,7 +394,17 @@ def transpositions(tup: Sequence[int]) -> list:
 
 def transversal(n: int, r: int) -> Transversal:
     """Greedy construction in lexicographic order: keep the least remaining
-    tuple, discard everything one transposition away from it, repeat.
+    tuple, discard everything one transposition away from it, repeat.  The
+    pass keeps exactly the tuples with an even number of inversions, in
+    lexicographic order, so those are listed directly.
+
+    Proof: a transposition flips the parity of the inversions, so every
+    neighbour of an even tuple is odd.  An odd tuple (r >= 2) is not
+    sorted, so it has an adjacent descent; swapping it gives an even
+    neighbour that comes earlier in lexicographic order.  By induction
+    along that order, an even tuple has no kept neighbour before it, so it
+    is still there when reached and is kept, and an odd tuple was discarded
+    by the even neighbour before it.
 
     The n!/(n-r)! tuples are counted first and refused above
     DEFAULT_SIMPLEX_CAP."""
@@ -402,16 +412,8 @@ def transversal(n: int, r: int) -> Transversal:
         raise BadArityError(f"need 1 <= r <= n, got r={r}, n={n}")
     if capped_product(range(n - r + 1, n + 1), DEFAULT_SIMPLEX_CAP) > DEFAULT_SIMPLEX_CAP:
         raise SizeCapExceededError(f"r-permutations exceed cap {DEFAULT_SIMPLEX_CAP}")
-    alive = set(itertools.permutations(range(1, n + 1), r))
-    chosen = []
-    for tup in sorted(alive):
-        if tup not in alive:
-            continue
-        chosen.append(tup)
-        alive.discard(tup)
-        for other in transpositions(tup):
-            alive.discard(other)
-    return Transversal(n, r, tuple(chosen))
+    tuples = itertools.permutations(range(1, n + 1), r)
+    return Transversal(n, r, tuple(t for t in tuples if not _inversions(t) % 2))
 
 
 def format_gp(phi: GPFunction) -> str:

@@ -456,6 +456,33 @@ def test_model_build_validates_spec(capsys):
     code, _, err = run(capsys, "model-build", "--family", "perp", "--n", "2", "--k", "2")
     assert code == 2
     assert "constraint" in err
+    code, _, err = run(
+        capsys, "model-build", "--family", "perp", "--n", "3", "--k", "2", "0/1,0/1"
+    )
+    assert code == 2
+    assert err == "error: constraint length differs from n\n"
+
+
+PERP_FAULTS = (
+    ("--k", "3", "0/1,0/1"),  # odd k
+    ("--k", "4", "0/1,1/3"),  # an entry off the 4-point grid
+    ("--k", "0", "0/1,0/1"),
+    ("--k", "-2", "0/1,0/1"),
+)
+RANK_FAULTS = (("--n", "3", "--k", "2", "--r", r) for r in ("0", "4", "-1"))
+
+
+@pytest.mark.parametrize(
+    "direct, built",
+    [(("perp", *f), ("model-build", "--family", "perp", "--n", "2", *f)) for f in PERP_FAULTS]
+    + [(("gp-enum", *f), ("model-build", "--family", "grassmannian", *f)) for f in RANK_FAULTS],
+)
+def test_each_fault_has_one_message(capsys, direct, built):
+    # the builder refuses the request, so both routes print its message
+    code, out, err = run(capsys, *direct)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert run(capsys, *built) == (2, "", err)
 
 
 def test_byte_identical_reruns(tmp_path, capsys):

@@ -28,10 +28,8 @@ from tphi.hyperfield import (
 )
 from tphi.models import (
     DISCRETIZATION_CAVEAT,
-    TPhiModelSpec,
     _min_search_steps,
     _power_pair_count,
-    build_model,
     build_perp_poset,
     build_tphi_power,
     enum_grassmannian,
@@ -510,28 +508,10 @@ def test_grassmannian_errors():
         enum_grassmannian(5, 2, 2, cap=1000)
 
 
-def test_model_spec_validation():
-    with pytest.raises(ValueError):
-        TPhiModelSpec(0, 2, "power")
-    with pytest.raises(ValueError):
-        TPhiModelSpec(2, 2, "nonsense")
-    with pytest.raises(ValueError):
-        TPhiModelSpec(2, 2, "perp")
-    with pytest.raises(ValueError):
-        TPhiModelSpec(2, 3, "perp", vectors=((P, P),))
-    with pytest.raises(ValueError):
-        TPhiModelSpec(2, 2, "perp", vectors=((P, unit(1, 3)),))
-    with pytest.raises(ValueError):
-        TPhiModelSpec(2, 2, "grassmannian", r=3)
-
-
-def test_build_model_dispatch():
-    power = build_model(TPhiModelSpec(2, 2, "power"))
-    assert len(power.poset.labels) == 8
-    perp = build_model(TPhiModelSpec(2, 2, "perp", vectors=((P, P),)))
-    assert len(perp.poset.labels) == 2
-    gr = build_model(TPhiModelSpec(3, 2, "grassmannian", r=2))
-    assert len(gr) == 13
+def test_power_needs_positive_sizes():
+    for n, k in ((0, 2), (2, 0), (-1, 1)):
+        with pytest.raises(ValueError, match="^n and k must be positive$"):
+            build_tphi_power(n, k)
 
 
 def test_caveat_text():

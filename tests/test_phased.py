@@ -393,6 +393,27 @@ def test_transversal_hand_traces():
         transversal(3, 0)
 
 
+def reference_transversal(n, r):
+    """The greedy pass that transversal's closed form replaces: keep the
+    least remaining tuple, discard its transpositions, repeat."""
+    alive = set(itertools.permutations(range(1, n + 1), r))
+    chosen = []
+    for tup in sorted(alive):
+        if tup not in alive:
+            continue
+        chosen.append(tup)
+        alive.discard(tup)
+        for other in transpositions(tup):
+            alive.discard(other)
+    return tuple(chosen)
+
+
+def test_transversal_matches_the_greedy_pass():
+    for n in range(1, 8):
+        for r in range(1, n + 1):
+            assert transversal(n, r).tuples == reference_transversal(n, r), (n, r)
+
+
 def test_transversal_properties_exhaustive():
     for n in range(1, 6):
         for r in range(1, min(n, 3) + 1):
