@@ -15,6 +15,11 @@ inputs, so a refused request prints the library's message on every route
 `order-complex` and `model-build` emit the plain file formats consumed by
 the other subcommands, so they refuse json-lines instead of inventing a
 second encoding.
+
+Each subcommand imports only the library modules it runs, inside its
+`cmd_*` function; this module loads nothing of tphi but `errors` at start.
+Every call is a fresh process, so a child that loaded all seven modules
+would spend most of its life importing (`hfcalc` loads `hyperfield` only).
 """
 
 from __future__ import annotations
@@ -24,38 +29,7 @@ import json
 import math
 import sys
 
-from .errors import TphiError
-from .homology import format_homology, homology_groups
-from .hyperfield import boxplus_fold, format_arcset, format_value, parse_terms
-from .mccord import basis_certificates, cw_type_report
-from .models import (
-    DISCRETIZATION_CAVEAT,
-    build_perp_poset,
-    build_tphi_power,
-    enum_grassmannian,
-    perp_pruned_strata,
-)
-from .phased import (
-    format_gp,
-    gp_verify_all,
-    parse_gp_file,
-    parse_vector,
-    perp_enumerate,
-    transversal,
-)
-from .poset import (
-    MirroredPoset,
-    format_poset_file,
-    geometric_discrete_check,
-    mirror_check,
-    parse_poset_file,
-)
-from .simplicial import (
-    DEFAULT_SIMPLEX_CAP,
-    complex_to_lines,
-    order_complex,
-    parse_complex_lines,
-)
+from .errors import DEFAULT_SIMPLEX_CAP, TphiError
 
 
 def _read(path: str) -> str:
@@ -65,7 +39,11 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _poset_of(obj):
+def _read_poset(path: str):
+    """The poset in a poset file; a mirrored file gives its domain."""
+    from .poset import MirroredPoset, parse_poset_file
+
+    obj = parse_poset_file(_read(path))
     return obj.poset if isinstance(obj, MirroredPoset) else obj
 
 
@@ -76,6 +54,8 @@ def _emit(args, obj, text: str) -> None:
 
 
 def cmd_hfcalc(args) -> int:
+    from .hyperfield import boxplus_fold, format_arcset, parse_terms
+
     result = boxplus_fold(parse_terms(args.expr))
     text = format_arcset(result)
     _emit(args, {"sum": text, "contains_zero": result.has_zero}, text)
@@ -83,6 +63,10 @@ def cmd_hfcalc(args) -> int:
 
 
 def cmd_perp(args) -> int:
+    from .hyperfield import format_value
+    from .models import DISCRETIZATION_CAVEAT
+    from .phased import parse_vector, perp_enumerate
+
     vs = [parse_vector(t) for t in args.vector]
     members = perp_enumerate(vs, args.k)
     print(DISCRETIZATION_CAVEAT, file=sys.stderr)
@@ -94,6 +78,8 @@ def cmd_perp(args) -> int:
 
 
 def cmd_gp_check(args) -> int:
+    from .phased import gp_verify_all, parse_gp_file
+
     phi = parse_gp_file(_read(args.file))
     rep = gp_verify_all(phi, all_tuples=args.all_tuples)
     obj = {"ok": rep.ok}
@@ -110,6 +96,9 @@ def cmd_gp_check(args) -> int:
 
 
 def cmd_gp_enum(args) -> int:
+    from .hyperfield import format_value
+    from .models import enum_grassmannian
+
     found = enum_grassmannian(args.n, args.r, args.k, args.cap)
     for phi in found:
         pairs = [
@@ -121,6 +110,8 @@ def cmd_gp_enum(args) -> int:
 
 
 def cmd_transversal(args) -> int:
+    from .phased import transversal
+
     t = transversal(args.n, args.r)
     increasing = math.comb(args.n, args.r)
     for tup in t.tuples:
@@ -134,6 +125,8 @@ def cmd_transversal(args) -> int:
 
 
 def cmd_poset_check(args) -> int:
+    from .poset import MirroredPoset, geometric_discrete_check, mirror_check, parse_poset_file
+
     obj = parse_poset_file(_read(args.file))
     checks = []
     if isinstance(obj, MirroredPoset):
@@ -152,18 +145,23 @@ def cmd_poset_check(args) -> int:
 
 
 def cmd_order_complex(args) -> int:
+    from .simplicial import complex_to_lines, order_complex
+
     if args.format == "json-lines":
         raise ValueError(
             "order-complex emits the one-simplex-per-line file format; "
             "--format json-lines is not supported"
         )
-    p = _poset_of(parse_poset_file(_read(args.file)))
+    p = _read_poset(args.file)
     for line in complex_to_lines(order_complex(p, args.cap)):
         print(line)
     return 0
 
 
 def cmd_homology(args) -> int:
+    from .homology import format_homology, homology_groups
+    from .simplicial import parse_complex_lines
+
     c = parse_complex_lines(_read(args.file))
     s = homology_groups(c, reduced=args.reduced)
     for d, line in enumerate(format_homology(s)):
@@ -173,7 +171,10 @@ def cmd_homology(args) -> int:
 
 
 def cmd_mccord_verify(args) -> int:
-    p = _poset_of(parse_poset_file(_read(args.file)))
+    from .homology import format_homology
+    from .mccord import basis_certificates
+
+    p = _read_poset(args.file)
     rep = basis_certificates(p, args.cap)
     width = max((len(c.element) for c in rep.certificates), default=0)
     kw = max((len(c.kind) for c in rep.certificates), default=0)
@@ -193,7 +194,9 @@ def cmd_mccord_verify(args) -> int:
 
 
 def cmd_cw_report(args) -> int:
-    p = _poset_of(parse_poset_file(_read(args.file)))
+    from .mccord import cw_type_report
+
+    p = _read_poset(args.file)
     rep = cw_type_report(p, args.cap)
     for comp in rep.components:
         _emit(
@@ -206,13 +209,23 @@ def cmd_cw_report(args) -> int:
 
 
 def cmd_model_build(args) -> int:
+    from .models import (
+        DISCRETIZATION_CAVEAT,
+        build_perp_poset,
+        build_tphi_power,
+        enum_grassmannian,
+        perp_pruned_strata,
+    )
+    from .phased import format_gp, parse_vector
+    from .poset import format_poset_file
+
     if args.format == "json-lines":
         raise ValueError(
             "model-build emits the poset/function file formats; "
             "--format json-lines is not supported"
         )
-    # a malformed vector is refused for every family, not only perp
-    vectors = [parse_vector(t) for t in args.vector]
+    if args.vector and args.family != "perp":
+        raise ValueError("constraint vectors are taken by --family perp only")
     if args.family == "grassmannian":
         for i, phi in enumerate(enum_grassmannian(args.n, args.r, args.k, args.cap)):
             if i:
@@ -222,6 +235,7 @@ def cmd_model_build(args) -> int:
     if args.family == "power":
         built = build_tphi_power(args.n, args.k, args.cap)
     else:
+        vectors = [parse_vector(t) for t in args.vector]
         # build_perp_poset takes n from the vectors; --n must agree with them
         if any(len(v) != args.n for v in vectors):
             raise ValueError("constraint length differs from n")

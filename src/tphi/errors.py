@@ -1,8 +1,40 @@
-"""Exception types shared across the package.
+"""Exception types and size guards shared across the package.
 
 Everything raised on purpose derives from ``TphiError`` so the command line
-driver can map library failures to a single exit code.
+driver can map library failures to a single exit code.  The default size
+cap and the capped counts that guard every builder live here too, next to
+``SizeCapExceededError``, so a module that only needs a guard imports no
+other tphi module.
 """
+
+from typing import Iterable
+
+DEFAULT_SIMPLEX_CAP = 5_000_000
+
+
+def capped_product(factors: Iterable[int], cap: int) -> int:
+    """The product of factors, each at least 1, or cap + 1 as soon as the
+    running product passes cap.  The product never shrinks, so a count far
+    beyond the cap is refused without being formed."""
+    out = 1
+    for f in factors:
+        out *= f
+        if out > cap:
+            return cap + 1
+    return out
+
+
+def capped_comb(n: int, r: int, cap: int) -> int:
+    """math.comb(n, r), or cap + 1 as soon as a partial count passes cap:
+    C(n, i) grows with i up to min(r, n - r)."""
+    if not 0 <= r <= n:
+        return 0
+    out = 1
+    for i in range(min(r, n - r)):
+        out = out * (n - i) // (i + 1)
+        if out > cap:
+            return cap + 1
+    return out
 
 
 class TphiError(Exception):

@@ -21,8 +21,14 @@ import itertools
 import math
 import operator
 
-from .errors import BadArityError, EmptyPerpError, SizeCapExceededError
-from .homology import HomologySummary
+from .errors import (
+    DEFAULT_SIMPLEX_CAP,
+    BadArityError,
+    EmptyPerpError,
+    SizeCapExceededError,
+    capped_comb,
+    capped_product,
+)
 from .hyperfield import format_scalars, unit
 from .phased import (
     GPFunction,
@@ -32,7 +38,6 @@ from .phased import (
     _relation_count,
 )
 from .poset import FinitePoset, MirroredPoset, _from_ids, build_poset
-from .simplicial import DEFAULT_SIMPLEX_CAP, capped_comb, capped_product
 
 DISCRETIZATION_CAVEAT = (
     "caveat: a perp poset over k-th roots of unity is a finite snapshot; "
@@ -102,10 +107,21 @@ def build_perp_poset(vs, k: int, cap: int = DEFAULT_SIMPLEX_CAP) -> MirroredPose
     under zeroing, so every subset is looked up, not only single
     coordinates.  The support-size mirror is kept, with empty strata
     dropped from the index chain (perp_pruned_strata reports which).
+
+    A member with s non-zero entries looks up 2^s - 2 vectors below it;
+    the sum of these lookups bounds the order pairs and is refused above
+    cap before any is made.
     """
     rows = _perp_rows(vs, k, cap)
     if not rows:
         raise EmptyPerpError("no nonzero vector is orthogonal to the constraints")
+    lookups = 0
+    for r in rows:
+        lookups += 2 ** (len(r) - r.count(0)) - 2
+        if lookups > cap:
+            raise SizeCapExceededError(
+                f"perp poset has more order-pair lookups than the cap {cap}"
+            )
     table = format_scalars(k)
     id_of = {r: x for x, r in enumerate(rows)}
     labels, stratum, pairs = [], [], []
@@ -233,9 +249,11 @@ def enum_grassmannian(
     return found
 
 
-def expected_join_betti(n: int, k: int) -> HomologySummary:
+def expected_join_betti(n: int, k: int):
     """Reduced homology forced by the join structure of the power model:
-    rank (k-1)^n concentrated in dimension n-1."""
+    rank (k-1)^n concentrated in dimension n-1, as a HomologySummary."""
+    from .homology import HomologySummary
+
     rank = (k - 1) ** n
     groups = ((n - 1, (rank, ())),) if rank else ()
     return HomologySummary(groups, n - 1, reduced=True)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
+    DEFAULT_SIMPLEX_CAP,
     BadArityError,
     IdenticallyZeroError,
     IndexOutOfRangeError,
@@ -24,6 +25,8 @@ from .errors import (
     OddDiscretizationError,
     SizeCapExceededError,
     ZeroVectorError,
+    capped_comb,
+    capped_product,
 )
 from .hyperfield import (
     TPhi,
@@ -38,7 +41,6 @@ from .hyperfield import (
     unit,
     zero_in_residue_sum,
 )
-from .simplicial import DEFAULT_SIMPLEX_CAP, capped_comb, capped_product
 
 PhasedVector = tuple
 
@@ -103,6 +105,8 @@ def _perp_rows(vs: Sequence[PhasedVector], k: int, cap: int) -> list:
     decided mod k with h = k/2: a constraint entry at i/k turns is residue
     i, and the product with entry j + 1 is residue i + j.
     """
+    if k < 1:
+        raise ValueError("k must be positive")
     if not vs:
         raise ZeroVectorError("need at least one constraint vector")
     if k % 2 != 0:
@@ -118,8 +122,6 @@ def _perp_rows(vs: Sequence[PhasedVector], k: int, cap: int) -> list:
                 )
     if capped_product(itertools.repeat(k + 1, n), cap + 1) > cap + 1:
         raise SizeCapExceededError(f"perp has more candidates than the cap {cap}")
-    if k < 1:  # k = 0 and negative even k pass every check above
-        raise ValueError("k must be positive")
     # (position, residue less one) of each non-zero constraint entry, so
     # that adding the candidate's row entry gives the product's residue
     constraints = [

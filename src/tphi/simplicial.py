@@ -18,35 +18,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import SizeCapExceededError, UnknownElementError
+from .errors import DEFAULT_SIMPLEX_CAP, SizeCapExceededError
 from .poset import FinitePoset, chain_count
-
-DEFAULT_SIMPLEX_CAP = 5_000_000
-
-
-def capped_product(factors: Iterable[int], cap: int) -> int:
-    """The product of factors, each at least 1, or cap + 1 as soon as the
-    running product passes cap.  The product never shrinks, so a count far
-    beyond the cap is refused without being formed."""
-    out = 1
-    for f in factors:
-        out *= f
-        if out > cap:
-            return cap + 1
-    return out
-
-
-def capped_comb(n: int, r: int, cap: int) -> int:
-    """math.comb(n, r), or cap + 1 as soon as a partial count passes cap:
-    C(n, i) grows with i up to min(r, n - r)."""
-    if not 0 <= r <= n:
-        return 0
-    out = 1
-    for i in range(min(r, n - r)):
-        out = out * (n - i) // (i + 1)
-        if out > cap:
-            return cap + 1
-    return out
 
 
 class SimplicialComplex:

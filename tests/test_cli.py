@@ -461,6 +461,14 @@ def test_model_build_validates_spec(capsys):
     )
     assert code == 2
     assert err == "error: constraint length differs from n\n"
+    # vectors are refused outside the perp family, not dropped
+    for family in ("power", "grassmannian"):
+        code, out, err = run(
+            capsys, "model-build", "--family", family, "--n", "2", "--k", "3", "--r", "1",
+            "0/1,1/2",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: constraint vectors are taken by --family perp only\n"
 
 
 PERP_FAULTS = (
@@ -475,7 +483,15 @@ RANK_FAULTS = (("--n", "3", "--k", "2", "--r", r) for r in ("0", "4", "-1"))
 @pytest.mark.parametrize(
     "direct, built",
     [(("perp", *f), ("model-build", "--family", "perp", "--n", "2", *f)) for f in PERP_FAULTS]
-    + [(("gp-enum", *f), ("model-build", "--family", "grassmannian", *f)) for f in RANK_FAULTS],
+    + [(("gp-enum", *f), ("model-build", "--family", "grassmannian", *f)) for f in RANK_FAULTS]
+    + [
+        # off the grid of a k < 1: k is checked first, on both routes
+        (("perp", "--k", "-2", "0/1,1/4"),
+         ("model-build", "--family", "perp", "--n", "2", "--k", "-2", "0/1,1/4")),
+        # constraint vectors outside the perp family, one message for both
+        (("model-build", "--family", "power", "--n", "2", "--k", "3", "0/1,1/2"),
+         ("model-build", "--family", "grassmannian", "--n", "2", "--k", "3", "--r", "1", "0/1,1/2")),
+    ],
 )
 def test_each_fault_has_one_message(capsys, direct, built):
     # the builder refuses the request, so both routes print its message

@@ -1,0 +1,118 @@
+"""What loading tphi costs: the package and each CLI subcommand import
+only the tphi modules they use.
+
+`python -m tphi` runs the package's __init__ before the command line, so
+an eager import there, or at the top of cli.py, would load every module
+in every child.  Each subcommand here runs in a fresh interpreter, and the
+tphi modules it loaded are read from that interpreter.
+"""
+
+import importlib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tphi
+from tphi.models import build_tphi_power
+from tphi.poset import format_poset_file
+from tphi.simplicial import complex_to_lines, order_complex
+
+LIBRARY = ("hyperfield", "phased", "poset", "simplicial", "homology", "models", "mccord")
+ENV = dict(os.environ, PYTHONPATH=str(Path(tphi.__file__).resolve().parents[1]))
+
+# the library modules each subcommand loads; {file} is a poset file,
+# {complex} a complex file.  Every call runs its check (exit 0 or 1).
+MODELS = {"hyperfield", "phased", "models", "poset"}
+MCCORD = {"poset", "simplicial", "homology", "mccord"}
+FOOTPRINT = (
+    (("hfcalc", "0/1 + 1/2"), {"hyperfield"}),
+    (("perp", "--k", "2", "0/1,0/1"), MODELS),
+    (("gp-enum", "--n", "3", "--r", "2", "--k", "2"), MODELS),
+    (("transversal", "--n", "4", "--r", "2"), {"hyperfield", "phased"}),
+    (("model-build", "--family", "power", "--n", "2", "--k", "2"), MODELS),
+    (("poset-check", "{file}"), {"poset"}),
+    (("order-complex", "{file}"), {"poset", "simplicial"}),
+    (("homology", "{complex}"), {"poset", "simplicial", "homology"}),
+    (("mccord-verify", "{file}"), MCCORD),
+    (("cw-report", "{file}"), MCCORD),
+)
+
+REPORT = "print(' '.join(sorted(m for m in sys.modules if m.startswith('tphi.'))))"
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("footprint")
+    mp = build_tphi_power(2, 2)
+    poset = d / "model.poset"
+    poset.write_text(format_poset_file(mp), encoding="utf-8")
+    cx = d / "model.cx"
+    cx.write_text("\n".join(complex_to_lines(order_complex(mp.poset))) + "\n", encoding="utf-8")
+    return {"file": str(poset), "complex": str(cx)}
+
+
+def _library(names) -> set:
+    return {n.removeprefix("tphi.") for n in names} & set(LIBRARY)
+
+
+def _python(*args):
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=ENV, timeout=60
+    )
+
+
+def _via_module(argv) -> set:
+    # -X importtime names every module the child imports on stderr
+    proc = _python("-X", "importtime", "-m", "tphi", *argv)
+    assert proc.returncode in (0, 1), proc.stderr[-500:]
+    return _library(re.findall(r"\|\s*(tphi\.\w+)$", proc.stderr, re.M))
+
+
+def _via_main(argv) -> set:
+    code = f"import sys\nfrom tphi.cli import main\nassert main({argv!r}) in (0, 1)\n{REPORT}"
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    return _library(proc.stdout.split("\n")[-2].split())
+
+
+@pytest.mark.parametrize("argv, loaded", FOOTPRINT, ids=[a[0] for a, _ in FOOTPRINT])
+def test_python_m_tphi_loads_only_what_the_subcommand_runs(files, argv, loaded):
+    assert _via_module([a.format(**files) for a in argv]) == loaded
+
+
+@pytest.mark.parametrize("sub", ["hfcalc", "poset-check", "homology"])
+def test_cli_main_loads_only_what_the_subcommand_runs(files, sub):
+    argv, loaded = next(f for f in FOOTPRINT if f[0][0] == sub)
+    assert _via_main([a.format(**files) for a in argv]) == loaded
+
+
+def test_import_tphi_loads_no_submodule():
+    proc = _python("-c", f"import sys, tphi\n{REPORT}")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
+
+
+def test_package_names_are_their_home_module_objects():
+    assert len(tphi.__all__) == len(set(tphi.__all__))
+    for name in tphi.__all__:
+        home = importlib.import_module(f"tphi.{tphi._MODULE_OF[name]}")
+        assert getattr(tphi, name) is getattr(home, name), name
+    assert set(tphi._MODULE_OF.values()) == set(LIBRARY)
+
+
+def test_star_import_and_unknown_names():
+    names = {}
+    exec("from tphi import *", names)
+    assert set(tphi.__all__) <= set(names)
+    assert names["homology_groups"] is importlib.import_module("tphi.homology").homology_groups
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tphi.no_such_name
+    with pytest.raises(ImportError):
+        exec("from tphi import no_such_name", {})
+    # a submodule is still reached by name
+    exec("from tphi import mccord", names)
+    assert names["mccord"].__name__ == "tphi.mccord"

@@ -241,6 +241,19 @@ def test_perp_pruning_and_errors():
         build_perp_poset([(P, P, P)], 2, cap=5)
 
 
+def test_perp_refuses_too_many_order_pair_lookups():
+    # perp of (1,1,1) over k = 2: 26 candidates and 12 members, 6 with two
+    # non-zero entries (2 lookups each) and 6 with three (6 each), so 48
+    # lookups bound the order pairs
+    mp = build_perp_poset([(P, P, P)], 2, cap=48)
+    assert len(mp.poset) == 12 and sum(map(len, mp.poset.below)) <= 48
+    # the candidates fit under 47, the lookups do not
+    assert len(perp_enumerate([(P, P, P)], 2, cap=47)) == 12
+    with pytest.raises(SizeCapExceededError) as caught:
+        build_perp_poset([(P, P, P)], 2, cap=47)
+    assert str(caught.value) == "perp poset has more order-pair lookups than the cap 47"
+
+
 def _reference_chain(labels):
     labels = list(labels)
     return build_poset(labels, list(zip(labels, labels[1:])))

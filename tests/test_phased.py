@@ -183,6 +183,7 @@ def test_perp_search_error_messages():
         (([(P, P, P)], 2, 25), SizeCapExceededError, "perp has more candidates than the cap 25"),
         (([(P, P)], 0), ValueError, "k must be positive"),
         (([(P, P)], -2), ValueError, "k must be positive"),
+        (([(P, unit(1, 4))], -2), ValueError, "k must be positive"),
     ]
     for search in (perp_enumerate, build_perp_poset):
         for args, error, message in cases:
