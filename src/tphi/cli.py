@@ -64,8 +64,7 @@ def cmd_hfcalc(args) -> int:
 
 def cmd_perp(args) -> int:
     from .hyperfield import format_value
-    from .models import DISCRETIZATION_CAVEAT
-    from .phased import parse_vector, perp_enumerate
+    from .phased import DISCRETIZATION_CAVEAT, parse_vector, perp_enumerate
 
     vs = [parse_vector(t) for t in args.vector]
     members = perp_enumerate(vs, args.k)
@@ -197,7 +196,7 @@ def cmd_cw_report(args) -> int:
     from .mccord import cw_type_report
 
     p = _read_poset(args.file)
-    rep = cw_type_report(p, args.cap)
+    rep = cw_type_report(p)
     for comp in rep.components:
         _emit(
             args,
@@ -209,14 +208,8 @@ def cmd_cw_report(args) -> int:
 
 
 def cmd_model_build(args) -> int:
-    from .models import (
-        DISCRETIZATION_CAVEAT,
-        build_perp_poset,
-        build_tphi_power,
-        enum_grassmannian,
-        perp_pruned_strata,
-    )
-    from .phased import format_gp, parse_vector
+    from .models import build_perp_poset, build_tphi_power, enum_grassmannian, perp_pruned_strata
+    from .phased import DISCRETIZATION_CAVEAT, format_gp, parse_vector
     from .poset import format_poset_file
 
     if args.format == "json-lines":
@@ -332,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("cw-report", help="CW homotopy type report per component")
     s.add_argument("file")
-    _add_cap(s)
     _add_format(s)
     s.set_defaults(func=cmd_cw_report)
 

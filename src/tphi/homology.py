@@ -27,7 +27,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DimOutOfRangeError
 from .simplicial import SimplicialComplex
@@ -227,7 +227,7 @@ def smith_normal_form(m: IntegerMatrix) -> tuple:
     return _eliminate(rows, col_index)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class HomologySummary:
     """Integer homology of one complex.
 
@@ -239,17 +239,9 @@ class HomologySummary:
     """
 
     groups: tuple  # sorted ((dim, (betti, torsion)), ...)
-    top_dim: int
+    top_dim: int = field(compare=False)
     reduced: bool = False
-    critical: tuple = ()
-
-    def __eq__(self, other):
-        if not isinstance(other, HomologySummary):
-            return NotImplemented
-        return self.groups == other.groups and self.reduced == other.reduced
-
-    def __hash__(self):
-        return hash((self.groups, self.reduced))
+    critical: tuple = field(default=(), compare=False)
 
     def group(self, d: int) -> tuple:
         for dim, g in self.groups:

@@ -6,6 +6,7 @@ sends each point to the top of its supporting chain, and its fiber over
 the basic open at x deformation-retracts to the full subcomplex on the
 upset of x.  Everything that makes such a map a weak equivalence is
 checkable here: each basic fiber complex is a cone with apex x.
+Homotopy type itself is decided on the poset, by `cw_type_report`.
 
 Certificates come in decreasing strength.  A cone or a collapse sequence
 proves contractibility outright; trivial reduced homology (which includes
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .homology import HomologySummary, homology_groups
-from .poset import FinitePoset, _chains_by_minimum, discrete_type_classes
+from .poset import FinitePoset, _chains_by_minimum, core, discrete_type_classes
 from .simplicial import (
     DEFAULT_SIMPLEX_CAP,
     SimplicialComplex,
@@ -120,44 +121,34 @@ def finite_space_homology(
 
 @dataclass(frozen=True)
 class ComponentReport:
-    """One comparability component: its elements, the certificate for its
-    order complex, and the resulting status."""
+    """One comparability component: its elements, the sorted labels of
+    its core, and the resulting status."""
 
     elements: tuple
-    status: str  # "contractible" | "obstructed" | "inconclusive"
-    certificate: Certificate
+    status: str  # "contractible" | "obstructed"
+    core: tuple
 
 
 @dataclass(frozen=True)
 class CWTypeReport:
     components: tuple
-    verdict: str  # "CW type" | "obstructed" | "inconclusive"
+    verdict: str  # "CW type" | "obstructed"
 
 
-def cw_type_report(p: FinitePoset, cap: int = DEFAULT_SIMPLEX_CAP) -> CWTypeReport:
+def cw_type_report(p: FinitePoset) -> CWTypeReport:
     """Does the finite space have the homotopy type of a CW complex?
 
-    The component set of a finite space is automatically discrete, so the
-    question reduces to contractibility of each comparability component's
-    order complex.  Cone or collapse certificates settle a component;
-    non-trivial reduced homology obstructs it; anything else is left
-    inconclusive rather than decided.
+    Exactly when each component's core is one point (Stong), since a map
+    from a connected finite T0 space to a T1 space is constant (its fibres
+    are finitely many closed sets covering it, so each is open too): X
+    equivalent to a CW complex makes id_X homotopic to a constant.  A
+    larger core is a minimal finite space, the obstruction.
     """
+    kept = set(core(p))
     comps = []
     for cls in discrete_type_classes(p):
-        sub = p.induced(cls)
-        cert = contractibility_certificate(order_complex(sub, cap))
-        if cert.proves_contractible:
-            status = "contractible"
-        elif cert.kind == OBSTRUCTION:
-            status = "obstructed"
-        else:
-            status = "inconclusive"
-        comps.append(ComponentReport(tuple(sorted(cls)), status, cert))
-    if any(c.status == "obstructed" for c in comps):
-        verdict = "obstructed"
-    elif any(c.status == "inconclusive" for c in comps):
-        verdict = "inconclusive"
-    else:
-        verdict = "CW type"
+        rest = tuple(sorted(cls & kept))
+        status = "contractible" if len(rest) == 1 else "obstructed"
+        comps.append(ComponentReport(tuple(sorted(cls)), status, rest))
+    verdict = "CW type" if all(c.status == "contractible" for c in comps) else "obstructed"
     return CWTypeReport(tuple(comps), verdict)

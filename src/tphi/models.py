@@ -31,6 +31,7 @@ from .errors import (
 )
 from .hyperfield import format_scalars, unit
 from .phased import (
+    DISCRETIZATION_CAVEAT,
     GPFunction,
     _gp_relation_holds,
     _gp_relations_by_last_tuple,
@@ -38,12 +39,6 @@ from .phased import (
     _relation_count,
 )
 from .poset import FinitePoset, MirroredPoset, _from_ids, build_poset
-
-DISCRETIZATION_CAVEAT = (
-    "caveat: a perp poset over k-th roots of unity is a finite snapshot; "
-    "its order complex need not have the homotopy type of the continuum "
-    "perp set (one constraint in two variables gives k points, not a circle)"
-)
 
 
 def _chain_poset(labels) -> FinitePoset:

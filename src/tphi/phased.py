@@ -46,6 +46,12 @@ PhasedVector = tuple
 
 HALF_TURN = unit(1, 2)
 
+DISCRETIZATION_CAVEAT = (
+    "caveat: a perp poset over k-th roots of unity is a finite snapshot; "
+    "its order complex need not have the homotopy type of the continuum "
+    "perp set (one constraint in two variables gives k points, not a circle)"
+)
+
 
 def support(x: PhasedVector) -> frozenset:
     """0-based positions of the non-zero entries."""

@@ -218,6 +218,35 @@ def chain_count(p: FinitePoset) -> int:
     return sum(_chains_by_minimum(p))
 
 
+def core(p: FinitePoset) -> tuple:
+    """Stong's core, in label order: remove beat points, elements with
+    exactly one live upper or lower cover, until none is left.  Removing x
+    links each lower cover a and upper cover b of x as a cover pair unless
+    a live lower cover of b lies above a, so the pass costs O(pairs)."""
+    ups = [set(cs) for cs in p.up_covers]
+    downs = [set() for _ in ups]
+    for a, cs in enumerate(ups):
+        for b in cs:
+            downs[b].add(a)
+    live = [True] * len(ups)
+    queue = list(range(len(ups)))
+    while queue:
+        x = queue.pop()
+        if not live[x] or (len(ups[x]) != 1 and len(downs[x]) != 1):
+            continue
+        live[x] = False
+        for b in ups[x]:
+            downs[b].discard(x)
+        for a in downs[x]:
+            ups[a].discard(x)
+            for b in ups[x]:
+                if p.above[a].isdisjoint(downs[b]):
+                    ups[a].add(b)
+                    downs[b].add(a)
+        queue += downs[x] | ups[x]
+    return tuple(lab for lab, keep in zip(p.labels, live) if keep)
+
+
 @dataclass(frozen=True)
 class MirroredPoset:
     """A poset with a monotone stratum map onto an index poset.

@@ -410,6 +410,15 @@ def test_cw_report_chain_and_obstructed(tmp_path, capsys):
     assert out.endswith("verdict: obstructed\n")
 
 
+def test_cw_report_takes_no_cap(tmp_path, capsys):
+    # cw-report builds no complex, so there is no size to guard
+    f = tmp_path / "chain.poset"
+    f.write_text(CHAIN_FILE)
+    code, out, err = run(capsys, "cw-report", str(f), "--cap", "10")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --cap 10" in err
+
+
 def test_model_build_power_round_trip(capsys):
     code, out, _ = run(capsys, "model-build", "--family", "power", "--n", "2", "--k", "2")
     assert code == 0
@@ -606,7 +615,7 @@ def _fuzz_argv(rng, path):
         args = ["--n", num(), "--r", num()]
     elif sub in ("poset-check", "order-complex", "mccord-verify", "cw-report"):
         text = _fuzz_poset(rng)
-        args = [file_arg] + (cap if sub != "poset-check" else [])
+        args = [file_arg] + (cap if sub in ("order-complex", "mccord-verify") else [])
     elif sub == "homology":
         text = _fuzz_complex(rng)
         args = [file_arg] + (["--reduced"] if rng.random() < 0.5 else [])

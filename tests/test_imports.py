@@ -30,7 +30,7 @@ MODELS = {"hyperfield", "phased", "models", "poset"}
 MCCORD = {"poset", "simplicial", "homology", "mccord"}
 FOOTPRINT = (
     (("hfcalc", "0/1 + 1/2"), {"hyperfield"}),
-    (("perp", "--k", "2", "0/1,0/1"), MODELS),
+    (("perp", "--k", "2", "0/1,0/1"), {"hyperfield", "phased"}),
     (("gp-enum", "--n", "3", "--r", "2", "--k", "2"), MODELS),
     (("transversal", "--n", "4", "--r", "2"), {"hyperfield", "phased"}),
     (("model-build", "--family", "power", "--n", "2", "--k", "2"), MODELS),

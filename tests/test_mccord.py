@@ -1,10 +1,13 @@
-"""Basis certificates, finite-space homology, and CW-type reports.
+"""Basis certificates, finite-space homology, cores and CW-type reports.
 
 The homology-only rung of the certificate ladder needs a complex that is
 neither a cone nor collapsible yet has trivial reduced homology.  A
 triangulated dunce hat is built below from a subdivided 9-triangle fan
 whose boundary word glues three edge classes; the construction verifies
-itself (Euler characteristic, no free faces) before being used.
+itself (Euler characteristic, no free faces) before being used.  Its face
+poset has no beat points, and the face poset of a collapsible disk (the
+icosahedron less one vertex's open star) has only five, so both finite
+spaces are weakly contractible but not contractible.
 """
 
 import random
@@ -13,7 +16,7 @@ import time
 import pytest
 
 from test_acceptance import _model_battery
-from test_homology import projective_plane
+from test_homology import cycle_complex, octahedron, projective_plane
 from tphi.errors import UnknownElementError
 from tphi.homology import homology_groups
 from tphi.hyperfield import ONE
@@ -30,7 +33,7 @@ from tphi.mccord import (
     finite_space_homology,
 )
 from tphi.models import build_perp_poset, build_tphi_power
-from tphi.poset import build_poset
+from tphi.poset import build_poset, core, discrete_type_classes
 from tphi.simplicial import (
     DEFAULT_SIMPLEX_CAP,
     SimplicialComplex,
@@ -68,13 +71,13 @@ def two_cone_ladder(c):
     return Certificate(OBSTRUCTION, homology=h)
 
 
-def random_posets(count, seed):
-    """Seeded random posets on up to 9 elements: each pair i < j is
-    related with a random density, so components and cones vary."""
+def random_posets(count, seed, largest=9):
+    """Seeded random posets on up to `largest` elements: each pair i < j
+    is related with a random density, so components and cones vary."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        n = rng.randint(1, 9)
+        n = rng.randint(1, largest)
         density = rng.choice((0.15, 0.3, 0.5))
         labels = [f"e{i}" for i in range(n)]
         pairs = [
@@ -106,6 +109,54 @@ def dunce_hat() -> SimplicialComplex:
     return SimplicialComplex.from_simplices(
         [[image(x) for x in sd.face_labels(f)] for f in sd.maximal_faces()]
     )
+
+
+def icosahedron_disk() -> SimplicialComplex:
+    """The icosahedron less the open star of its top vertex: a disk with
+    11 vertices, 25 edges and 15 triangles, and no dominated vertex
+    (Barmak-Minian, "Strong homotopy types, nerves and collapses", DCG 47,
+    2012)."""
+    u = [f"u{i}" for i in range(5)]
+    low = [f"l{i}" for i in range(5)]
+    triangles = []
+    for i in range(5):
+        j = (i + 1) % 5
+        triangles += [(u[i], u[j], low[i]), (low[i], low[j], u[j]), ("b", low[i], low[j])]
+    return SimplicialComplex.from_simplices(triangles)
+
+
+def cover_counts(q) -> list:
+    """(upper covers, lower covers) of each element of q, in id order."""
+    downs = [0] * len(q)
+    for ups in q.up_covers:
+        for b in ups:
+            downs[b] += 1
+    return [(len(ups), d) for ups, d in zip(q.up_covers, downs)]
+
+
+def beat_free(p, labels) -> bool:
+    """No element of the induced poset on labels has exactly one upper or
+    exactly one lower cover."""
+    return all(1 not in counts for counts in cover_counts(p.induced(labels)))
+
+
+def naive_core(p) -> tuple:
+    """Reference for `core`: rebuild the induced poset after each removal
+    and scan it from scratch for the first beat point."""
+    keep = list(p.labels)
+    while True:
+        beat = [i for i, counts in enumerate(cover_counts(p.induced(keep))) if 1 in counts]
+        if not beat:
+            return tuple(keep)
+        del keep[beat[0]]
+
+
+def core_shape(p, labels) -> list:
+    """Invariants of the induced poset on labels up to isomorphism: per
+    component its size and its sorted cover counts."""
+    q = p.induced(labels)
+    counts = dict(zip(q.labels, cover_counts(q)))
+    return sorted((len(cls), sorted(map(counts.get, cls))) for cls in discrete_type_classes(q))
 
 
 def test_dunce_hat_is_what_it_claims():
@@ -251,35 +302,95 @@ def test_face_poset_space_recovers_complex_homology():
     assert s.groups == ((0, (1, ())), (2, (1, ())))
 
 
-def test_ladder_equals_two_cone_ladder(monkeypatch):
+def test_ladder_equals_two_cone_ladder():
     posets = [p for _, p in _model_battery()] + random_posets(20, 20261018)
     posets += [p.opposite() for p in posets] + [face_poset(dunce_hat())]
     complexes = [order_complex(p) for p in posets] + [projective_plane(), dunce_hat()]
     for c in complexes:
         assert contractibility_certificate(c) == two_cone_ladder(c)
+    # a cone is contractible on the poset too, and non-trivial homology
+    # obstructs it; the collapse and homology-only rungs may go either way
     kinds = set()
     for p in posets:
-        new = cw_type_report(p)
-        for comp in new.components:
-            sub = order_complex(p.induced(comp.elements))
-            assert comp.certificate == two_cone_ladder(sub)
-            kinds.add(comp.certificate.kind)
-        with monkeypatch.context() as m:
-            m.setattr(tphi.mccord, "contractibility_certificate", two_cone_ladder)
-            assert cw_type_report(p) == new
+        for comp in cw_type_report(p).components:
+            kind = two_cone_ladder(order_complex(p.induced(comp.elements))).kind
+            kinds.add(kind)
+            if kind == CONE:
+                assert comp.status == "contractible"
+            if kind == OBSTRUCTION:
+                assert comp.status == "obstructed"
     assert kinds == {CONE, COLLAPSE, HOMOLOGY_ONLY, OBSTRUCTION}
 
 
+def core_test_posets() -> list:
+    posets = [p for _, p in _model_battery()] + random_posets(300, 20261019, largest=16)
+    complexes = [dunce_hat(), icosahedron_disk(), projective_plane(), octahedron(), cycle_complex(5)]
+    complexes.append(SimplicialComplex.from_simplices([("a", "b", "c"), ("c", "d"), ("e",)]))
+    posets += [face_poset(c) for c in complexes]
+    return posets + [p.opposite() for p in posets]
+
+
+def test_core_matches_naive_removal():
+    for p in core_test_posets():
+        kept = core(p)
+        assert list(kept) == sorted(kept)
+        assert set(kept) <= set(p.labels)
+        assert beat_free(p, kept), p
+        assert core_shape(p, kept) == core_shape(p, naive_core(p)), p
+
+
+def test_core_of_small_posets():
+    assert len(core(CHAIN)) == 1
+    assert core(build_poset([], [])) == ()
+    assert core(build_poset(["a", "b"], [])) == ("a", "b")
+    assert core(CROWN) == ("a", "b", "x", "y")
+    # x covers a and b, and y covers x alone: both collapse onto y
+    p = build_poset(["a", "b", "x", "y"], [("a", "x"), ("b", "x"), ("x", "y")])
+    assert len(core(p)) == 1
+
+
+def test_core_links_the_covers_of_a_removed_point():
+    # a seeded random poset with neither maximum nor minimum that retracts
+    # to a point only if each removal links its covers exactly: a cover pair
+    # added where another element lies between leaves five points
+    covers = [(0, 2), (0, 3), (1, 3), (1, 5), (2, 4), (2, 5), (3, 4), (3, 6), (5, 6)]
+    p = build_poset([f"e{i}" for i in range(7)], [(f"e{a}", f"e{b}") for a, b in covers])
+    assert len(p.maximal_elements()) == len(p.minimal_elements()) == 2
+    assert len(core(p)) == len(naive_core(p)) == 1
+
+
+def test_core_of_large_perp():
+    # the single full-support constraint over n=6, k=4: 12,964 members,
+    # 4,564 of them in the core
+    p = build_perp_poset([(P,) * 6], 4).poset
+    start = time.perf_counter()
+    kept = core(p)
+    assert time.perf_counter() - start < 10
+    assert len(p) == 12964 and len(kept) == 4564
+    assert beat_free(p, kept)
+
+
+def test_cw_report_builds_no_complex(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("cw_type_report built an order complex")
+
+    monkeypatch.setattr(tphi.mccord, "order_complex", refuse)
+    monkeypatch.setattr(tphi.mccord, "collapse_certify", refuse)
+    assert cw_type_report(build_tphi_power(3, 2).poset).verdict == "obstructed"
+    assert cw_type_report(CHAIN).verdict == "CW type"
+
+
 def test_cw_report_power_5_3_within_budget():
-    # 1,023 elements, 165,633 chains.  With maximal faces found by probing
-    # every face with every vertex, twice per component, this took 75 s or
-    # more on 2 cores; marking facets once brings it to about 5 s.
+    # 1,023 elements.  Power models with k >= 2 have no beat points, so the
+    # core is the whole poset; the pass takes milliseconds, where the
+    # order complex's 165,633 chains and their collapse took about 5 s.
     p = build_tphi_power(5, 3).poset
     start = time.perf_counter()
     rep = cw_type_report(p)
-    assert time.perf_counter() - start < 30
+    assert time.perf_counter() - start < 3
     assert rep.verdict == "obstructed"
     assert [c.status for c in rep.components] == ["obstructed"]
+    assert rep.components[0].core == p.labels
 
 
 def test_cw_report_chain():
@@ -287,6 +398,7 @@ def test_cw_report_chain():
     assert rep.verdict == "CW type"
     assert len(rep.components) == 1
     assert rep.components[0].status == "contractible"
+    assert len(rep.components[0].core) == 1
 
 
 def test_cw_report_antichain():
@@ -294,15 +406,16 @@ def test_cw_report_antichain():
     rep = cw_type_report(p)
     assert rep.verdict == "CW type"
     assert [c.elements for c in rep.components] == [("a",), ("b",), ("c",)]
+    assert [c.core for c in rep.components] == [("a",), ("b",), ("c",)]
 
 
 def test_cw_report_obstructed():
-    rep = cw_type_report(build_tphi_power(2, 2).poset)
+    p = build_tphi_power(2, 2).poset
+    rep = cw_type_report(p)
     assert rep.verdict == "obstructed"
-    cert = rep.components[0].certificate
-    assert cert.kind == OBSTRUCTION
-    # soundness: obstructed only with non-trivial reduced homology in hand
-    assert cert.homology.groups != ()
+    assert len(rep.components[0].core) > 1
+    # soundness: this obstruction also shows in the weak homotopy type
+    assert finite_space_homology(p, reduced=True).groups != ()
 
 
 def test_cw_report_mixed_components():
@@ -313,11 +426,25 @@ def test_cw_report_mixed_components():
     rep = cw_type_report(p)
     assert rep.verdict == "obstructed"
     assert [c.status for c in rep.components] == ["obstructed", "contractible"]
+    assert [len(c.core) for c in rep.components] == [4, 1]
 
 
-def test_cw_report_inconclusive_via_dunce_space():
+def test_cw_report_dunce_space_is_obstructed():
+    # no edge of the dunce hat is free, so its face poset has no beat point
+    # at all, though its order complex has trivial homology
     p = face_poset(dunce_hat())
     rep = cw_type_report(p)
-    assert rep.verdict == "inconclusive"
-    assert rep.components[0].status == "inconclusive"
-    assert rep.components[0].certificate.kind == HOMOLOGY_ONLY
+    assert rep.verdict == "obstructed"
+    assert rep.components[0].status == "obstructed"
+    assert len(rep.components[0].core) == len(p) == 157
+
+
+def test_cw_report_collapsible_disk_is_obstructed():
+    # the disk collapses, so its order complex is contractible, but only its
+    # five boundary edges are beat points: the finite space is not
+    p = face_poset(icosahedron_disk())
+    assert len(p) == 51
+    assert collapse_certify(order_complex(p)).collapsible
+    rep = cw_type_report(p)
+    assert rep.verdict == "obstructed"
+    assert len(rep.components[0].core) == 46
