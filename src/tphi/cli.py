@@ -19,13 +19,16 @@ second encoding.
 Each subcommand imports only the library modules it runs, inside its
 `cmd_*` function; this module loads nothing of tphi but `errors` at start.
 Every call is a fresh process, so a child that loaded all seven modules
-would spend most of its life importing (`hfcalc` loads `hyperfield` only).
+would spend most of its life importing (`hfcalc` loads `hyperfield` only,
+and `cw-report` `poset` and `mccord`).  For the same reason no child loads
+the standard library's data-class generator, whose import pulls in
+`inspect` and `ast`: the value classes are slotted classes on
+`errors.Frozen`.  `json` is imported only under `--format json-lines`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -49,8 +52,12 @@ def _read_poset(path: str):
 
 def _emit(args, obj, text: str) -> None:
     """Print one result: obj as a JSON line under --format json-lines,
-    text otherwise."""
-    print(json.dumps(obj) if args.format == "json-lines" else text)
+    text otherwise.  Only then is json imported."""
+    if args.format == "json-lines":
+        import json
+
+        text = json.dumps(obj)
+    print(text)
 
 
 def cmd_hfcalc(args) -> int:

@@ -1,10 +1,14 @@
-"""Exception types and size guards shared across the package.
+"""Exception types, size guards and the value-class base shared across
+the package.
 
 Everything raised on purpose derives from ``TphiError`` so the command line
 driver can map library failures to a single exit code.  The default size
 cap and the capped counts that guard every builder live here too, next to
 ``SizeCapExceededError``, so a module that only needs a guard imports no
-other tphi module.
+other tphi module.  So does ``Frozen``, the base of the immutable value
+classes: every module loads this one, and none of them needs the
+standard library's data-class generator, whose import pulls in
+``inspect`` and ``ast``.
 """
 
 from typing import Iterable
@@ -87,3 +91,52 @@ class DimOutOfRangeError(TphiError):
 
 class EmptyPerpError(TphiError):
     """The requested orthogonal set contains no non-zero vectors."""
+
+
+class Frozen:
+    """Base of the immutable value classes.
+
+    A subclass names its slots in ``__slots__`` and the ones that make up
+    its value, in order, in ``_fields``; its ``__init__`` normalises the
+    arguments and sets the slots once, in ``__slots__`` order, through
+    ``Frozen.__init__``.  An instance equals only an instance of the same
+    class with the same ``_key()``, which is the tuple of ``_fields``
+    values unless the class says otherwise, and hashes as that tuple.  The
+    repr is ``Name(field=value, ...)`` over ``_fields``.  Assigning or
+    deleting an attribute afterwards raises AttributeError; copy and pickle
+    go through ``__getstate__`` and ``__setstate__``.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __getstate__(self) -> tuple:
+        return tuple(getattr(self, s) for s in self.__slots__)
+
+    def __setstate__(self, state: tuple) -> None:
+        Frozen.__init__(self, *state)

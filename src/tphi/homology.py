@@ -27,31 +27,28 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from dataclasses import dataclass, field
 
-from .errors import DimOutOfRangeError
+from .errors import DimOutOfRangeError, Frozen
 from .simplicial import SimplicialComplex
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(Frozen):
     """Sparse integer matrix; entries is a sorted tuple of (row, col, value)."""
 
-    rows: int
-    cols: int
-    entries: tuple = ()
+    __slots__ = _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
+    def __init__(self, rows: int, cols: int, entries: tuple = ()):
+        entries = tuple(sorted(entries))
         seen = set()
-        for i, j, v in self.entries:
-            if not (0 <= i < self.rows and 0 <= j < self.cols):
-                raise ValueError(f"entry ({i},{j}) outside {self.rows}x{self.cols}")
+        for i, j, v in entries:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
             if v == 0:
                 raise ValueError("explicit zero entry")
             if (i, j) in seen:
                 raise ValueError(f"duplicate entry at ({i},{j})")
             seen.add((i, j))
+        Frozen.__init__(self, rows, cols, entries)
 
     @classmethod
     def from_dense(cls, grid) -> "IntegerMatrix":
@@ -227,21 +224,24 @@ def smith_normal_form(m: IntegerMatrix) -> tuple:
     return _eliminate(rows, col_index)
 
 
-@dataclass(frozen=True)
-class HomologySummary:
+class HomologySummary(Frozen):
     """Integer homology of one complex.
 
-    groups maps dimension to (betti rank, torsion factors), keeping only
-    nontrivial entries.  critical counts the critical cells per dimension
-    0..top_dim that the element matching left.  Equality compares groups
-    and the reduced flag but not top_dim or critical, so complexes of
-    different dimension with the same homology compare equal.
+    groups maps dimension to (betti rank, torsion factors), sorted by
+    dimension, keeping only nontrivial entries.  critical counts the
+    critical cells per dimension 0..top_dim that the element matching
+    left.  Equality and hash see groups and the reduced flag but not
+    top_dim or critical, so complexes of different dimension with the same
+    homology compare equal.
     """
 
-    groups: tuple  # sorted ((dim, (betti, torsion)), ...)
-    top_dim: int = field(compare=False)
-    reduced: bool = False
-    critical: tuple = field(default=(), compare=False)
+    __slots__ = _fields = ("groups", "top_dim", "reduced", "critical")
+
+    def __init__(self, groups: tuple, top_dim: int, reduced: bool = False, critical: tuple = ()):
+        Frozen.__init__(self, groups, top_dim, reduced, critical)
+
+    def _key(self) -> tuple:
+        return (self.groups, self.reduced)
 
     def group(self, d: int) -> tuple:
         for dim, g in self.groups:

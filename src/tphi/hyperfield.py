@@ -19,25 +19,32 @@ immutable; nothing here keeps hidden state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .errors import EmptySumError
+from .errors import EmptySumError, Frozen
 
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class TPhi:
+class TPhi(Frozen):
     """Hyperfield scalar: zero (``angle is None``) or ``exp(2*pi*i*angle)``."""
 
-    angle: Fraction | None
+    __slots__ = _fields = ("angle",)
 
-    def __post_init__(self):
-        if self.angle is not None:
-            object.__setattr__(self, "angle", Fraction(self.angle) % 1)
+    def __init__(self, angle: Fraction | None):
+        if angle is not None:
+            angle = Fraction(angle) % 1
+        object.__setattr__(self, "angle", angle)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.angle == other.angle
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.angle,))
 
     @property
     def is_zero(self) -> bool:
@@ -103,8 +110,7 @@ def in_tphi_k(v: TPhi, k: int) -> bool:
     return v.is_zero or (v.angle * k).denominator == 1
 
 
-@dataclass(frozen=True)
-class ArcSet:
+class ArcSet(Frozen):
     """Finite union of closed circle arcs, optionally together with zero.
 
     Canonical form, enforced on construction: ``full`` implies no listed
@@ -115,17 +121,20 @@ class ArcSet:
     turns.  Structural equality therefore decides set equality.
     """
 
-    has_zero: bool = False
-    full: bool = False
-    arcs: tuple[tuple[Fraction, Fraction], ...] = ()
+    __slots__ = _fields = ("has_zero", "full", "arcs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "arcs", _canonical_arcs(self.arcs, self.full))
-        if self.full:
-            object.__setattr__(self, "arcs", ())
-        elif self.arcs == FULL_MARK:
-            object.__setattr__(self, "full", True)
-            object.__setattr__(self, "arcs", ())
+    def __init__(
+        self,
+        has_zero: bool = False,
+        full: bool = False,
+        arcs: tuple[tuple[Fraction, Fraction], ...] = (),
+    ):
+        arcs = _canonical_arcs(arcs, full)
+        if full:
+            arcs = ()
+        elif arcs == FULL_MARK:
+            full, arcs = True, ()
+        Frozen.__init__(self, has_zero, full, arcs)
 
     @classmethod
     def _one_arc(cls, start: Fraction, length: Fraction) -> "ArcSet":
@@ -137,6 +146,15 @@ class ArcSet:
         object.__setattr__(s, "full", False)
         object.__setattr__(s, "arcs", ((start, length),))
         return s
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            mine = (self.has_zero, self.full, self.arcs)
+            return mine == (other.has_zero, other.full, other.arcs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.has_zero, self.full, self.arcs))
 
     @property
     def is_empty(self) -> bool:

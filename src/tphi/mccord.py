@@ -6,7 +6,8 @@ sends each point to the top of its supporting chain, and its fiber over
 the basic open at x deformation-retracts to the full subcomplex on the
 upset of x.  Everything that makes such a map a weak equivalence is
 checkable here: each basic fiber complex is a cone with apex x.
-Homotopy type itself is decided on the poset, by `cw_type_report`.
+Homotopy type itself is decided on the poset, by `cw_type_report`, which
+needs neither the order complex nor its homology.
 
 Certificates come in decreasing strength.  A cone or a collapse sequence
 proves contractibility outright; trivial reduced homology (which includes
@@ -16,16 +17,16 @@ and is labeled as such.  Collapse failure never certifies anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .homology import HomologySummary, homology_groups
+from .errors import DEFAULT_SIMPLEX_CAP, Frozen
 from .poset import FinitePoset, _chains_by_minimum, core, discrete_type_classes
-from .simplicial import (
-    DEFAULT_SIMPLEX_CAP,
-    SimplicialComplex,
-    collapse_certify,
-    order_complex,
-)
+
+# simplicial and homology are imported inside the functions that build a
+# complex, so `cw_type_report`, which decides on the poset, loads neither.
+if TYPE_CHECKING:
+    from .homology import HomologySummary
+    from .simplicial import SimplicialComplex
 
 CONE = "cone-apex"
 COLLAPSE = "collapse-sequence"
@@ -33,14 +34,19 @@ HOMOLOGY_ONLY = "homology-only"
 OBSTRUCTION = "obstruction"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Frozen):
     """Outcome of the contractibility ladder for one complex."""
 
-    kind: str
-    apex: str | None = None
-    steps: tuple = ()
-    homology: HomologySummary | None = None
+    __slots__ = _fields = ("kind", "apex", "steps", "homology")
+
+    def __init__(
+        self,
+        kind: str,
+        apex: str | None = None,
+        steps: tuple = (),
+        homology: HomologySummary | None = None,
+    ):
+        Frozen.__init__(self, kind, apex, steps, homology)
 
     @property
     def proves_contractible(self) -> bool:
@@ -55,6 +61,9 @@ def contractibility_certificate(c: SimplicialComplex) -> Certificate:
     which tests for a cone first.  Only these two prove contractibility.
     An obstruction disproves it; homology-only settles nothing either way.
     """
+    from .homology import homology_groups
+    from .simplicial import collapse_certify
+
     if len(c) == 0:
         raise ValueError("empty complex has no contractibility certificate")
     res = collapse_certify(c)
@@ -68,25 +77,24 @@ def contractibility_certificate(c: SimplicialComplex) -> Certificate:
     return Certificate(OBSTRUCTION, homology=h)
 
 
-@dataclass(frozen=True)
-class BasisCertificate:
+class BasisCertificate(Frozen):
     """Contractibility certificate for one basic open, with the size of
     its fiber complex (simplex count)."""
 
-    element: str
-    kind: str
-    apex: str | None
-    size: int
+    __slots__ = _fields = ("element", "kind", "apex", "size")
+
+    def __init__(self, element: str, kind: str, apex: str | None, size: int):
+        Frozen.__init__(self, element, kind, apex, size)
 
 
-@dataclass(frozen=True)
-class McCordReport:
+class McCordReport(Frozen):
     """Per-element basis certificates plus the homology of the whole
     order complex."""
 
-    certificates: tuple
-    all_cone: bool
-    homology: HomologySummary
+    __slots__ = _fields = ("certificates", "all_cone", "homology")
+
+    def __init__(self, certificates: tuple, all_cone: bool, homology: HomologySummary):
+        Frozen.__init__(self, certificates, all_cone, homology)
 
     @property
     def verdict(self) -> str:
@@ -116,23 +124,30 @@ def finite_space_homology(
 ) -> HomologySummary:
     """Weak homotopy invariants of the finite space, read off its order
     complex."""
+    from .homology import homology_groups
+    from .simplicial import order_complex
+
     return homology_groups(order_complex(p, cap), reduced)
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(Frozen):
     """One comparability component: its elements, the sorted labels of
-    its core, and the resulting status."""
+    its core, and the resulting status, "contractible" or "obstructed"."""
 
-    elements: tuple
-    status: str  # "contractible" | "obstructed"
-    core: tuple
+    __slots__ = _fields = ("elements", "status", "core")
+
+    def __init__(self, elements: tuple, status: str, core: tuple):
+        Frozen.__init__(self, elements, status, core)
 
 
-@dataclass(frozen=True)
-class CWTypeReport:
-    components: tuple
-    verdict: str  # "CW type" | "obstructed"
+class CWTypeReport(Frozen):
+    """The components in label order and the verdict, "CW type" or
+    "obstructed"."""
+
+    __slots__ = _fields = ("components", "verdict")
+
+    def __init__(self, components: tuple, verdict: str):
+        Frozen.__init__(self, components, verdict)
 
 
 def cw_type_report(p: FinitePoset) -> CWTypeReport:

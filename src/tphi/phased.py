@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DEFAULT_SIMPLEX_CAP,
     BadArityError,
+    Frozen,
     IdenticallyZeroError,
     IndexOutOfRangeError,
     LengthMismatchError,
@@ -147,38 +147,35 @@ def _perp_rows(vs: Sequence[PhasedVector], k: int, cap: int) -> list:
     ]
 
 
-@dataclass(frozen=True)
-class GPFunction:
+class GPFunction(Frozen):
     """A function on r-tuples from the ground set 1..n, alternating by
     construction: only values on strictly increasing tuples are stored
     (zero values are dropped), and evaluation extends by permutation sign.
     """
 
-    n: int
-    r: int
-    entries: tuple = ()
+    _fields = ("n", "r", "entries")
+    __slots__ = _fields + ("_map",)
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, r: int, entries: tuple = ()):
+        if n < 1:
             raise BadArityError("ground set must be non-empty")
-        if not 1 <= self.r <= self.n:
-            raise BadArityError(f"arity r={self.r} outside 1..{self.n}")
+        if not 1 <= r <= n:
+            raise BadArityError(f"arity r={r} outside 1..{n}")
         seen = {}
-        for key, val in self.entries:
+        for key, val in entries:
             key = tuple(int(i) for i in key)
-            if len(key) != self.r:
-                raise BadArityError(f"key {key} is not an {self.r}-tuple")
+            if len(key) != r:
+                raise BadArityError(f"key {key} is not an {r}-tuple")
             for i in key:
-                if not 1 <= i <= self.n:
-                    raise IndexOutOfRangeError(f"index {i} outside 1..{self.n}")
+                if not 1 <= i <= n:
+                    raise IndexOutOfRangeError(f"index {i} outside 1..{n}")
             if any(a >= b for a, b in zip(key, key[1:])):
                 raise BadArityError(f"key {key} must be strictly increasing")
             if key in seen:
                 raise ValueError(f"duplicate key {key}")
             seen[key] = val
         kept = tuple(sorted((k, v) for k, v in seen.items() if not v.is_zero))
-        object.__setattr__(self, "entries", kept)
-        object.__setattr__(self, "_map", dict(kept))
+        Frozen.__init__(self, n, r, kept, dict(kept))
 
     @classmethod
     def from_values(cls, n: int, r: int, mapping: Mapping) -> "GPFunction":
@@ -249,12 +246,11 @@ def gp_relation_check(phi: GPFunction, xs: Sequence[int], ys: Sequence[int]) -> 
     return contains_zero(gp_relation_terms(phi, xs, ys))
 
 
-@dataclass(frozen=True)
-class GPReport:
-    ok: bool
-    reason: str | None = None
-    xs: tuple = ()
-    ys: tuple = ()
+class GPReport(Frozen):
+    __slots__ = _fields = ("ok", "reason", "xs", "ys")
+
+    def __init__(self, ok: bool, reason: str | None = None, xs: tuple = (), ys: tuple = ()):
+        Frozen.__init__(self, ok, reason, xs, ys)
 
 
 def gp_verify_all(phi: GPFunction, all_tuples: bool = False) -> GPReport:
@@ -372,16 +368,16 @@ def gp_normalize(phi: GPFunction) -> GPFunction:
     return scalar_multiply(lead.inverse(), phi)
 
 
-@dataclass(frozen=True)
-class Transversal:
+class Transversal(Frozen):
     """Greedy transversal of the transposition pairing on distinct-entry
     r-tuples: no member repeats an entry, every distinct-entry tuple is a
     member or one transposition away from one, and no two members are a
     single transposition apart."""
 
-    n: int
-    r: int
-    tuples: tuple
+    __slots__ = _fields = ("n", "r", "tuples")
+
+    def __init__(self, n: int, r: int, tuples: tuple):
+        Frozen.__init__(self, n, r, tuples)
 
     @property
     def d(self) -> int:

@@ -24,10 +24,9 @@ by label.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import CycleDetectedError, UnknownElementError
+from .errors import CycleDetectedError, Frozen, UnknownElementError
 
 _EMPTY = frozenset()
 
@@ -247,8 +246,7 @@ def core(p: FinitePoset) -> tuple:
     return tuple(lab for lab, keep in zip(p.labels, live) if keep)
 
 
-@dataclass(frozen=True)
-class MirroredPoset:
+class MirroredPoset(Frozen):
     """A poset with a monotone stratum map onto an index poset.
 
     ``assignments`` pairs each element label with its stratum label.  Use
@@ -256,14 +254,12 @@ class MirroredPoset:
     the assignment is total and mentions known labels.
     """
 
-    poset: FinitePoset
-    index_poset: FinitePoset
-    assignments: tuple
+    __slots__ = _fields = ("poset", "index_poset", "assignments")
 
-    def __post_init__(self):
-        pos, index = self.poset._pos, self.index_poset._pos
+    def __init__(self, poset: FinitePoset, index_poset: FinitePoset, assignments: tuple):
+        pos, index = poset._pos, index_poset._pos
         stratum = [None] * len(pos)
-        for lab, idx in self.assignments:
+        for lab, idx in assignments:
             i = pos.get(lab)
             if i is None:
                 raise UnknownElementError(f"unknown element {lab!r}")
@@ -273,9 +269,9 @@ class MirroredPoset:
                 raise ValueError(f"element {lab!r} assigned twice")
             stratum[i] = idx
         if None in stratum:
-            missing = [lab for lab, idx in zip(self.poset.labels, stratum) if idx is None]
+            missing = [lab for lab, idx in zip(poset.labels, stratum) if idx is None]
             raise UnknownElementError(f"no stratum for {missing[:4]}")
-        object.__setattr__(self, "assignments", tuple(zip(self.poset.labels, stratum)))
+        Frozen.__init__(self, poset, index_poset, tuple(zip(poset.labels, stratum)))
 
     @property
     def mirror(self) -> dict:
@@ -293,10 +289,11 @@ def mirrored(poset: FinitePoset, index_poset: FinitePoset, mapping: Mapping) -> 
     return MirroredPoset(poset, index_poset, tuple(mapping.items()))
 
 
-@dataclass(frozen=True)
-class MirrorReport:
-    ok: bool
-    violation: str | None = None
+class MirrorReport(Frozen):
+    __slots__ = _fields = ("ok", "violation")
+
+    def __init__(self, ok: bool, violation: str | None = None):
+        Frozen.__init__(self, ok, violation)
 
 
 def mirror_check(mp: MirroredPoset) -> MirrorReport:
@@ -314,11 +311,11 @@ def mirror_check(mp: MirroredPoset) -> MirrorReport:
     return MirrorReport(True)
 
 
-@dataclass(frozen=True)
-class GeometricReport:
-    ok: bool
-    a1_violations: tuple = ()
-    notes: tuple = ()
+class GeometricReport(Frozen):
+    __slots__ = _fields = ("ok", "a1_violations", "notes")
+
+    def __init__(self, ok: bool, a1_violations: tuple = (), notes: tuple = ()):
+        Frozen.__init__(self, ok, a1_violations, notes)
 
 
 def geometric_discrete_check(mp: MirroredPoset) -> GeometricReport:
@@ -353,26 +350,37 @@ def geometric_discrete_check(mp: MirroredPoset) -> GeometricReport:
 
 def discrete_type_classes(p: FinitePoset) -> tuple:
     """Connected components of the comparability graph, each a frozenset,
-    ordered by least label."""
-    n = len(p.labels)
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            i = stack.pop()
-            comp.append(p.labels[i])
-            for j in p.above[i] | p.below[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        comps.append(frozenset(comp))
-    comps.sort(key=lambda c: min(c))
-    return tuple(comps)
+    ordered by least label.
+
+    They are the components of the cover graph, merged by union-find over
+    the stored up-cover pairs: O(covers), where a walk over ``above`` and
+    ``below`` costs O(strict pairs), and no container per element, whose
+    garbage collection on a large poset costs more than the walk.
+    """
+    # root[i] <= i always: path halving moves i closer to its root, and
+    # of two roots the larger joins the smaller.  a stays a root for the
+    # rest of its covers.
+    root = list(range(len(p.labels)))
+    for a, cs in enumerate(p.up_covers):
+        for b in cs:
+            while root[a] != a:
+                root[a] = root[root[a]]
+                a = root[a]
+            while root[b] != b:
+                root[b] = root[root[b]]
+                b = root[b]
+            if a < b:
+                root[b] = a
+            elif b < a:
+                root[a] = b
+                a = b
+    # in id order, root[root[i]] is already the least id of i's class, so
+    # the classes are met, and listed, in least-label order
+    classes = {}
+    for i, lab in enumerate(p.labels):
+        root[i] = root[root[i]]
+        classes.setdefault(root[i], []).append(lab)
+    return tuple(map(frozenset, classes.values()))
 
 
 def format_poset_file(obj) -> str:

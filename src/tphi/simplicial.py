@@ -15,10 +15,9 @@ import heapq
 import itertools
 import operator
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DEFAULT_SIMPLEX_CAP, SizeCapExceededError
+from .errors import DEFAULT_SIMPLEX_CAP, Frozen, SizeCapExceededError
 from .poset import FinitePoset, chain_count
 
 
@@ -39,7 +38,12 @@ class SimplicialComplex:
         labels = tuple(sorted(labels))
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate vertex labels")
-        gens = [tuple(sorted(f)) for f in faces]
+        self._build(labels, [tuple(sorted(f)) for f in faces], closed)
+
+    def _build(self, labels: tuple, gens: list, closed: bool) -> None:
+        """Check each increasing face against the distinct sorted labels,
+        close the faces downward (or, with closed, check that they are
+        closed) and store them."""
         for f in gens:
             if not f:
                 raise ValueError("faces must be non-empty")
@@ -77,12 +81,15 @@ class SimplicialComplex:
 
     @classmethod
     def from_simplices(cls, simplices: Iterable[Iterable[str]]) -> "SimplicialComplex":
-        """Build from label-level generators, closing downward."""
-        gens = [tuple(sorted(set(s))) for s in simplices]
-        labels = sorted({lab for g in gens for lab in g})
-        pos = {lab: i for i, lab in enumerate(labels)}
-        faces = [tuple(sorted(pos[lab] for lab in g)) for g in gens]
-        return cls(labels, faces)
+        """Build from label-level generators, closing downward.  Each
+        generator is mapped to its set of vertex indices first, which drops
+        a repeated label, and sorted once, as integers."""
+        gens = list(map(tuple, simplices))
+        labels = tuple(sorted(set().union(*gens)))
+        pos = dict(zip(labels, range(len(labels))))
+        c = cls.__new__(cls)
+        c._build(labels, [tuple(sorted({pos[lab] for lab in g})) for g in gens], False)
+        return c
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
@@ -158,7 +165,10 @@ def _closure(gens: list) -> set:
         if len(face_set) > cap:
             raise SizeCapExceededError(f"the closure holds more than {cap} faces, cap is {cap}")
         if len(f) > 1:
-            stack.extend(f[:i] + f[i + 1 :] for i in range(len(f)))
+            for i in range(len(f)):
+                g = f[:i] + f[i + 1 :]
+                if g not in face_set:
+                    stack.append(g)
     return face_set
 
 
@@ -284,16 +294,21 @@ def cone_apexes(c: SimplicialComplex) -> list:
     return sorted(c.labels[i] for i in common)
 
 
-@dataclass(frozen=True)
-class CollapseResult:
+class CollapseResult(Frozen):
     """Contractibility certificate: a cone apex or an elementary collapse
     sequence ending in one vertex.  collapsible=False only means the greedy
     search got stuck, never that the complex is essential."""
 
-    collapsible: bool
-    method: str | None = None
-    apex: str | None = None
-    steps: tuple = ()
+    __slots__ = _fields = ("collapsible", "method", "apex", "steps")
+
+    def __init__(
+        self,
+        collapsible: bool,
+        method: str | None = None,
+        apex: str | None = None,
+        steps: tuple = (),
+    ):
+        Frozen.__init__(self, collapsible, method, apex, steps)
 
 
 def collapse_certify(c: SimplicialComplex) -> CollapseResult:

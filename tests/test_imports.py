@@ -1,5 +1,7 @@
 """What loading tphi costs: the package and each CLI subcommand import
-only the tphi modules they use.
+only the tphi modules they use, and no child loads the standard library
+modules that tphi does not need: the data-class generator (and with it
+`inspect`), or `json` outside `--format json-lines`.
 
 `python -m tphi` runs the package's __init__ before the command line, so
 an eager import there, or at the top of cli.py, would load every module
@@ -27,7 +29,6 @@ ENV = dict(os.environ, PYTHONPATH=str(Path(tphi.__file__).resolve().parents[1]))
 # the library modules each subcommand loads; {file} is a poset file,
 # {complex} a complex file.  Every call runs its check (exit 0 or 1).
 MODELS = {"hyperfield", "phased", "models", "poset"}
-MCCORD = {"poset", "simplicial", "homology", "mccord"}
 FOOTPRINT = (
     (("hfcalc", "0/1 + 1/2"), {"hyperfield"}),
     (("perp", "--k", "2", "0/1,0/1"), {"hyperfield", "phased"}),
@@ -37,8 +38,8 @@ FOOTPRINT = (
     (("poset-check", "{file}"), {"poset"}),
     (("order-complex", "{file}"), {"poset", "simplicial"}),
     (("homology", "{complex}"), {"poset", "simplicial", "homology"}),
-    (("mccord-verify", "{file}"), MCCORD),
-    (("cw-report", "{file}"), MCCORD),
+    (("mccord-verify", "{file}"), {"poset", "simplicial", "homology", "mccord"}),
+    (("cw-report", "{file}"), {"poset", "mccord"}),
 )
 
 REPORT = "print(' '.join(sorted(m for m in sys.modules if m.startswith('tphi.'))))"
@@ -65,11 +66,15 @@ def _python(*args):
     )
 
 
-def _via_module(argv) -> set:
+def _imported(*args) -> set:
     # -X importtime names every module the child imports on stderr
-    proc = _python("-X", "importtime", "-m", "tphi", *argv)
+    proc = _python("-X", "importtime", *args)
     assert proc.returncode in (0, 1), proc.stderr[-500:]
-    return _library(re.findall(r"\|\s*(tphi\.\w+)$", proc.stderr, re.M))
+    return set(re.findall(r"\|\s*([\w.]+)$", proc.stderr, re.M))
+
+
+def _via_module(argv) -> set:
+    return _library(_imported("-m", "tphi", *argv))
 
 
 def _via_main(argv) -> set:
@@ -88,6 +93,31 @@ def test_python_m_tphi_loads_only_what_the_subcommand_runs(files, argv, loaded):
 def test_cli_main_loads_only_what_the_subcommand_runs(files, sub):
     argv, loaded = next(f for f in FOOTPRINT if f[0][0] == sub)
     assert _via_main([a.format(**files) for a in argv]) == loaded
+
+
+@pytest.fixture(scope="module")
+def bare():
+    """What the interpreter itself loads at start, site hooks included."""
+    return _imported("-c", "pass")
+
+
+# the subcommands that print through --format json-lines
+JSON_LINES = [a for a, _ in FOOTPRINT if a[0] not in ("model-build", "order-complex")]
+
+
+@pytest.mark.parametrize("argv", [a for a, _ in FOOTPRINT], ids=[a[0] for a, _ in FOOTPRINT])
+def test_text_child_loads_no_dataclasses_inspect_or_json(files, bare, argv):
+    loaded = _imported("-m", "tphi", *[a.format(**files) for a in argv]) - bare
+    assert "tphi.errors" in loaded
+    assert not loaded & {"dataclasses", "inspect", "json"}
+
+
+@pytest.mark.parametrize("argv", JSON_LINES, ids=[a[0] for a in JSON_LINES])
+def test_json_lines_child_loads_json_only(files, bare, argv):
+    argv = [a.format(**files) for a in argv] + ["--format", "json-lines"]
+    loaded = _imported("-m", "tphi", *argv)
+    assert "json" in loaded
+    assert not (loaded - bare) & {"dataclasses", "inspect"}
 
 
 def test_import_tphi_loads_no_submodule():

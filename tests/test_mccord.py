@@ -20,7 +20,8 @@ from test_homology import cycle_complex, octahedron, projective_plane
 from tphi.errors import UnknownElementError
 from tphi.homology import homology_groups
 from tphi.hyperfield import ONE
-import tphi.mccord
+import tphi.homology
+import tphi.simplicial
 from tphi.mccord import (
     COLLAPSE,
     CONE,
@@ -339,6 +340,39 @@ def test_core_matches_naive_removal():
         assert core_shape(p, kept) == core_shape(p, naive_core(p)), p
 
 
+def reference_type_classes(p):
+    """The former `discrete_type_classes`: a walk over every strict pair,
+    above and below, with a new set per element."""
+    seen = [False] * len(p)
+    comps = []
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        comp = []
+        while stack:
+            i = stack.pop()
+            comp.append(p.labels[i])
+            for j in p.above[i] | p.below[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        comps.append(frozenset(comp))
+    comps.sort(key=lambda c: min(c))
+    return tuple(comps)
+
+
+def test_type_classes_match_the_strict_pair_walk():
+    # battery, 300 seeded random posets, six face posets, and all opposites
+    sizes = set()
+    for p in core_test_posets():
+        classes = discrete_type_classes(p)
+        assert classes == reference_type_classes(p), p
+        sizes.add(len(classes))
+    assert {1, 2, 3} <= sizes
+
+
 def test_core_of_small_posets():
     assert len(core(CHAIN)) == 1
     assert core(build_poset([], [])) == ()
@@ -374,8 +408,13 @@ def test_cw_report_builds_no_complex(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("cw_type_report built an order complex")
 
-    monkeypatch.setattr(tphi.mccord, "order_complex", refuse)
-    monkeypatch.setattr(tphi.mccord, "collapse_certify", refuse)
+    # mccord imports these where it calls them, so patching their home
+    # modules reaches it
+    monkeypatch.setattr(tphi.simplicial, "order_complex", refuse)
+    monkeypatch.setattr(tphi.simplicial, "collapse_certify", refuse)
+    monkeypatch.setattr(tphi.homology, "homology_groups", refuse)
+    with pytest.raises(AssertionError, match="built an order complex"):
+        finite_space_homology(CHAIN)
     assert cw_type_report(build_tphi_power(3, 2).poset).verdict == "obstructed"
     assert cw_type_report(CHAIN).verdict == "CW type"
 

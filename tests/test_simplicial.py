@@ -202,6 +202,36 @@ def test_order_complex_numbering_survives_the_file_format():
         assert all(list(c.face_labels(f)) == sorted(c.face_labels(f)) for f in c.faces)
 
 
+def reference_from_simplices(simplices):
+    """The former `from_simplices`: each face's labels sorted, the mapped
+    indices sorted again, and the constructor sorting a third time."""
+    gens = [tuple(sorted(set(s))) for s in simplices]
+    labels = sorted({lab for g in gens for lab in g})
+    pos = {lab: i for i, lab in enumerate(labels)}
+    return SimplicialComplex(labels, [tuple(sorted(pos[lab] for lab in g)) for g in gens])
+
+
+def test_from_simplices_matches_the_label_sorting_reference():
+    # every face, or the maximal faces alone, shuffled and with a repeated
+    # label, on the battery, its opposites and 20 seeded random posets
+    rng = random.Random(20261020)
+    posets = [p for _, p in _model_battery()]
+    posets += [p.opposite() for p in posets] + random_posets(20, 20261020)
+    for p in posets:
+        c = order_complex(p)
+        every = [line.split() for line in complex_to_lines(c)]
+        maximal = [list(c.face_labels(f)) for f in c.maximal_faces()]
+        for gens in (every, maximal):
+            gens = [g + g[:1] for g in gens]
+            rng.shuffle(gens)
+            built, ref = SimplicialComplex.from_simplices(gens), reference_from_simplices(gens)
+            assert (built.labels, built.faces, built.dim) == (ref.labels, ref.faces, ref.dim)
+            assert built == c
+    for build in (SimplicialComplex.from_simplices, reference_from_simplices):
+        with pytest.raises(ValueError, match="non-empty"):
+            build([["a"], []])
+
+
 def test_order_complex_cap():
     p = build_poset(
         ["b", "m1", "m2", "t"],
