@@ -4,9 +4,14 @@ Every subcommand wraps one library operation so shell harnesses can
 assert properties directly.  Exit codes separate the three outcomes a
 script cares about: 0 the check ran and passed, 1 the check ran and
 failed, 2 the input could not be checked at all.  Output is deterministic
-byte for byte.  Each result line goes through one writer, `_emit`, which
-prints its text form, or under `--format json-lines` its JSON object with
-keys in a fixed order.
+byte for byte.  Each result line goes through `_emit`, which writes its text
+form, or under `--format json-lines` its JSON object with keys in a fixed
+order.  All of stdout goes through one writer, `args.out`, made by `main`:
+it sends text in chunks of at least `_CHUNK` characters, and `main` sends
+the rest when the subcommand ends, on the error path too.  So output costs
+one write call per chunk, not one or two per line as a print per line did
+on an unbuffered stdout, and `order-complex` joins its face lines `_SLICE`
+at a time, never all at once.
 
 Requests go straight to the library builders, which check their own
 inputs, so a refused request prints the library's message on every route
@@ -20,15 +25,17 @@ Each subcommand imports only the library modules it runs, inside its
 `cmd_*` function; this module loads nothing of tphi but `errors` at start.
 Every call is a fresh process, so a child that loaded all seven modules
 would spend most of its life importing (`hfcalc` loads `hyperfield` only,
-and `cw-report` `poset` and `mccord`).  For the same reason no child loads
-the standard library's data-class generator, whose import pulls in
-`inspect` and `ast`: the value classes are slotted classes on
-`errors.Frozen`.  `json` is imported only under `--format json-lines`.
+and `cw-report` `poset` and `mccord`).  For the same reason `main` builds the
+parser of the named subcommand alone, and no child loads the standard
+library's data-class generator, whose import pulls in `inspect` and `ast`:
+the value classes are slotted classes on `errors.Frozen`.  `json` is
+imported only under `--format json-lines`.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import sys
 
@@ -50,14 +57,47 @@ def _read_poset(path: str):
     return obj.poset if isinstance(obj, MirroredPoset) else obj
 
 
+# characters gathered before a write call, and lines joined into one string
+_CHUNK = 1 << 16
+_SLICE = 1024
+
+
+class _Writer:
+    """The one stdout writer of a `main` call.  Text waits in a buffer and
+    goes out in one write call once `_CHUNK` characters wait; `main` sends
+    the rest when the subcommand ends, on every path.  A print per line
+    cost one or two write calls each when stdout is unbuffered."""
+
+    __slots__ = ("_buf",)
+
+    def __init__(self):
+        self._buf = io.StringIO()
+
+    def write(self, text: str) -> None:
+        self._buf.write(text)
+        if self._buf.tell() >= _CHUNK:
+            self.flush()
+
+    def lines(self, lines: list) -> None:
+        """Each line with its newline, joined `_SLICE` lines at a time."""
+        for i in range(0, len(lines), _SLICE):
+            self.write("\n".join(lines[i : i + _SLICE]) + "\n")
+
+    def flush(self) -> None:
+        text = self._buf.getvalue()
+        self._buf = io.StringIO()
+        if text:
+            sys.stdout.write(text)
+
+
 def _emit(args, obj, text: str) -> None:
-    """Print one result: obj as a JSON line under --format json-lines,
+    """Write one result line: obj as a JSON line under --format json-lines,
     text otherwise.  Only then is json imported."""
     if args.format == "json-lines":
         import json
 
         text = json.dumps(obj)
-    print(text)
+    args.out.write(text + "\n")
 
 
 def cmd_hfcalc(args) -> int:
@@ -159,8 +199,7 @@ def cmd_order_complex(args) -> int:
             "--format json-lines is not supported"
         )
     p = _read_poset(args.file)
-    for line in complex_to_lines(order_complex(p, args.cap)):
-        print(line)
+    args.out.lines(complex_to_lines(order_complex(p, args.cap)))
     return 0
 
 
@@ -228,9 +267,7 @@ def cmd_model_build(args) -> int:
         raise ValueError("constraint vectors are taken by --family perp only")
     if args.family == "grassmannian":
         for i, phi in enumerate(enum_grassmannian(args.n, args.r, args.k, args.cap)):
-            if i:
-                print()
-            sys.stdout.write(format_gp(phi))
+            args.out.write("\n" + format_gp(phi) if i else format_gp(phi))
         return 0
     if args.family == "power":
         built = build_tphi_power(args.n, args.k, args.cap)
@@ -248,114 +285,101 @@ def cmd_model_build(args) -> int:
                 + ", ".join(map(str, pruned)),
                 file=sys.stderr,
             )
-    sys.stdout.write(format_poset_file(built))
+    args.out.write(format_poset_file(built))
     return 0
 
 
-def _add_format(sub):
-    sub.add_argument(
-        "--format", choices=("text", "json-lines"), default="text",
-        help="output encoding (default text)",
-    )
+_FORMAT = ("--format", {
+    "choices": ("text", "json-lines"), "default": "text", "help": "output encoding (default text)",
+})
+_CAP = ("--cap", {
+    "type": int, "default": DEFAULT_SIMPLEX_CAP,
+    "help": "size guard for generated complexes and enumerations",
+})
+_FILE = ("file", {})
+_N, _R, _K = (("--" + v, {"type": int, "required": True}) for v in "nrk")
+
+# name -> (help, arguments in the order they are added); cmd_<name> runs it
+_SUBCOMMANDS = {
+    "hfcalc": ("evaluate a multivalued sum like '0/1 + 1/2'", (("expr", {}), _FORMAT)),
+    "perp": ("enumerate the perp set of constraint vectors", (
+        ("--k", {"type": int, "required": True, "help": "roots-of-unity order"}),
+        ("vector", {"nargs": "+", "help": "constraint vectors like 0/1,1/2"}),
+        _FORMAT,
+    )),
+    "gp-check": ("verify the exchange relations of a function file", (
+        _FILE,
+        ("--all-tuples", {
+            "action": "store_true", "help": "sweep arbitrary tuples instead of increasing ones",
+        }),
+        _FORMAT,
+    )),
+    "gp-enum": ("enumerate normalized strong alternating functions", (_N, _R, _K, _CAP, _FORMAT)),
+    "transversal": ("greedy transposition transversal", (_N, _R, _FORMAT)),
+    "poset-check": (
+        "validate a poset file; mirrored posets get monotonicity and stratum checks",
+        (_FILE, _FORMAT),
+    ),
+    "order-complex": ("emit the chain complex of a poset file", (_FILE, _CAP, _FORMAT)),
+    "homology": ("integer homology of a complex file ('-' for stdin)", (
+        _FILE, ("--reduced", {"action": "store_true"}), _FORMAT,
+    )),
+    "mccord-verify": ("certify contractibility of every basic open", (_FILE, _CAP, _FORMAT)),
+    "cw-report": ("CW homotopy type report per component", (_FILE, _FORMAT)),
+    "model-build": ("build a power, perp, or enumeration model", (
+        ("--family", {"choices": ("power", "perp", "grassmannian"), "required": True}),
+        _N,
+        _K,
+        ("--r", {"type": int, "default": 0}),
+        ("vector", {"nargs": "*", "help": "constraint vectors (perp family)"}),
+        _CAP,
+        _FORMAT,
+    )),
+}
 
 
-def _add_cap(sub):
-    sub.add_argument(
-        "--cap", type=int, default=DEFAULT_SIMPLEX_CAP,
-        help="size guard for generated complexes and enumerations",
-    )
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the one named by only.
 
-
-def build_parser() -> argparse.ArgumentParser:
+    Building one subparser costs about half of building all eleven, and a
+    child runs one.  The usage line spells out every name either way, so
+    each message reads the same as from the full parser.
+    """
     parser = argparse.ArgumentParser(
         prog="tphi",
         description="exact phase-hyperfield arithmetic, phased matroids, "
         "and finite poset topology",
     )
-    subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    s = subs.add_parser("hfcalc", help="evaluate a multivalued sum like '0/1 + 1/2'")
-    s.add_argument("expr")
-    _add_format(s)
-    s.set_defaults(func=cmd_hfcalc)
-
-    s = subs.add_parser("perp", help="enumerate the perp set of constraint vectors")
-    s.add_argument("--k", type=int, required=True, help="roots-of-unity order")
-    s.add_argument("vector", nargs="+", help="constraint vectors like 0/1,1/2")
-    _add_format(s)
-    s.set_defaults(func=cmd_perp)
-
-    s = subs.add_parser("gp-check", help="verify the exchange relations of a function file")
-    s.add_argument("file")
-    s.add_argument("--all-tuples", action="store_true",
-                   help="sweep arbitrary tuples instead of increasing ones")
-    _add_format(s)
-    s.set_defaults(func=cmd_gp_check)
-
-    s = subs.add_parser("gp-enum", help="enumerate normalized strong alternating functions")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--r", type=int, required=True)
-    s.add_argument("--k", type=int, required=True)
-    _add_cap(s)
-    _add_format(s)
-    s.set_defaults(func=cmd_gp_enum)
-
-    s = subs.add_parser("transversal", help="greedy transposition transversal")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--r", type=int, required=True)
-    _add_format(s)
-    s.set_defaults(func=cmd_transversal)
-
-    s = subs.add_parser("poset-check", help="validate a poset file; mirrored posets get "
-                        "monotonicity and stratum checks")
-    s.add_argument("file")
-    _add_format(s)
-    s.set_defaults(func=cmd_poset_check)
-
-    s = subs.add_parser("order-complex", help="emit the chain complex of a poset file")
-    s.add_argument("file")
-    _add_cap(s)
-    _add_format(s)
-    s.set_defaults(func=cmd_order_complex)
-
-    s = subs.add_parser("homology", help="integer homology of a complex file ('-' for stdin)")
-    s.add_argument("file")
-    s.add_argument("--reduced", action="store_true")
-    _add_format(s)
-    s.set_defaults(func=cmd_homology)
-
-    s = subs.add_parser("mccord-verify", help="certify contractibility of every basic open")
-    s.add_argument("file")
-    _add_cap(s)
-    _add_format(s)
-    s.set_defaults(func=cmd_mccord_verify)
-
-    s = subs.add_parser("cw-report", help="CW homotopy type report per component")
-    s.add_argument("file")
-    _add_format(s)
-    s.set_defaults(func=cmd_cw_report)
-
-    s = subs.add_parser("model-build", help="build a power, perp, or enumeration model")
-    s.add_argument("--family", choices=("power", "perp", "grassmannian"), required=True)
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--k", type=int, required=True)
-    s.add_argument("--r", type=int, default=0)
-    s.add_argument("vector", nargs="*", help="constraint vectors (perp family)")
-    _add_cap(s)
-    _add_format(s)
-    s.set_defaults(func=cmd_model_build)
-
+    subs = parser.add_subparsers(
+        dest="subcommand",
+        required=True,
+        # the full parser keeps argparse's own spelling, which names the
+        # missing subcommand "subcommand" in its error
+        metavar="{" + ",".join(_SUBCOMMANDS) + "}" if only else None,
+    )
+    for name in (only,) if only else _SUBCOMMANDS:
+        help_text, arguments = _SUBCOMMANDS[name]
+        s = subs.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            s.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # -h, a missing subcommand or an unknown name needs the full parser
+    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    out = args.out = _Writer()
     try:
-        return args.func(args)
+        try:
+            # looked up now, so a replaced cmd_* function is the one run
+            return globals()["cmd_" + args.subcommand.replace("-", "_")](args)
+        finally:
+            out.flush()
     except (TphiError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,9 +27,14 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+from typing import TYPE_CHECKING
 
 from .errors import DimOutOfRangeError, Frozen
-from .simplicial import SimplicialComplex
+
+# complexes are only read here, so a `homology` child that parses one loads
+# `simplicial` for the parser alone, and the cell path in `mccord` none
+if TYPE_CHECKING:
+    from .simplicial import SimplicialComplex
 
 
 class IntegerMatrix(Frozen):
@@ -229,8 +234,10 @@ class HomologySummary(Frozen):
 
     groups maps dimension to (betti rank, torsion factors), sorted by
     dimension, keeping only nontrivial entries.  critical counts the
-    critical cells per dimension 0..top_dim that the element matching
-    left.  Equality and hash see groups and the reduced flag but not
+    cells per dimension 0..top_dim of the chain complex that was reduced:
+    the critical cells that the element matching left, or on the cell path
+    of a simplicial poset (`mccord.finite_space_homology`) every cell, one
+    per element.  Equality and hash see groups and the reduced flag but not
     top_dim or critical, so complexes of different dimension with the same
     homology compare equal.
     """
@@ -356,28 +363,33 @@ def homology_groups(c: SimplicialComplex, reduced: bool = False) -> HomologySumm
     only the remaining maps are built and reduced; reduced only lowers
     rank in dimension 0."""
     top = c.dim
-    if top < 0:
-        return HomologySummary((), -1, reduced)
-    if top == 0:
-        counts, factors = (len(c.faces),), {}
-    else:
-        partner = _element_matching(c)
-        critical = [[f for f, g in partner[d + 1].items() if g is None] for d in range(top + 1)]
-        counts = tuple(map(len, critical))
-        factors = {
-            d: _eliminate(*_morse_rows(partner, critical, d))
-            for d in range(1, top + 1)
-            if counts[d] and counts[d - 1] and not (d == 1 and counts[0] == 1)
-        }
+    if top < 1:
+        # points only, or nothing: no boundary to reduce
+        return _assemble((len(c.faces),) if top == 0 else (), {}, reduced)
+    partner = _element_matching(c)
+    critical = [[f for f, g in partner[d + 1].items() if g is None] for d in range(top + 1)]
+    counts = tuple(map(len, critical))
+    factors = {
+        d: _eliminate(*_morse_rows(partner, critical, d))
+        for d in range(1, top + 1)
+        if counts[d] and counts[d - 1] and not (d == 1 and counts[0] == 1)
+    }
+    return _assemble(counts, factors, reduced)
+
+
+def _assemble(counts: tuple, factors: dict, reduced: bool) -> HomologySummary:
+    """The homology of a chain complex with counts[d] cells in dimension d
+    and boundary d -> d-1 of invariant factors factors[d] (zero where
+    absent); counts becomes the summary's critical."""
     groups = []
-    for d in range(top + 1):
+    for d in range(len(counts)):
         betti = counts[d] - len(factors.get(d, ())) - len(factors.get(d + 1, ()))
         if d == 0 and reduced:
             betti -= 1
         torsion = tuple(t for t in factors.get(d + 1, ()) if t > 1)
         if betti or torsion:
             groups.append((d, (betti, torsion)))
-    return HomologySummary(tuple(groups), top, reduced, counts)
+    return HomologySummary(tuple(groups), len(counts) - 1, reduced, counts)
 
 
 def rational_betti(c: SimplicialComplex, reduced: bool = False) -> HomologySummary:

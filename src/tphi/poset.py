@@ -221,12 +221,18 @@ def core(p: FinitePoset) -> tuple:
     """Stong's core, in label order: remove beat points, elements with
     exactly one live upper or lower cover, until none is left.  Removing x
     links each lower cover a and upper cover b of x as a cover pair unless
-    a live lower cover of b lies above a, so the pass costs O(pairs)."""
-    ups = [set(cs) for cs in p.up_covers]
-    downs = [set() for _ in ups]
-    for a, cs in enumerate(ups):
+    a live lower cover of b lies above a, so the pass costs O(pairs).
+
+    The live covers of each element are the keys of a dict, not a set: the
+    garbage collector tracks every set but no dict that holds only ints,
+    and on a large poset its passes over two sets per element took several
+    times the removal itself (power(3,60): 3-4 s against 0.5 s).
+    """
+    ups = [dict.fromkeys(cs) for cs in p.up_covers]
+    downs = [{} for _ in ups]
+    for a, cs in enumerate(p.up_covers):
         for b in cs:
-            downs[b].add(a)
+            downs[b][a] = None
     live = [True] * len(ups)
     queue = list(range(len(ups)))
     while queue:
@@ -235,14 +241,15 @@ def core(p: FinitePoset) -> tuple:
             continue
         live[x] = False
         for b in ups[x]:
-            downs[b].discard(x)
+            del downs[b][x]
         for a in downs[x]:
-            ups[a].discard(x)
+            del ups[a][x]
             for b in ups[x]:
                 if p.above[a].isdisjoint(downs[b]):
-                    ups[a].add(b)
-                    downs[b].add(a)
-        queue += downs[x] | ups[x]
+                    ups[a][b] = None
+                    downs[b][a] = None
+        queue += downs[x]
+        queue += ups[x]
     return tuple(lab for lab, keep in zip(p.labels, live) if keep)
 
 

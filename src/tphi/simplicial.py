@@ -15,10 +15,14 @@ import heapq
 import itertools
 import operator
 from collections import defaultdict
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import DEFAULT_SIMPLEX_CAP, Frozen, SizeCapExceededError
-from .poset import FinitePoset, chain_count
+
+# posets are imported where a complex is made from one or made into one,
+# so parsing a complex file and taking its homology loads no `poset`
+if TYPE_CHECKING:
+    from .poset import FinitePoset
 
 
 class SimplicialComplex:
@@ -213,6 +217,8 @@ def order_complex(p: FinitePoset, cap: int = DEFAULT_SIMPLEX_CAP) -> SimplicialC
     SizeCapExceededError instead of building.  The dimension is the
     longest chain's length less one.
     """
+    from .poset import chain_count
+
     total = chain_count(p)
     if total > cap:
         raise SizeCapExceededError(
@@ -358,6 +364,8 @@ def face_poset(c: SimplicialComplex) -> FinitePoset:
 
     Face labels join vertex labels with '|'.
     """
+    from .poset import FinitePoset
+
     def name(f):
         return "|".join(c.face_labels(f))
 

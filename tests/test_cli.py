@@ -11,13 +11,14 @@ import time
 
 import pytest
 
-from tphi.cli import main
+from tphi import cli
+from tphi.cli import build_parser, main
 from tphi.homology import format_homology, homology_groups
 from tphi.mccord import finite_space_homology
 from tphi.models import build_tphi_power
 from tphi.phased import parse_gp_file
 from tphi.poset import format_poset_file, parse_poset_file
-from tphi.simplicial import order_complex, parse_complex_lines
+from tphi.simplicial import complex_to_lines, order_complex, parse_complex_lines
 
 CHAIN_FILE = "elem a\nelem b\nelem c\nrel a < b\nrel b < c\n"
 
@@ -311,6 +312,42 @@ def test_order_complex_cap(tmp_path, capsys):
     code, _, err = run(capsys, "order-complex", str(f), "--cap", "3")
     assert code == 2
     assert "cap" in err
+
+
+class CountingStdout(io.StringIO):
+    """A stdout that counts its write calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_order_complex_writes_in_chunks(tmp_path, monkeypatch):
+    # power(5,2): 24,482 faces, over a megabyte of lines
+    p = build_tphi_power(5, 2)
+    f = tmp_path / "p52.poset"
+    f.write_text(format_poset_file(p))
+    lines = complex_to_lines(order_complex(p.poset))
+    assert len(lines) >= 20_000
+    out = CountingStdout()
+    monkeypatch.setattr("sys.stdout", out)
+    assert main(["order-complex", str(f)]) == 0
+    # the bytes one print per line wrote
+    assert out.getvalue() == "".join(line + "\n" for line in lines)
+    chunks = -(-len(out.getvalue()) // cli._CHUNK)
+    assert chunks > 1
+    assert out.writes <= chunks + 1
+
+
+def test_output_written_before_an_error_still_comes_out(capsys, monkeypatch):
+    def fail_midway(args):
+        cli._emit(args, {}, "first line")
+        raise ValueError("second line failed")
+
+    monkeypatch.setattr("tphi.cli.cmd_hfcalc", fail_midway)
+    assert run(capsys, "hfcalc", "0/1") == (2, "first line\n", "error: second line failed\n")
 
 
 def test_homology_from_file_and_reduced(tmp_path, capsys):
@@ -629,6 +666,30 @@ def _fuzz_argv(rng, path):
     if rng.random() < 0.05 and args:
         del args[rng.randrange(len(args))]
     return [sub] + args + fmt, text
+
+
+def _parsed(parser, argv, capsys):
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    return outcome, capsys.readouterr()
+
+
+def test_one_subparser_parses_like_the_full_parser(tmp_path, capsys):
+    # main builds the named subcommand's parser alone: every namespace,
+    # exit code, usage line and message must be the full parser's
+    rng = random.Random(20261019)
+    calls = [_fuzz_argv(rng, tmp_path / "input")[0] for _ in range(600)]
+    calls += [[name, "-h"] for name in cli._SUBCOMMANDS] + [[name] for name in cli._SUBCOMMANDS]
+    calls += [["cw-report", "x", "--cap", "10"], ["hfcalc", "x", "y"], ["perp", "--k"]]
+    named = 0
+    for argv in calls:
+        if argv[0] in cli._SUBCOMMANDS:
+            named += 1
+            alone = _parsed(build_parser(argv[0]), argv, capsys)
+            assert alone == _parsed(build_parser(), argv, capsys), argv
+    assert named > 500
 
 
 def test_fuzzed_calls_exit_cleanly(tmp_path, capsys, monkeypatch):

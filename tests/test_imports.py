@@ -26,7 +26,8 @@ from tphi.simplicial import complex_to_lines, order_complex
 LIBRARY = ("hyperfield", "phased", "poset", "simplicial", "homology", "models", "mccord")
 ENV = dict(os.environ, PYTHONPATH=str(Path(tphi.__file__).resolve().parents[1]))
 
-# the library modules each subcommand loads; {file} is a poset file,
+# the library modules each subcommand loads; {file} is a poset file of a
+# power model, a simplicial poset, {chain} one of a chain, which is not, and
 # {complex} a complex file.  Every call runs its check (exit 0 or 1).
 MODELS = {"hyperfield", "phased", "models", "poset"}
 FOOTPRINT = (
@@ -37,10 +38,21 @@ FOOTPRINT = (
     (("model-build", "--family", "power", "--n", "2", "--k", "2"), MODELS),
     (("poset-check", "{file}"), {"poset"}),
     (("order-complex", "{file}"), {"poset", "simplicial"}),
-    (("homology", "{complex}"), {"poset", "simplicial", "homology"}),
-    (("mccord-verify", "{file}"), {"poset", "simplicial", "homology", "mccord"}),
+    (("homology", "{complex}"), {"simplicial", "homology"}),
+    # a simplicial poset's homology comes from its own cells
+    (("mccord-verify", "{file}"), {"poset", "homology", "mccord"}),
+    # any other poset's from its order complex
+    (("mccord-verify", "{chain}"), {"poset", "simplicial", "homology", "mccord"}),
     (("cw-report", "{file}"), {"poset", "mccord"}),
 )
+
+
+def _row_id(argv) -> str:
+    """The subcommand, marked when the row reads the chain file."""
+    return argv[0] + "-chain" * ("{chain}" in argv)
+
+
+IDS = [_row_id(a) for a, _ in FOOTPRINT]
 
 REPORT = "print(' '.join(sorted(m for m in sys.modules if m.startswith('tphi.'))))"
 
@@ -53,7 +65,9 @@ def files(tmp_path_factory):
     poset.write_text(format_poset_file(mp), encoding="utf-8")
     cx = d / "model.cx"
     cx.write_text("\n".join(complex_to_lines(order_complex(mp.poset))) + "\n", encoding="utf-8")
-    return {"file": str(poset), "complex": str(cx)}
+    chain = d / "chain.poset"
+    chain.write_text("elem a\nelem b\nelem c\nrel a < b\nrel b < c\n", encoding="utf-8")
+    return {"file": str(poset), "complex": str(cx), "chain": str(chain)}
 
 
 def _library(names) -> set:
@@ -84,7 +98,7 @@ def _via_main(argv) -> set:
     return _library(proc.stdout.split("\n")[-2].split())
 
 
-@pytest.mark.parametrize("argv, loaded", FOOTPRINT, ids=[a[0] for a, _ in FOOTPRINT])
+@pytest.mark.parametrize("argv, loaded", FOOTPRINT, ids=IDS)
 def test_python_m_tphi_loads_only_what_the_subcommand_runs(files, argv, loaded):
     assert _via_module([a.format(**files) for a in argv]) == loaded
 
@@ -105,14 +119,14 @@ def bare():
 JSON_LINES = [a for a, _ in FOOTPRINT if a[0] not in ("model-build", "order-complex")]
 
 
-@pytest.mark.parametrize("argv", [a for a, _ in FOOTPRINT], ids=[a[0] for a, _ in FOOTPRINT])
+@pytest.mark.parametrize("argv", [a for a, _ in FOOTPRINT], ids=IDS)
 def test_text_child_loads_no_dataclasses_inspect_or_json(files, bare, argv):
     loaded = _imported("-m", "tphi", *[a.format(**files) for a in argv]) - bare
     assert "tphi.errors" in loaded
     assert not loaded & {"dataclasses", "inspect", "json"}
 
 
-@pytest.mark.parametrize("argv", JSON_LINES, ids=[a[0] for a in JSON_LINES])
+@pytest.mark.parametrize("argv", JSON_LINES, ids=list(map(_row_id, JSON_LINES)))
 def test_json_lines_child_loads_json_only(files, bare, argv):
     argv = [a.format(**files) for a in argv] + ["--format", "json-lines"]
     loaded = _imported("-m", "tphi", *argv)

@@ -17,9 +17,9 @@ import pytest
 
 from test_acceptance import _model_battery
 from test_homology import cycle_complex, octahedron, projective_plane
-from tphi.errors import UnknownElementError
-from tphi.homology import homology_groups
-from tphi.hyperfield import ONE
+from tphi.errors import SizeCapExceededError, UnknownElementError
+from tphi.homology import boundary_matrix, homology_groups
+from tphi.hyperfield import ONE, scalars
 import tphi.homology
 import tphi.simplicial
 from tphi.mccord import (
@@ -30,10 +30,13 @@ from tphi.mccord import (
     Certificate,
     basis_certificates,
     contractibility_certificate,
+    _cell_boundaries,
+    _simplex_atoms,
     cw_type_report,
     finite_space_homology,
 )
-from tphi.models import build_perp_poset, build_tphi_power
+from tphi.models import build_perp_poset, build_tphi_power, expected_join_betti
+from tphi.phased import perp_membership
 from tphi.poset import build_poset, core, discrete_type_classes
 from tphi.simplicial import (
     DEFAULT_SIMPLEX_CAP,
@@ -42,6 +45,7 @@ from tphi.simplicial import (
     cone_apexes,
     collapse_certify,
     face_poset,
+    join,
     order_complex,
 )
 
@@ -301,6 +305,138 @@ def test_face_poset_space_recovers_complex_homology():
     )
     s = finite_space_homology(face_poset(octa))
     assert s.groups == ((0, (1, ())), (2, (1, ())))
+
+
+def seeded_perps(count, seed) -> list:
+    """Perp posets of seeded constraint sets with n <= 5 and k in {2, 4},
+    zeros allowed: each set has a common non-zero orthogonal vector, so
+    no perp is empty.  About half of them are simplicial posets."""
+    rng = random.Random(seed)
+
+    def nonzero(pool, n):
+        while True:
+            v = tuple(rng.choice(pool) for _ in range(n))
+            if any(not e.is_zero for e in v):
+                return v
+
+    out = []
+    for _ in range(count):
+        n, k, m = rng.randint(2, 5), rng.choice((2, 4)), rng.randint(1, 2)
+        pool = scalars(k)
+        x = nonzero(pool, n)
+        vs = []
+        while len(vs) < m:
+            v = nonzero(pool, n)
+            if perp_membership([v], x):
+                vs.append(v)
+        out.append(build_perp_poset(vs, k).poset)
+    return out
+
+
+def cell_test_complexes() -> list:
+    """Complexes whose face posets are simplicial: RP^2, the dunce hat,
+    joins, a subdivision and a few small ones, each numbered in label
+    order (an order complex numbers its vertices from the poset)."""
+    rp2 = projective_plane()
+    sd = barycentric_subdivision(rp2)
+    return [
+        rp2,
+        dunce_hat(),
+        icosahedron_disk(),
+        octahedron(),
+        cycle_complex(5),
+        join(cycle_complex(3), cycle_complex(4)),
+        join(rp2, SimplicialComplex.from_simplices([("p",), ("q",)])),
+        SimplicialComplex.from_simplices(map(sd.face_labels, sd.maximal_faces())),
+        SimplicialComplex.from_simplices([("a", "b", "c"), ("c", "d"), ("e",)]),
+    ]
+
+
+def test_cell_path_matches_the_order_complex():
+    # every simplicial poset takes the cell path and agrees with the order
+    # complex, reduced or not, in the groups and in the top dimension
+    posets = [p for _, p in _model_battery()] + random_posets(400, 20261020, largest=10)
+    posets += [face_poset(c) for c in cell_test_complexes()] + seeded_perps(40, 20261020)
+    posets += [p.opposite() for p in posets]
+    simplicial = [p for p in posets if _simplex_atoms(p) is not None]
+    assert len(simplicial) > 150
+    solid = 0
+    for p in simplicial:
+        for reduced in (False, True):
+            cells = finite_space_homology(p, reduced=reduced)
+            chains = homology_groups(order_complex(p), reduced)
+            assert (cells, cells.top_dim) == (chains, chains.top_dim), p
+            assert sum(cells.critical) == len(p)
+        solid += cells.top_dim >= 2
+    assert solid >= 10
+    assert finite_space_homology(face_poset(projective_plane())).groups == (
+        (0, (1, ())),
+        (1, (0, (2,))),
+    )
+
+
+def test_cell_boundary_is_the_simplicial_boundary():
+    # on a face poset the cells are the complex's faces and the atoms its
+    # vertices in label order, so every sign must be the one boundary_matrix
+    # gives; flipping them all would leave the homology as it is
+    for c in cell_test_complexes():
+        p = face_poset(c)
+        boundaries = _cell_boundaries(p, _simplex_atoms(p))
+        assert len(boundaries) == c.dim
+        for d, (rows, col_index) in enumerate(boundaries, 1):
+            cells = sorted(
+                (p.labels[y], p.labels[x], v) for y, row in rows.items() for x, v in row.items()
+            )
+            low, high = c.faces_of_dim(d - 1), c.faces_of_dim(d)
+            name = lambda f: "|".join(c.face_labels(f))
+            entries = boundary_matrix(c, d).entries
+            faces = sorted((name(low[i]), name(high[j]), v) for i, j, v in entries)
+            assert cells == faces
+            assert {x: set(ys) for x, ys in col_index.items()} == {
+                x: {y for y, row in rows.items() if x in row} for x in col_index
+            }
+
+
+def test_non_simplicial_posets_are_refused():
+    # a chain's second element has one atom and one element below it
+    assert _simplex_atoms(CHAIN) is None
+    # RP^2's opposite: a vertex's star is no Boolean lattice
+    assert _simplex_atoms(face_poset(projective_plane()).opposite()) is None
+    # Every count matches here: two triangles t0 and t1, each over its own
+    # edge from v0 to v2 (e0, e1) and both over the two edges from v0 to v1
+    # (e2, e3), so each triangle's down-set holds 2^3 - 1 elements.  But
+    # e2 and e3 lie over the same atoms, and taking the cells' boundary
+    # anyway would lose H_1 and H_2.
+    pairs = [("v0", "e0"), ("v2", "e0"), ("v0", "e1"), ("v2", "e1")]
+    pairs += [(v, e) for v in ("v0", "v1") for e in ("e2", "e3")]
+    pairs += [(e, "t0") for e in ("e0", "e2", "e3")] + [(e, "t1") for e in ("e1", "e2", "e3")]
+    twins = build_poset(["v0", "v1", "v2", "e0", "e1", "e2", "e3", "t0", "t1"], pairs)
+    assert [len(twins.below[twins.index_of(t)]) for t in ("t0", "t1")] == [6, 6]
+    assert _simplex_atoms(twins) is None
+    assert finite_space_homology(twins).groups == ((0, (1, ())), (1, (1, ())), (2, (1, ())))
+
+
+def test_cell_path_cap_bounds_cells_plus_pairs():
+    # power(4,4): 624 cells and 5,312 strict pairs, but 22,832 chains
+    p = build_tphi_power(4, 4).poset
+    cells_and_pairs = len(p) + sum(map(len, p.below))
+    assert cells_and_pairs < 10_000 < len(order_complex(p))
+    assert finite_space_homology(p, cap=cells_and_pairs, reduced=True) == expected_join_betti(4, 4)
+    # one less and it is refused, by the order complex's chain cap
+    with pytest.raises(SizeCapExceededError, match="chains, cap is"):
+        finite_space_homology(p, cap=cells_and_pairs - 1)
+    with pytest.raises(SizeCapExceededError):
+        order_complex(p, cap=cells_and_pairs)
+
+
+def test_cell_path_on_power_5_3_within_budget():
+    # 1,023 cells against 165,633 chains: about 20 ms on a 2-core host
+    p = build_tphi_power(5, 3).poset
+    start = time.perf_counter()
+    h = finite_space_homology(p, reduced=True)
+    assert time.perf_counter() - start < 1
+    assert h == expected_join_betti(5, 3)
+    assert h.critical == (15, 90, 270, 405, 243)
 
 
 def test_ladder_equals_two_cone_ladder():
