@@ -13,7 +13,7 @@ _HOME = {
     "phased": "GPFunction gp_verify_all perp_membership transversal",
     "poset": "FinitePoset MirroredPoset build_poset mirror_check geometric_discrete_check",
     "simplicial": "SimplicialComplex order_complex join barycentric_subdivision collapse_certify",
-    "homology": "homology_groups rational_betti smith_normal_form format_homology",
+    "homology": "homology_groups smith_normal_form format_homology",
     "models": "build_tphi_power build_perp_poset enum_grassmannian",
     "mccord": "basis_certificates cw_type_report finite_space_homology",
 }

@@ -3,15 +3,18 @@
 homology_groups runs one element matching over the faces (Jonsson,
 "Simplicial Complexes of Graphs", LNM 1928): taking the vertices v in
 index order, it pairs every still unmatched face f containing v with
-f - v when that face is unmatched too.  A sequence of element
-matchings is acyclic, so by Forman ("Morse theory for cell complexes",
-Adv. Math. 134, 1998) the faces left over, the critical cells, span a
-chain complex with the homology of the whole.  Its boundary follows
-each critical cell's boundary along the matching to the critical cells
-one dimension down, and is built only between dimensions that both hold
-critical cells.  On the order complexes of the power models, whose
-vertices order_complex numbers from the poset, only Betti + 1 cells are
-critical, so no boundary is built at all.
+f - v when that face is unmatched too.  A face first tries its least
+vertex, so f - v is a slice there, and the matching stores no new tuple:
+the upper face of a pair is marked False and the lower one names it as
+its partner.  A sequence of element matchings is acyclic, so by Forman
+("Morse theory for cell complexes", Adv. Math. 134, 1998) the faces left
+over, the critical cells, span a chain complex with the homology of the
+whole.  Its boundary follows each critical cell's boundary along the
+matching to the critical cells one dimension down, and is built only
+between dimensions that both hold critical cells.  On the order
+complexes of the power models, whose vertices order_complex numbers from
+the poset, only Betti + 1 cells are critical, so no boundary is built at
+all.
 
 The Morse boundaries are reduced by one eliminator: a unit-pivot phase
 taking the shortest row first from a lazy heap, then a classical
@@ -267,8 +270,11 @@ def _element_matching(c: SimplicialComplex) -> list:
     For each vertex r in turn, every unmatched face f that contains r and
     has two or more vertices is matched with f - r when that face is
     unmatched too.  A face waits in the list of the next of its vertices
-    to try, so it sits in one list at a time.  Returns partner[m] for
-    every face size m: face -> its partner, or None for a critical face.
+    to try, so it sits in one list at a time; its first try is at its
+    least vertex, so f - r is f[1:] there.  Returns partner[m] for every
+    face size m, mapping a face to None when it is critical, to False when
+    it is matched with a face below it, and to its partner when it is
+    matched with a face above it.  The marker keeps no tuple f - r alive.
     A missing facet f - r raises KeyError.
     """
     partner = [{} for _ in range(c.dim + 2)]
@@ -279,17 +285,22 @@ def _element_matching(c: SimplicialComplex) -> list:
             waiting[f[0]].append(f)
     for r, faces in enumerate(waiting):
         for f in faces:
-            up = partner[len(f)]
+            m = len(f)
+            up = partner[m]
             if up[f] is not None:
                 continue
-            t = f.index(r)
-            g = f[:t] + f[t + 1 :]
-            down = partner[len(g)]
+            if f[0] == r:
+                t = 0
+                g = f[1:]
+            else:
+                t = f.index(r)
+                g = f[:t] + f[t + 1 :]
+            down = partner[m - 1]
             if down[g] is not None:
-                if t + 1 < len(f):
+                if t + 1 < m:
                     waiting[f[t + 1]].append(f)
                 continue
-            up[f] = g
+            up[f] = False
             down[g] = f
         waiting[r] = None
     return partner
@@ -317,8 +328,9 @@ def _morse_rows(partner: list, critical: list, d: int) -> tuple:
 
     flow[tau] is where a (d-1)-cell tau ends up among the critical cells,
     following the matching: itself if critical, nothing if it is matched
-    with a (d-2)-cell, and otherwise, with tau matched to the d-cell u,
-    -[u:tau] times the flow of the rest of the boundary of u.  The
+    with a (d-2)-cell (its partner is the marker False), and otherwise,
+    with tau matched to the d-cell u, -[u:tau] times the flow of the rest
+    of the boundary of u.  The
     matching is acyclic, so this terminates; it is evaluated with an
     explicit stack and memoized, since gradient paths can be long.
     """
@@ -336,7 +348,7 @@ def _morse_rows(partner: list, critical: list, d: int) -> tuple:
             u = low[f]
             if u is None:
                 flow[f] = {row[f]: 1}
-            elif len(u) < len(f):
+            elif u is False:
                 flow[f] = {}
             else:
                 todo = [g for g in _facets(u) if g != f and g not in flow]
@@ -390,16 +402,6 @@ def _assemble(counts: tuple, factors: dict, reduced: bool) -> HomologySummary:
         if betti or torsion:
             groups.append((d, (betti, torsion)))
     return HomologySummary(tuple(groups), len(counts) - 1, reduced, counts)
-
-
-def rational_betti(c: SimplicialComplex, reduced: bool = False) -> HomologySummary:
-    """Betti numbers over the rationals: the integral result with torsion
-    dropped, which by the universal coefficient theorem leaves the free
-    ranks.  It equals the integral answer only when the space is
-    torsion-free."""
-    s = homology_groups(c, reduced)
-    groups = tuple((d, (betti, ())) for d, (betti, _) in s.groups if betti)
-    return HomologySummary(groups, s.top_dim, reduced, s.critical)
 
 
 def format_homology(s: HomologySummary) -> list:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -410,14 +411,23 @@ def transversal(n: int, r: int) -> Transversal:
     is still there when reached and is kept, and an odd tuple was discarded
     by the even neighbour before it.
 
+    The even tuples are found with no per-tuple parity test.  Arranging an
+    increasing r-subset by a permutation of its r positions gives a tuple
+    with that permutation's inversions, so each subset is arranged by the
+    even permutations of range(r), found once, and the result is sorted.
+
     The n!/(n-r)! tuples are counted first and refused above
     DEFAULT_SIMPLEX_CAP."""
     if not 1 <= r <= n:
         raise BadArityError(f"need 1 <= r <= n, got r={r}, n={n}")
     if capped_product(range(n - r + 1, n + 1), DEFAULT_SIMPLEX_CAP) > DEFAULT_SIMPLEX_CAP:
         raise SizeCapExceededError(f"r-permutations exceed cap {DEFAULT_SIMPLEX_CAP}")
-    tuples = itertools.permutations(range(1, n + 1), r)
-    return Transversal(n, r, tuple(t for t in tuples if not _inversions(t) % 2))
+    even = [p for p in itertools.permutations(range(r)) if not _inversions(p) % 2]
+    # itemgetter of one index returns the item, not a 1-tuple
+    arrange = [operator.itemgetter(*p) for p in even] if r > 1 else [tuple]
+    tuples = [a(s) for s in itertools.combinations(range(1, n + 1), r) for a in arrange]
+    tuples.sort()
+    return Transversal(n, r, tuple(tuples))
 
 
 def format_gp(phi: GPFunction) -> str:

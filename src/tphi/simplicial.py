@@ -225,36 +225,28 @@ def order_complex(p: FinitePoset, cap: int = DEFAULT_SIMPLEX_CAP) -> SimplicialC
             f"order complex would hold {total} chains, cap is {cap}"
         )
     order = _hasse_order(p)
-    rank = [0] * len(order)
-    for r, i in enumerate(order):
-        rank[i] = r
     below = p.below
-    # longest[i]: the most elements in a chain with maximum i; the elements
-    # below i come after i in the order
+    # chains[i]: the chains with maximum i, as tuples of ranks in the order;
+    # longest[i]: the most elements in one of them.  The elements below i
+    # come after i in the order, so walking it backwards finds their chains
+    # built, and each chain of i is (rank of i,) joined to one of theirs:
+    # one comprehension per element, one tuple concatenation per face, every
+    # face increasing.  A minimal element holds its singleton face alone.
+    chains = [None] * len(order)
     longest = [1] * len(order)
-    for i in reversed(order):
+    for r in range(len(order) - 1, -1, -1):
+        i = order[r]
+        head = (r,)
         if below[i]:
+            chains[i] = own = [head + g for j in below[i] for g in chains[j]]
+            own.append(head)
             longest[i] += max(map(longest.__getitem__, below[i]))
-    faces = [(r,) for r in range(len(order))]
-    for r, i in enumerate(order):
-        # depth-first down the chains with maximum i: an element below x
-        # comes after x in the order, so every chain of ranks increases;
-        # downs[t] yields the elements below chain[t] still to try
-        if not below[i]:
-            continue
-        chain = [r]
-        downs = [iter(below[i])]
-        while downs:
-            j = next(downs[-1], None)
-            if j is None:
-                downs.pop()
-                chain.pop()
-                continue
-            chain.append(rank[j])
-            faces.append(tuple(chain))
-            downs.append(iter(below[j]))
+        else:
+            chains[i] = (head,)
     return SimplicialComplex._closed(
-        tuple(map(p.labels.__getitem__, order)), faces, max(longest, default=0) - 1
+        tuple(map(p.labels.__getitem__, order)),
+        itertools.chain.from_iterable(chains),
+        max(longest, default=0) - 1,
     )
 
 

@@ -34,6 +34,7 @@ from tphi.phased import (
     GPFunction,
     GPReport,
     Transversal,
+    _inversions,
     format_gp,
     format_vector,
     gp_eval,
@@ -410,9 +411,14 @@ def reference_transversal(n, r):
 
 
 def test_transversal_matches_the_greedy_pass():
+    # the subsets arranged by even position-permutations, sorted, against
+    # the greedy pass and the per-tuple inversion count it replaced
     for n in range(1, 8):
         for r in range(1, n + 1):
-            assert transversal(n, r).tuples == reference_transversal(n, r), (n, r)
+            got = transversal(n, r).tuples
+            assert got == reference_transversal(n, r), (n, r)
+            perms = itertools.permutations(range(1, n + 1), r)
+            assert got == tuple(t for t in perms if not _inversions(t) % 2), (n, r)
 
 
 def test_transversal_properties_exhaustive():

@@ -12,7 +12,7 @@ import pytest
 
 import tphi.simplicial
 from test_acceptance import _model_battery
-from test_homology import projective_plane
+from test_homology import oracle_posets, projective_plane
 from test_mccord import dunce_hat, random_posets
 from tphi.errors import SizeCapExceededError
 from tphi.models import build_tphi_power
@@ -230,6 +230,47 @@ def test_from_simplices_matches_the_label_sorting_reference():
     for build in (SimplicialComplex.from_simplices, reference_from_simplices):
         with pytest.raises(ValueError, match="non-empty"):
             build([["a"], []])
+
+
+def reference_order_complex(p):
+    """The former `order_complex` body: one depth-first stack down the
+    chains with each maximum, one new tuple per face."""
+    order = tphi.simplicial._hasse_order(p)
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+    below = p.below
+    longest = [1] * len(order)
+    for i in reversed(order):
+        if below[i]:
+            longest[i] += max(map(longest.__getitem__, below[i]))
+    faces = [(r,) for r in range(len(order))]
+    for r, i in enumerate(order):
+        if not below[i]:
+            continue
+        chain = [r]
+        downs = [iter(below[i])]
+        while downs:
+            j = next(downs[-1], None)
+            if j is None:
+                downs.pop()
+                chain.pop()
+                continue
+            chain.append(rank[j])
+            faces.append(tuple(chain))
+            downs.append(iter(below[j]))
+    assert len(set(faces)) == len(faces)
+    return SimplicialComplex._closed(
+        tuple(map(p.labels.__getitem__, order)), faces, max(longest, default=0) - 1
+    )
+
+
+def test_order_complex_matches_the_depth_first_reference():
+    # the same labels in the same numbering, the same faces and dim
+    for p in oracle_posets() + [build_poset([], []), build_poset(["x"], [])]:
+        c, ref = order_complex(p), reference_order_complex(p)
+        assert (c.labels, c.faces, c.dim) == (ref.labels, ref.faces, ref.dim)
+        assert len(c) == chain_count(p)
 
 
 def test_order_complex_cap():
