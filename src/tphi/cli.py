@@ -10,8 +10,8 @@ order.  All of stdout goes through one writer, `args.out`, made by `main`:
 it sends text in chunks of at least `_CHUNK` characters, and `main` sends
 the rest when the subcommand ends, on the error path too.  So output costs
 one write call per chunk, not one or two per line as a print per line did
-on an unbuffered stdout, and `order-complex` joins its face lines `_SLICE`
-at a time, never all at once.
+on an unbuffered stdout, and `order-complex` and `transversal` join their
+lines `_SLICE` at a time, never all at once.
 
 Requests go straight to the library builders, which check their own
 inputs, so a refused request prints the library's message on every route
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import math
 import sys
 
@@ -78,10 +79,12 @@ class _Writer:
         if self._buf.tell() >= _CHUNK:
             self.flush()
 
-    def lines(self, lines: list) -> None:
-        """Each line with its newline, joined `_SLICE` lines at a time."""
-        for i in range(0, len(lines), _SLICE):
-            self.write("\n".join(lines[i : i + _SLICE]) + "\n")
+    def lines(self, lines) -> None:
+        """Each line of an iterable with its newline, joined `_SLICE` lines
+        at a time, so a generator is never held whole."""
+        it = iter(lines)
+        while chunk := list(itertools.islice(it, _SLICE)):
+            self.write("\n".join(chunk) + "\n")
 
     def flush(self) -> None:
         text = self._buf.getvalue()
@@ -160,8 +163,11 @@ def cmd_transversal(args) -> int:
 
     t = transversal(args.n, args.r)
     increasing = math.comb(args.n, args.r)
-    for tup in t.tuples:
-        _emit(args, {"tuple": list(tup)}, " ".join(map(str, tup)))
+    if args.format == "json-lines":
+        for tup in t.tuples:
+            _emit(args, {"tuple": list(tup)}, " ".join(map(str, tup)))
+    else:
+        args.out.lines(" ".join(map(str, tup)) for tup in t.tuples)
     _emit(
         args,
         {"size": t.d, "increasing_tuples": increasing},

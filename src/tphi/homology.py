@@ -14,7 +14,9 @@ matching to the critical cells one dimension down, and is built only
 between dimensions that both hold critical cells.  On the order
 complexes of the power models, whose vertices order_complex numbers from
 the poset, only Betti + 1 cells are critical, so no boundary is built at
-all.
+all.  A finite space that is the face poset of a complex reaches the same
+matching on that complex's faces (`mccord.finite_space_homology`), with
+no complex object built.
 
 The Morse boundaries are reduced by one eliminator: a unit-pivot phase
 taking the shortest row first from a lazy heap, then a classical
@@ -35,7 +37,7 @@ from typing import TYPE_CHECKING
 from .errors import DimOutOfRangeError, Frozen
 
 # complexes are only read here, so a `homology` child that parses one loads
-# `simplicial` for the parser alone, and the cell path in `mccord` none
+# `simplicial` for the parser alone, and `mccord` on a face poset none
 if TYPE_CHECKING:
     from .simplicial import SimplicialComplex
 
@@ -237,12 +239,12 @@ class HomologySummary(Frozen):
 
     groups maps dimension to (betti rank, torsion factors), sorted by
     dimension, keeping only nontrivial entries.  critical counts the
-    cells per dimension 0..top_dim of the chain complex that was reduced:
-    the critical cells that the element matching left, or on the cell path
-    of a simplicial poset (`mccord.finite_space_homology`) every cell, one
-    per element.  Equality and hash see groups and the reduced flag but not
-    top_dim or critical, so complexes of different dimension with the same
-    homology compare equal.
+    critical cells per dimension 0..top_dim that the element matching left,
+    whether it ran on an order complex or, through
+    `mccord.finite_space_homology`, on the complex whose face poset a
+    finite space is.  Equality and hash see groups and the reduced flag but
+    not top_dim or critical, so complexes of different dimension with the
+    same homology compare equal.
     """
 
     __slots__ = _fields = ("groups", "top_dim", "reduced", "critical")
@@ -263,9 +265,10 @@ class HomologySummary(Frozen):
         return self.group(d)[0]
 
 
-def _element_matching(c: SimplicialComplex) -> list:
-    """One element-matching pass over the faces of c, in vertex index
-    order.
+def _element_matching(faces, vertices: int, top: int) -> list:
+    """One element-matching pass over faces, closed under taking facets,
+    on vertices 0..vertices-1 and of dimension at most top, in vertex
+    index order.
 
     For each vertex r in turn, every unmatched face f that contains r and
     has two or more vertices is matched with f - r when that face is
@@ -277,9 +280,9 @@ def _element_matching(c: SimplicialComplex) -> list:
     matched with a face above it.  The marker keeps no tuple f - r alive.
     A missing facet f - r raises KeyError.
     """
-    partner = [{} for _ in range(c.dim + 2)]
-    waiting = [[] for _ in c.labels]
-    for f in c.faces:
+    partner = [{} for _ in range(top + 2)]
+    waiting = [[] for _ in range(vertices)]
+    for f in faces:
         partner[len(f)][f] = None
         if len(f) > 1:
             waiting[f[0]].append(f)
@@ -367,18 +370,23 @@ def _morse_rows(partner: list, critical: list, d: int) -> tuple:
 
 
 def homology_groups(c: SimplicialComplex, reduced: bool = False) -> HomologySummary:
-    """Homology in every dimension through one element matching.
+    """Homology in every dimension through one element matching."""
+    return _face_homology(c.faces, len(c.labels), c.dim, reduced)
+
+
+def _face_homology(faces, vertices: int, top: int, reduced: bool) -> HomologySummary:
+    """Homology of the complex with these faces (increasing tuples on
+    vertices 0..vertices-1, closed under taking facets) and dimension top.
 
     The critical cells of the matching span the Morse complex, which has
-    the homology of c.  Its boundary from d is zero unless critical cells
-    lie in both d and d-1, and from 1 also when one vertex is critical, so
-    only the remaining maps are built and reduced; reduced only lowers
-    rank in dimension 0."""
-    top = c.dim
+    the homology of the complex.  Its boundary from d is zero unless
+    critical cells lie in both d and d-1, and from 1 also when one vertex
+    is critical, so only the remaining maps are built and reduced; reduced
+    only lowers rank in dimension 0."""
     if top < 1:
         # points only, or nothing: no boundary to reduce
-        return _assemble((len(c.faces),) if top == 0 else (), {}, reduced)
-    partner = _element_matching(c)
+        return _assemble((len(faces),) if top == 0 else (), {}, reduced)
+    partner = _element_matching(faces, vertices, top)
     critical = [[f for f, g in partner[d + 1].items() if g is None] for d in range(top + 1)]
     counts = tuple(map(len, critical))
     factors = {

@@ -8,9 +8,10 @@ upset of x.  Everything that makes such a map a weak equivalence is
 checkable here: each basic fiber complex is a cone with apex x.
 Homotopy type itself is decided on the poset, by `cw_type_report`, which
 needs neither the order complex nor its homology.  The homology reported
-with the certificates, `finite_space_homology`, comes from the poset's own
-cells when it is a simplicial poset, one cell per element, and from the
-order complex, one cell per chain, otherwise.
+with the certificates, `finite_space_homology`, comes from the faces of a
+simplicial complex when the poset is that complex's face poset, one face
+per element, and from the order complex, one face per chain, otherwise;
+either way through the one element matching of `homology`.
 
 Certificates come in decreasing strength.  A cone or a collapse sequence
 proves contractibility outright; trivial reduced homology (which includes
@@ -20,15 +21,14 @@ and is labeled as such.  Collapse failure never certifies anything.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import TYPE_CHECKING
 
 from .errors import DEFAULT_SIMPLEX_CAP, Frozen
 from .poset import FinitePoset, _chains_by_minimum, core, discrete_type_classes
 
 # simplicial and homology are imported inside the functions that use them,
-# so `cw_type_report`, which decides on the poset, loads neither, and the
-# cell path of `finite_space_homology` loads homology alone.
+# so `cw_type_report`, which decides on the poset, loads neither, and
+# `finite_space_homology` on a face poset loads homology alone.
 if TYPE_CHECKING:
     from .homology import HomologySummary
     from .simplicial import SimplicialComplex
@@ -130,95 +130,54 @@ def finite_space_homology(
     """Weak homotopy invariants of the finite space: the homology of its
     order complex.
 
-    A simplicial poset, one whose every down-set is a Boolean lattice
-    (`_simplex_atoms`), takes the cell path: its order complex subdivides
-    a complex of simplices with one cell per element, whose homology
-    `_cell_homology` takes from the poset (Stanley, "f-vectors and
-    h-vectors of simplicial posets", J. Pure Appl. Algebra 71, 1991;
-    Bjorner, "Posets, regular CW complexes and Bruhat order", European J.
-    Combin. 5, 1984).  There the cap bounds the cells plus the strict
-    pairs, the work of the check, and the summary's critical counts every
-    cell.  Any other poset, or one beyond the cap, goes to the order
-    complex, whose chain cap refuses everything the cell path would: each
-    element and each strict pair is a chain.
+    When p is the face poset of a simplicial complex K (`_complex_faces`),
+    its order complex is the barycentric subdivision of K (Bjorner,
+    "Posets, regular CW complexes and Bruhat order", European J. Combin. 5,
+    1984), so the element matching of `homology` runs on K's faces, one
+    per element, in place of p's chains.  There the cap bounds the
+    elements plus the strict pairs, the work of the check.  Any other
+    poset, or one beyond the cap, goes to the order complex, whose chain
+    cap refuses everything the face path would: each element and each
+    strict pair is a chain.
     """
     if len(p) + sum(map(len, p.below)) <= cap:
-        atoms = _simplex_atoms(p)
-        if atoms is not None:
-            return _cell_homology(p, atoms, reduced)
+        faces = _complex_faces(p)
+        if faces is not None:
+            from .homology import _face_homology
+
+            sizes = list(map(len, faces))
+            return _face_homology(faces, sizes.count(1), max(sizes, default=0) - 1, reduced)
     from .homology import homology_groups
     from .simplicial import order_complex
 
     return homology_groups(order_complex(p, cap), reduced)
 
 
-def _simplex_atoms(p: FinitePoset) -> list | None:
-    """Each element's atoms, the minimal elements at or below it, as an
-    increasing tuple of ids, when p is a simplicial poset; None otherwise.
+def _complex_faces(p: FinitePoset) -> list | None:
+    """The complex K whose face poset p is, as one face per element, the
+    increasing tuple A(x) of the numbers of the atoms at or below x, when
+    there is one; None otherwise.  The atoms, the minimal elements, are
+    numbered in id order.
 
-    The exact check: at every x with a(x) atoms, the down-set of x holds
-    2^a(x) - 1 elements, x included, and no two of them lie over the same
-    atoms.  Then atom sets map that down-set one-to-one onto the non-empty
-    subsets of x's atoms, and it is the Boolean lattice on them with
-    inclusion as order: if A(z) is a subset of A(y), the down-set of y
-    already holds an element w with A(w) = A(z), so w = z and z <= y.
-    Elements are met by down-set size, so the first failure stops the pass.
+    The exact check: every down-set D(x), x included, holds 2^|A(x)| - 1
+    elements, and no two elements have the same A.  Each A(z) with z in
+    D(x) is a non-empty subset of A(x), so A maps D(x) one-to-one onto the
+    non-empty subsets of A(x), and the A(x) are closed under taking
+    non-empty subsets: they are the faces of a complex K.  And z <= y
+    exactly when A(z) is a subset of A(y): if it is, D(y) holds some w with
+    A(w) = A(z), and w = z, so z <= y.  So A is an isomorphism from p onto
+    the face poset of K.
     """
     below = p.below
-    sizes = list(map(len, below))
-    minimal = frozenset(i for i, size in enumerate(sizes) if not size)
-    atoms = [()] * len(sizes)
-    # the atom sets met so far, numbered, so the distinctness test hashes ints
-    number = {}
-    code = [0] * len(sizes)
-    for x in sorted(range(len(sizes)), key=sizes.__getitem__):
-        own = tuple(sorted(below[x] & minimal)) if sizes[x] else (x,)
-        if sizes[x] + 2 != 1 << len(own):
+    number = {x: i for i, x in enumerate(x for x, down in enumerate(below) if not down)}
+    minimal = frozenset(number)
+    faces = []
+    for x, down in enumerate(below):
+        face = tuple(sorted(map(number.__getitem__, down & minimal))) if down else (number[x],)
+        if len(down) + 2 != 1 << len(face):
             return None
-        atoms[x] = own
-        code[x] = number.setdefault(own, len(number))
-        seen = set(map(code.__getitem__, below[x]))
-        seen.add(code[x])
-        if len(seen) != sizes[x] + 1:
-            return None
-    return atoms
-
-
-def _cell_boundaries(p: FinitePoset, atoms: list) -> list:
-    """The boundary d -> d-1 of the simplicial poset's cells for each
-    d = 1..top, as (rows, col_index) for `homology._eliminate`, keyed by
-    element ids.
-
-    Cell x has dimension a(x) - 1.  Its boundary runs over its down-covers
-    y, which miss one atom each: y enters with sign (-1)^i, where i is the
-    place of the missing atom in x's increasing atom tuple.  That is the
-    boundary of the simplex on x's atoms, so it squares to zero.
-    """
-    top = max(map(len, atoms), default=0) - 1
-    boundaries = [({}, {}) for _ in range(top + 1)]
-    total = list(map(sum, atoms))
-    for y, ups in enumerate(p.up_covers):
-        if ups:
-            low = atoms[y]
-            rows, col_index = boundaries[len(low)]
-            row = rows[y] = {}
-            for x in ups:
-                # the missing atom goes where it sorts into y's atoms
-                row[x] = -1 if bisect_left(low, total[x] - total[y]) % 2 else 1
-                col_index.setdefault(x, set()).add(y)
-    return boundaries[1:]
-
-
-def _cell_homology(p: FinitePoset, atoms: list, reduced: bool) -> HomologySummary:
-    """Homology of the simplicial poset's cell complex, each boundary
-    reduced by the one eliminator."""
-    from .homology import _assemble, _eliminate
-
-    counts = [0] * max(map(len, atoms), default=0)
-    for own in atoms:
-        counts[len(own) - 1] += 1
-    factors = {d: _eliminate(*b) for d, b in enumerate(_cell_boundaries(p, atoms), 1)}
-    return _assemble(tuple(counts), factors, reduced)
+        faces.append(face)
+    return faces if len(set(faces)) == len(faces) else None
 
 
 class ComponentReport(Frozen):

@@ -4,6 +4,7 @@ Every invocation goes through main(argv), so exit codes and streams are
 asserted exactly as a shell harness would see them.
 """
 
+import hashlib
 import io
 import json
 import random
@@ -16,7 +17,7 @@ from tphi.cli import build_parser, main
 from tphi.homology import format_homology, homology_groups
 from tphi.mccord import finite_space_homology
 from tphi.models import build_tphi_power
-from tphi.phased import parse_gp_file
+from tphi.phased import parse_gp_file, transversal
 from tphi.poset import format_poset_file, parse_poset_file
 from tphi.simplicial import complex_to_lines, order_complex, parse_complex_lines
 
@@ -254,6 +255,24 @@ def test_transversal_json(capsys):
     rows = [json.loads(ln) for ln in out.splitlines()]
     assert rows[:-1] == [{"tuple": [1, 2]}, {"tuple": [1, 3]}, {"tuple": [2, 3]}]
     assert rows[-1] == {"size": 3, "increasing_tuples": 3}
+
+
+def test_transversal_output_bytes(capsys):
+    # the bytes of one line per tuple, in both formats; the text lines go
+    # out in slices, which (12, 4) crosses
+    digests = {
+        "text": "4c6ab4595e02e585aba706ca4fe80e3db31f81c9f38ff1f5fad075bc45b8a85d",
+        "json-lines": "842e4d8f3eac1a69621d017f246e0524cdf64431cef24262861559bf34453316",
+    }
+    for fmt, digest in digests.items():
+        code, out, _ = run(capsys, "transversal", "--n", "7", "--r", "3", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    tuples = transversal(12, 4).tuples
+    assert len(tuples) > cli._SLICE
+    code, out, _ = run(capsys, "transversal", "--n", "12", "--r", "4")
+    summary = f"size: {len(tuples)}\nincreasing-tuples: 495\n"
+    assert out == "".join(" ".join(map(str, t)) + "\n" for t in tuples) + summary
 
 
 def test_poset_check_plain_and_mirrored(tmp_path, capsys):

@@ -27,7 +27,7 @@ LIBRARY = ("hyperfield", "phased", "poset", "simplicial", "homology", "models", 
 ENV = dict(os.environ, PYTHONPATH=str(Path(tphi.__file__).resolve().parents[1]))
 
 # the library modules each subcommand loads; {file} is a poset file of a
-# power model, a simplicial poset, {chain} one of a chain, which is not, and
+# power model, a face poset, {chain} one of a chain, which is not, and
 # {complex} a complex file.  Every call runs its check (exit 0 or 1).
 MODELS = {"hyperfield", "phased", "models", "poset"}
 FOOTPRINT = (
@@ -39,7 +39,7 @@ FOOTPRINT = (
     (("poset-check", "{file}"), {"poset"}),
     (("order-complex", "{file}"), {"poset", "simplicial"}),
     (("homology", "{complex}"), {"simplicial", "homology"}),
-    # a simplicial poset's homology comes from its own cells
+    # a face poset's homology comes from its complex's faces
     (("mccord-verify", "{file}"), {"poset", "homology", "mccord"}),
     # any other poset's from its order complex
     (("mccord-verify", "{chain}"), {"poset", "simplicial", "homology", "mccord"}),

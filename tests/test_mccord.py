@@ -18,7 +18,7 @@ import pytest
 from test_acceptance import _model_battery
 from test_homology import cycle_complex, octahedron, projective_plane
 from tphi.errors import SizeCapExceededError, UnknownElementError
-from tphi.homology import boundary_matrix, homology_groups
+from tphi.homology import homology_groups
 from tphi.hyperfield import ONE, scalars
 import tphi.homology
 import tphi.simplicial
@@ -30,8 +30,7 @@ from tphi.mccord import (
     Certificate,
     basis_certificates,
     contractibility_certificate,
-    _cell_boundaries,
-    _simplex_atoms,
+    _complex_faces,
     cw_type_report,
     finite_space_homology,
 )
@@ -310,7 +309,7 @@ def test_face_poset_space_recovers_complex_homology():
 def seeded_perps(count, seed) -> list:
     """Perp posets of seeded constraint sets with n <= 5 and k in {2, 4},
     zeros allowed: each set has a common non-zero orthogonal vector, so
-    no perp is empty.  About half of them are simplicial posets."""
+    no perp is empty.  About half of them are face posets."""
     rng = random.Random(seed)
 
     def nonzero(pool, n):
@@ -353,20 +352,22 @@ def cell_test_complexes() -> list:
 
 
 def test_cell_path_matches_the_order_complex():
-    # every simplicial poset takes the cell path and agrees with the order
+    # every face poset takes the face path and agrees with the order
     # complex, reduced or not, in the groups and in the top dimension
     posets = [p for _, p in _model_battery()] + random_posets(400, 20261020, largest=10)
     posets += [face_poset(c) for c in cell_test_complexes()] + seeded_perps(40, 20261020)
     posets += [p.opposite() for p in posets]
-    simplicial = [p for p in posets if _simplex_atoms(p) is not None]
+    simplicial = [(p, faces) for p in posets if (faces := _complex_faces(p)) is not None]
     assert len(simplicial) > 150
     solid = 0
-    for p in simplicial:
+    for p, faces in simplicial:
         for reduced in (False, True):
             cells = finite_space_homology(p, reduced=reduced)
             chains = homology_groups(order_complex(p), reduced)
             assert (cells, cells.top_dim) == (chains, chains.top_dim), p
-            assert sum(cells.critical) == len(p)
+            # matched pairs cancel in the Euler characteristic of K
+            euler = sum((-1) ** (len(f) - 1) for f in faces)
+            assert sum((-1) ** d * n for d, n in enumerate(cells.critical)) == euler
         solid += cells.top_dim >= 2
     assert solid >= 10
     assert finite_space_homology(face_poset(projective_plane())).groups == (
@@ -375,45 +376,43 @@ def test_cell_path_matches_the_order_complex():
     )
 
 
-def test_cell_boundary_is_the_simplicial_boundary():
-    # on a face poset the cells are the complex's faces and the atoms its
-    # vertices in label order, so every sign must be the one boundary_matrix
-    # gives; flipping them all would leave the homology as it is
+def test_face_poset_faces_are_the_complex_faces():
+    # on a face poset the atoms are the complex's vertices in label order,
+    # so each element's face is the face it stands for
     for c in cell_test_complexes():
         p = face_poset(c)
-        boundaries = _cell_boundaries(p, _simplex_atoms(p))
-        assert len(boundaries) == c.dim
-        for d, (rows, col_index) in enumerate(boundaries, 1):
-            cells = sorted(
-                (p.labels[y], p.labels[x], v) for y, row in rows.items() for x, v in row.items()
-            )
-            low, high = c.faces_of_dim(d - 1), c.faces_of_dim(d)
-            name = lambda f: "|".join(c.face_labels(f))
-            entries = boundary_matrix(c, d).entries
-            faces = sorted((name(low[i]), name(high[j]), v) for i, j, v in entries)
-            assert cells == faces
-            assert {x: set(ys) for x, ys in col_index.items()} == {
-                x: {y for y, row in rows.items() if x in row} for x in col_index
-            }
+        assert dict(zip(p.labels, _complex_faces(p))) == {
+            "|".join(c.face_labels(f)): f for f in c.faces
+        }
 
 
 def test_non_simplicial_posets_are_refused():
     # a chain's second element has one atom and one element below it
-    assert _simplex_atoms(CHAIN) is None
+    assert _complex_faces(CHAIN) is None
     # RP^2's opposite: a vertex's star is no Boolean lattice
-    assert _simplex_atoms(face_poset(projective_plane()).opposite()) is None
+    assert _complex_faces(face_poset(projective_plane()).opposite()) is None
     # Every count matches here: two triangles t0 and t1, each over its own
     # edge from v0 to v2 (e0, e1) and both over the two edges from v0 to v1
     # (e2, e3), so each triangle's down-set holds 2^3 - 1 elements.  But
-    # e2 and e3 lie over the same atoms, and taking the cells' boundary
+    # e2 and e3 lie over the same atoms, and taking the atom sets as faces
     # anyway would lose H_1 and H_2.
     pairs = [("v0", "e0"), ("v2", "e0"), ("v0", "e1"), ("v2", "e1")]
     pairs += [(v, e) for v in ("v0", "v1") for e in ("e2", "e3")]
     pairs += [(e, "t0") for e in ("e0", "e2", "e3")] + [(e, "t1") for e in ("e1", "e2", "e3")]
     twins = build_poset(["v0", "v1", "v2", "e0", "e1", "e2", "e3", "t0", "t1"], pairs)
     assert [len(twins.below[twins.index_of(t)]) for t in ("t0", "t1")] == [6, 6]
-    assert _simplex_atoms(twins) is None
+    assert _complex_faces(twins) is None
     assert finite_space_homology(twins).groups == ((0, (1, ())), (1, (1, ())), (2, (1, ())))
+
+
+def test_two_edges_over_two_vertices_are_refused():
+    # a 2-gon: every down-set is Boolean, but the two edges lie over the
+    # same two vertices with no cell above both, so no complex has this
+    # face poset; its order complex is a circle
+    gon = build_poset(["a", "b", "e", "f"], [(v, e) for v in "ab" for e in "ef"])
+    assert _complex_faces(gon) is None
+    assert finite_space_homology(gon).groups == ((0, (1, ())), (1, (1, ())))
+    assert finite_space_homology(gon) == homology_groups(order_complex(gon))
 
 
 def test_cell_path_cap_bounds_cells_plus_pairs():
@@ -430,13 +429,25 @@ def test_cell_path_cap_bounds_cells_plus_pairs():
 
 
 def test_cell_path_on_power_5_3_within_budget():
-    # 1,023 cells against 165,633 chains: about 20 ms on a 2-core host
+    # 1,023 faces against 165,633 chains: about 5 ms on a 2-core host
     p = build_tphi_power(5, 3).poset
     start = time.perf_counter()
     h = finite_space_homology(p, reduced=True)
     assert time.perf_counter() - start < 1
     assert h == expected_join_betti(5, 3)
-    assert h.critical == (15, 90, 270, 405, 243)
+    assert h.critical == (1, 0, 0, 0, 32)
+
+
+def test_cell_path_on_power_5_6_within_budget():
+    # 16,806 faces, of which the matching leaves Betti + 1 critical: about
+    # 0.12 s on a 2-core host
+    p = build_tphi_power(5, 6).poset
+    want = expected_join_betti(5, 6)
+    start = time.perf_counter()
+    h = finite_space_homology(p, reduced=True)
+    assert time.perf_counter() - start < 2
+    assert h == want
+    assert sum(h.critical) == sum(b for _, (b, _) in want.groups) + 1
 
 
 def test_ladder_equals_two_cone_ladder():
