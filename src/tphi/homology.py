@@ -3,20 +3,22 @@
 homology_groups runs one element matching over the faces (Jonsson,
 "Simplicial Complexes of Graphs", LNM 1928): taking the vertices v in
 index order, it pairs every still unmatched face f containing v with
-f - v when that face is unmatched too.  A face first tries its least
-vertex, so f - v is a slice there, and the matching stores no new tuple:
-the upper face of a pair is marked False and the lower one names it as
-its partner.  A sequence of element matchings is acyclic, so by Forman
-("Morse theory for cell complexes", Adv. Math. 134, 1998) the faces left
-over, the critical cells, span a chain complex with the homology of the
-whole.  Its boundary follows each critical cell's boundary along the
-matching to the critical cells one dimension down, and is built only
-between dimensions that both hold critical cells.  On the order
-complexes of the power models, whose vertices order_complex numbers from
-the poset, only Betti + 1 cells are critical, so no boundary is built at
-all.  A finite space that is the face poset of a complex reaches the same
-matching on that complex's faces (`mccord.finite_space_homology`), with
-no complex object built.
+f - v when that face is unmatched too.  It reads the faces by least
+vertex: an order complex keeps them so, in the lists it built them in, and
+any other complex's face set is bucketed once.  A face first tries its
+least vertex, straight from that vertex's list, so f - v is a slice there,
+and the matching stores no new tuple: the upper face of a pair is marked
+False and the lower one names it as its partner.  A sequence of element
+matchings is acyclic, so by Forman ("Morse theory for cell complexes",
+Adv. Math. 134, 1998) the faces left over, the critical cells, span a
+chain complex with the homology of the whole.  Its boundary follows each
+critical cell's boundary along the matching to the critical cells one
+dimension down, and is built only between dimensions that both hold
+critical cells.  On the order complexes of the power models, whose
+vertices order_complex numbers from the poset, only Betti + 1 cells are
+critical, so no boundary is built at all.  A finite space that is the
+face poset of a complex reaches the same matching on that complex's faces
+(`mccord.finite_space_homology`), with no complex object built.
 
 The Morse boundaries are reduced by one eliminator: a unit-pivot phase
 taking the shortest row first from a lazy heap, then a classical
@@ -265,48 +267,68 @@ class HomologySummary(Frozen):
         return self.group(d)[0]
 
 
-def _element_matching(faces, vertices: int, top: int) -> list:
-    """One element-matching pass over faces, closed under taking facets,
-    on vertices 0..vertices-1 and of dimension at most top, in vertex
-    index order.
+def _element_matching(lists: list, top: int) -> list:
+    """One element-matching pass, in vertex index order, over the faces of
+    a complex of dimension at most top, closed under taking facets, given
+    by least vertex: lists[r] holds the faces whose least vertex is r.
 
     For each vertex r in turn, every unmatched face f that contains r and
     has two or more vertices is matched with f - r when that face is
-    unmatched too.  A face waits in the list of the next of its vertices
-    to try, so it sits in one list at a time; its first try is at its
-    least vertex, so f - r is f[1:] there.  Returns partner[m] for every
-    face size m, mapping a face to None when it is critical, to False when
-    it is matched with a face below it, and to its partner when it is
-    matched with a face above it.  The marker keeps no tuple f - r alive.
-    A missing facet f - r raises KeyError.
+    unmatched too.  Whether a face is matched at r does not depend on the
+    order of the faces tried there, so the faces of lists[r] try r in the
+    order given, f - r being f[1:], and then the faces retried at r.  A
+    face whose try fails is retried at its next vertex, so it sits in one
+    retry list at a time.  Returns partner[m] for every face size m,
+    mapping a face to None when it is critical, to False when it is matched
+    with a face below it, and to its partner when it is matched with a
+    face above it.  The marker keeps no tuple f - r alive.  A missing facet
+    f - r raises KeyError.
     """
     partner = [{} for _ in range(top + 2)]
-    waiting = [[] for _ in range(vertices)]
-    for f in faces:
-        partner[len(f)][f] = None
-        if len(f) > 1:
-            waiting[f[0]].append(f)
-    for r, faces in enumerate(waiting):
+    for faces in lists:
         for f in faces:
+            partner[len(f)][f] = None
+    retry = [[] for _ in lists]
+    for r, faces in enumerate(lists):
+        for f in faces:
+            m = len(f)
+            if m == 1:
+                continue
+            up = partner[m]
+            if up[f] is not None:
+                continue
+            g = f[1:]
+            down = partner[m - 1]
+            if down[g] is not None:
+                retry[f[1]].append(f)
+                continue
+            up[f] = False
+            down[g] = f
+        for f in retry[r]:
             m = len(f)
             up = partner[m]
             if up[f] is not None:
                 continue
-            if f[0] == r:
-                t = 0
-                g = f[1:]
-            else:
-                t = f.index(r)
-                g = f[:t] + f[t + 1 :]
+            t = f.index(r)
+            g = f[:t] + f[t + 1 :]
             down = partner[m - 1]
             if down[g] is not None:
                 if t + 1 < m:
-                    waiting[f[t + 1]].append(f)
+                    retry[f[t + 1]].append(f)
                 continue
             up[f] = False
             down[g] = f
-        waiting[r] = None
+        retry[r] = None
     return partner
+
+
+def _by_least_vertex(faces, vertices: int) -> list:
+    """The faces, increasing tuples on vertices 0..vertices-1, bucketed by
+    their least vertex, as _element_matching takes them."""
+    lists = [[] for _ in range(vertices)]
+    for f in faces:
+        lists[f[0]].append(f)
+    return lists
 
 
 def _facets(u: tuple) -> list:
@@ -370,13 +392,18 @@ def _morse_rows(partner: list, critical: list, d: int) -> tuple:
 
 
 def homology_groups(c: SimplicialComplex, reduced: bool = False) -> HomologySummary:
-    """Homology in every dimension through one element matching."""
-    return _face_homology(c.faces, len(c.labels), c.dim, reduced)
+    """Homology in every dimension through one element matching, on the
+    faces an order complex keeps by least vertex, or else on the face set
+    bucketed by least vertex; an order complex's face set stays unbuilt."""
+    lists = c._lists
+    if lists is None:
+        lists = _by_least_vertex(c.faces, len(c.labels))
+    return _face_homology(lists, c.dim, reduced)
 
 
-def _face_homology(faces, vertices: int, top: int, reduced: bool) -> HomologySummary:
-    """Homology of the complex with these faces (increasing tuples on
-    vertices 0..vertices-1, closed under taking facets) and dimension top.
+def _face_homology(lists: list, top: int, reduced: bool) -> HomologySummary:
+    """Homology of the complex of dimension top whose faces, increasing
+    tuples closed under taking facets, lists[r] holds by least vertex r.
 
     The critical cells of the matching span the Morse complex, which has
     the homology of the complex.  Its boundary from d is zero unless
@@ -385,8 +412,8 @@ def _face_homology(faces, vertices: int, top: int, reduced: bool) -> HomologySum
     only lowers rank in dimension 0."""
     if top < 1:
         # points only, or nothing: no boundary to reduce
-        return _assemble((len(faces),) if top == 0 else (), {}, reduced)
-    partner = _element_matching(faces, vertices, top)
+        return _assemble((sum(map(len, lists)),) if top == 0 else (), {}, reduced)
+    partner = _element_matching(lists, top)
     critical = [[f for f, g in partner[d + 1].items() if g is None] for d in range(top + 1)]
     counts = tuple(map(len, critical))
     factors = {

@@ -143,10 +143,11 @@ def finite_space_homology(
     if len(p) + sum(map(len, p.below)) <= cap:
         faces = _complex_faces(p)
         if faces is not None:
-            from .homology import _face_homology
+            from .homology import _by_least_vertex, _face_homology
 
             sizes = list(map(len, faces))
-            return _face_homology(faces, sizes.count(1), max(sizes, default=0) - 1, reduced)
+            lists = _by_least_vertex(faces, sizes.count(1))
+            return _face_homology(lists, max(sizes, default=0) - 1, reduced)
     from .homology import homology_groups
     from .simplicial import order_complex
 

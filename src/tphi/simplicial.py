@@ -34,9 +34,15 @@ class SimplicialComplex:
     faces: order_complex numbers the vertices from the poset, every other
     constructor in label order.  Equality and hash see only the labels,
     so one complex numbered two ways compares equal.
+
+    An order complex keeps its faces as _lists, where _lists[r] holds the
+    faces with least vertex r in the order they were built; homology_groups
+    hands these to the element matching, and the face set is built from
+    them on first use of `faces` and then kept.  Every other complex holds
+    its face set from the start and _lists None.
     """
 
-    __slots__ = ("labels", "_pos", "faces", "dim", "_by_dim")
+    __slots__ = ("labels", "_pos", "_faces", "_lists", "_size", "dim", "_by_dim")
 
     def __init__(self, labels: Iterable[str], faces: Iterable[tuple], closed: bool = False):
         labels = tuple(sorted(labels))
@@ -69,19 +75,37 @@ class SimplicialComplex:
     def _init(self, labels: tuple, faces, dim: int | None = None) -> None:
         self.labels = labels
         self._pos = dict(zip(labels, range(len(labels))))
-        self.faces = frozenset(faces)
+        self._faces = faces = frozenset(faces)
+        self._lists = None
+        self._size = len(faces)
         # the largest face has dim + 1 vertices; -1 for the empty complex
-        self.dim = max(map(len, self.faces), default=0) - 1 if dim is None else dim
+        self.dim = max(map(len, faces), default=0) - 1 if dim is None else dim
         self._by_dim = None
 
     @classmethod
     def _closed(cls, labels: tuple, faces, dim: int | None = None) -> "SimplicialComplex":
         """A complex from distinct labels and increasing faces that are
-        closed by construction, with no check; for order_complex and join.
+        closed by construction, with no check; for join and _of_lists.
         A caller that knows the dimension passes it."""
         c = cls.__new__(cls)
         c._init(labels, faces, dim)
         return c
+
+    @classmethod
+    def _of_lists(cls, labels: tuple, lists: list, size: int, dim: int) -> "SimplicialComplex":
+        """A complex from distinct labels and its size faces by least
+        vertex, closed and increasing by construction, with no check; for
+        order_complex."""
+        c = cls._closed(labels, (), dim)
+        c._faces, c._lists, c._size = None, lists, size
+        return c
+
+    @property
+    def faces(self) -> frozenset:
+        """Every face; an order complex builds the set on first use."""
+        if self._faces is None:
+            self._faces = frozenset(itertools.chain.from_iterable(self._lists))
+        return self._faces
 
     @classmethod
     def from_simplices(cls, simplices: Iterable[Iterable[str]]) -> "SimplicialComplex":
@@ -107,13 +131,13 @@ class SimplicialComplex:
 
     def __hash__(self):
         # the label set and the face count do not depend on the numbering
-        return hash((frozenset(self.labels), len(self.faces)))
+        return hash((frozenset(self.labels), self._size))
 
     def __len__(self) -> int:
-        return len(self.faces)
+        return self._size
 
     def __repr__(self) -> str:
-        return f"SimplicialComplex({len(self.labels)} vertices, {len(self.faces)} faces, dim {self.dim})"
+        return f"SimplicialComplex({len(self.labels)} vertices, {self._size} faces, dim {self.dim})"
 
     def _dim_table(self):
         if self._by_dim is None:
@@ -232,6 +256,8 @@ def order_complex(p: FinitePoset, cap: int = DEFAULT_SIMPLEX_CAP) -> SimplicialC
     # built, and each chain of i is (rank of i,) joined to one of theirs:
     # one comprehension per element, one tuple concatenation per face, every
     # face increasing.  A minimal element holds its singleton face alone.
+    # The chains of order[r] are the faces with least vertex r, which the
+    # complex keeps as they are; total, already counted, is their number.
     chains = [None] * len(order)
     longest = [1] * len(order)
     for r in range(len(order) - 1, -1, -1):
@@ -243,9 +269,10 @@ def order_complex(p: FinitePoset, cap: int = DEFAULT_SIMPLEX_CAP) -> SimplicialC
             longest[i] += max(map(longest.__getitem__, below[i]))
         else:
             chains[i] = (head,)
-    return SimplicialComplex._closed(
+    return SimplicialComplex._of_lists(
         tuple(map(p.labels.__getitem__, order)),
-        itertools.chain.from_iterable(chains),
+        list(map(chains.__getitem__, order)),
+        total,
         max(longest, default=0) - 1,
     )
 

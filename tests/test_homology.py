@@ -9,6 +9,7 @@ sparse elimination under test.
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from tphi.errors import DimOutOfRangeError
 from tphi.homology import (
     HomologySummary,
     IntegerMatrix,
+    _by_least_vertex,
     _element_matching,
     boundary_matrix,
     format_homology,
@@ -357,6 +359,19 @@ def test_power_models_leave_betti_plus_one_critical_cells():
             assert sum(h.critical) == sum(b for _, (b, _) in want.groups) + 1, (n, k)
 
 
+def test_power_7_1_order_complex_homology_within_budget():
+    # 94,585 faces matched from the lists order_complex built, the face
+    # set never made: about 0.1 s on a 2-core host
+    p = build_tphi_power(7, 1).poset
+    start = time.perf_counter()
+    c = order_complex(p)
+    h = homology_groups(c, reduced=True)
+    assert time.perf_counter() - start < 2
+    assert len(c) == 94_585
+    assert h == expected_join_betti(7, 1)
+    assert h.critical == (1, 0, 0, 0, 0, 0, 0)
+
+
 def test_long_gradient_paths_need_no_recursion():
     c = cycle_complex(5000)
     assert c.labels == tuple(sorted(c.labels))
@@ -447,14 +462,17 @@ def reference_element_matching(c):
 
 def test_element_matching_matches_the_former_matching():
     # the same (lower, upper) pairs and critical cells per dimension, on
-    # each order complex and on its label-order copy read back from the
-    # file form, which leaves critical cells that need Morse boundaries;
+    # each order complex, from the lists it built, and on its label-order
+    # copy read back from the file form, from one bucket pass of its face
+    # set; the copy leaves critical cells that need Morse boundaries.
     # homology_groups then agrees with the full Smith forms, twice over
     built = 0
     for p in oracle_posets():
         c = order_complex(p)
-        for c in (c, parse_complex_lines(complex_to_lines(c))):
-            got = _element_matching(c.faces, len(c.labels), c.dim)
+        back = parse_complex_lines(complex_to_lines(c))
+        assert c._lists is not None and back._lists is None
+        for c, lists in ((c, c._lists), (back, _by_least_vertex(back.faces, len(back.labels)))):
+            got = _element_matching(lists, c.dim)
             want = reference_element_matching(c)
             assert len(got) == len(want) == c.dim + 2
             for size, (g, w) in enumerate(zip(got, want)):
@@ -489,9 +507,13 @@ def test_missing_facet_after_a_retry_is_a_key_error():
     # missing (1,3) on its second try, at vertex 2
     faces = [(0,), (1,), (2,), (3,), (0, 2), (0, 3), (2, 3), (1, 2), (0, 2, 3), (1, 2, 3)]
     c = SimplicialComplex._closed(("a", "b", "c", "d"), faces)
-    with pytest.raises(KeyError):
-        _element_matching(c.faces, len(c.labels), c.dim)
+    bucketed = _by_least_vertex(c.faces, len(c.labels))
+    for lists in (bucketed, [bucket[::-1] for bucket in bucketed]):
+        with pytest.raises(KeyError):
+            _element_matching(lists, c.dim)
     with pytest.raises(KeyError):
         reference_element_matching(c)
     with pytest.raises(KeyError):
         homology_groups(c)
+    with pytest.raises(KeyError):
+        homology_groups(SimplicialComplex._of_lists(c.labels, _by_least_vertex(faces, 4), 10, 2))

@@ -15,6 +15,7 @@ from test_acceptance import _model_battery
 from test_homology import oracle_posets, projective_plane
 from test_mccord import dunce_hat, random_posets
 from tphi.errors import SizeCapExceededError
+from tphi.homology import homology_groups
 from tphi.models import build_tphi_power
 from tphi.poset import FinitePoset, build_poset, chain_count
 from tphi.simplicial import (
@@ -271,6 +272,29 @@ def test_order_complex_matches_the_depth_first_reference():
         c, ref = order_complex(p), reference_order_complex(p)
         assert (c.labels, c.faces, c.dim) == (ref.labels, ref.faces, ref.dim)
         assert len(c) == chain_count(p)
+
+
+def test_order_complex_builds_its_face_set_when_asked():
+    # the faces stay in the lists they were built in, one per least
+    # vertex, while homology is taken; the face set is built from them on
+    # first use, is the reference's and is kept
+    for p in oracle_posets():
+        c = order_complex(p)
+        homology_groups(c)
+        assert c._faces is None
+        assert len(c) == chain_count(p) == sum(map(len, c._lists))
+        assert repr(c).endswith(f" {len(c)} faces, dim {c.dim})")
+        assert len(c._lists) == len(c.labels)
+        assert all(f[0] == r for r, faces in enumerate(c._lists) for f in faces)
+        back = parse_complex_lines(complex_to_lines(order_complex(p)))
+        assert hash(c) == hash(back)
+        assert c._faces is None
+        faces = c.faces
+        assert faces is c.faces
+        # as many distinct faces as listed ones: each sits once, in list f[0]
+        assert len(faces) == len(c)
+        assert faces == reference_order_complex(p).faces
+        assert c == back and back == c
 
 
 def test_order_complex_cap():
