@@ -4,17 +4,17 @@ homology_groups runs one element matching over the faces (Jonsson,
 "Simplicial Complexes of Graphs", LNM 1928): taking the vertices v in
 index order, it pairs every still unmatched face f containing v with
 f - v when that face is unmatched too.  It reads the faces by least
-vertex: an order complex keeps them so, in the lists it built them in, and
-any other complex's face set is bucketed once.  A face first tries its
-least vertex, straight from that vertex's list, so f - v is a slice there,
-and the matching stores no new tuple: the upper face of a pair is marked
-False and the lower one names it as its partner.  A sequence of element
-matchings is acyclic, so by Forman ("Morse theory for cell complexes",
-Adv. Math. 134, 1998) the faces left over, the critical cells, span a
-chain complex with the homology of the whole.  Its boundary follows each
-critical cell's boundary along the matching to the critical cells one
-dimension down, and is built only between dimensions that both hold
-critical cells.  On the order complexes of the power models, whose
+vertex, as every complex keeps them: an order complex in the lists it
+built them in, any other complex bucketed once when it is built.  A face
+first tries its least vertex, straight from that vertex's list, so f - v
+is a slice there, and the matching stores no new tuple: the upper face of
+a pair is marked False and the lower one names it as its partner.  A
+sequence of element matchings is acyclic, so by Forman ("Morse theory for
+cell complexes", Adv. Math. 134, 1998) the faces left over, the critical
+cells, span a chain complex with the homology of the whole.  Its boundary
+follows each critical cell's boundary along the matching to the critical
+cells one dimension down, and is built only between dimensions that both
+hold critical cells.  On the order complexes of the power models, whose
 vertices order_complex numbers from the poset, only Betti + 1 cells are
 critical, so no boundary is built at all.  A finite space that is the
 face poset of a complex reaches the same matching on that complex's faces
@@ -322,15 +322,6 @@ def _element_matching(lists: list, top: int) -> list:
     return partner
 
 
-def _by_least_vertex(faces, vertices: int) -> list:
-    """The faces, increasing tuples on vertices 0..vertices-1, bucketed by
-    their least vertex, as _element_matching takes them."""
-    lists = [[] for _ in range(vertices)]
-    for f in faces:
-        lists[f[0]].append(f)
-    return lists
-
-
 def _facets(u: tuple) -> list:
     return [u[:k] + u[k + 1 :] for k in range(len(u))]
 
@@ -393,12 +384,8 @@ def _morse_rows(partner: list, critical: list, d: int) -> tuple:
 
 def homology_groups(c: SimplicialComplex, reduced: bool = False) -> HomologySummary:
     """Homology in every dimension through one element matching, on the
-    faces an order complex keeps by least vertex, or else on the face set
-    bucketed by least vertex; an order complex's face set stays unbuilt."""
-    lists = c._lists
-    if lists is None:
-        lists = _by_least_vertex(c.faces, len(c.labels))
-    return _face_homology(lists, c.dim, reduced)
+    faces the complex keeps by least vertex; its face set stays unbuilt."""
+    return _face_homology(c._lists, c.dim, reduced)
 
 
 def _face_homology(lists: list, top: int, reduced: bool) -> HomologySummary:
@@ -443,7 +430,7 @@ def format_homology(s: HomologySummary) -> list:
     """One line per dimension 0..top_dim, like 'H_1 = Z^2 + Z/3'."""
     prefix = "H~" if s.reduced else "H"
     lines = []
-    for d in range(max(s.top_dim, 0) + 1 if s.top_dim >= 0 else 0):
+    for d in range(s.top_dim + 1):
         betti, torsion = s.group(d)
         parts = []
         if betti:

@@ -94,18 +94,14 @@ class BasisCertificate(Frozen):
 
 class McCordReport(Frozen):
     """Per-element basis certificates plus the homology of the whole
-    order complex."""
+    order complex.  Every certificate is a cone, so the verdict is one
+    string."""
 
-    __slots__ = _fields = ("certificates", "all_cone", "homology")
+    __slots__ = _fields = ("certificates", "homology")
+    verdict = "all basic opens certified contractible"
 
-    def __init__(self, certificates: tuple, all_cone: bool, homology: HomologySummary):
-        Frozen.__init__(self, certificates, all_cone, homology)
-
-    @property
-    def verdict(self) -> str:
-        if all(c.kind in (CONE, COLLAPSE) for c in self.certificates):
-            return "all basic opens certified contractible"
-        return "contractibility not certified for every basic open"
+    def __init__(self, certificates: tuple, homology: HomologySummary):
+        Frozen.__init__(self, certificates, homology)
 
 
 def basis_certificates(p: FinitePoset, cap: int = DEFAULT_SIMPLEX_CAP) -> McCordReport:
@@ -119,9 +115,8 @@ def basis_certificates(p: FinitePoset, cap: int = DEFAULT_SIMPLEX_CAP) -> McCord
     size is 2c(x) - 1.
     """
     counts = _chains_by_minimum(p)
-    certs = [BasisCertificate(x, CONE, x, 2 * c - 1) for x, c in zip(p.labels, counts)]
-    all_cone = all(c.kind == CONE for c in certs)
-    return McCordReport(tuple(certs), all_cone, finite_space_homology(p, cap))
+    certs = tuple(BasisCertificate(x, CONE, x, 2 * c - 1) for x, c in zip(p.labels, counts))
+    return McCordReport(certs, finite_space_homology(p, cap))
 
 
 def finite_space_homology(
@@ -134,7 +129,8 @@ def finite_space_homology(
     its order complex is the barycentric subdivision of K (Bjorner,
     "Posets, regular CW complexes and Bruhat order", European J. Combin. 5,
     1984), so the element matching of `homology` runs on K's faces, one
-    per element, in place of p's chains.  There the cap bounds the
+    per element, in place of p's chains: bucketed here by least vertex, as
+    a complex keeps them, with no complex built.  There the cap bounds the
     elements plus the strict pairs, the work of the check.  Any other
     poset, or one beyond the cap, goes to the order complex, whose chain
     cap refuses everything the face path would: each element and each
@@ -143,10 +139,12 @@ def finite_space_homology(
     if len(p) + sum(map(len, p.below)) <= cap:
         faces = _complex_faces(p)
         if faces is not None:
-            from .homology import _by_least_vertex, _face_homology
+            from .homology import _face_homology
 
             sizes = list(map(len, faces))
-            lists = _by_least_vertex(faces, sizes.count(1))
+            lists = [[] for _ in range(sizes.count(1))]
+            for face in faces:
+                lists[face[0]].append(face)
             return _face_homology(lists, max(sizes, default=0) - 1, reduced)
     from .homology import homology_groups
     from .simplicial import order_complex

@@ -2,11 +2,13 @@
 source.
 
 A complex stores its vertex labels and every face as an increasing
-tuple of vertex indices.  The order complex of a poset has one vertex per
-element and one face per non-empty chain; building it is guarded by a
-simplex-count cap because chain counts explode much faster than poset
-sizes.  Joins, Euler characteristics, cone detection, greedy free-face
-collapsing, face posets, and barycentric subdivision live here too.
+tuple of vertex indices, in one store: a list per vertex of the faces
+whose least vertex it is, which the element matching of `homology` reads
+as it is.  The order complex of a poset has one vertex per element and
+one face per non-empty chain; building it is guarded by a simplex-count
+cap because chain counts explode much faster than poset sizes.  Joins,
+Euler characteristics, cone detection, greedy free-face collapsing, face
+posets, and barycentric subdivision live here too.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
-from collections import defaultdict
+from collections import Counter, defaultdict
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import DEFAULT_SIMPLEX_CAP, Frozen, SizeCapExceededError
@@ -35,14 +37,16 @@ class SimplicialComplex:
     constructor in label order.  Equality and hash see only the labels,
     so one complex numbered two ways compares equal.
 
-    An order complex keeps its faces as _lists, where _lists[r] holds the
-    faces with least vertex r in the order they were built; homology_groups
-    hands these to the element matching, and the face set is built from
-    them on first use of `faces` and then kept.  Every other complex holds
-    its face set from the start and _lists None.
+    Every complex keeps its faces in one store, _lists, where _lists[r]
+    holds the faces whose least vertex is r: an order complex in the order
+    it built them, any other complex bucketed once when it is built.
+    Iterating the complex walks the lists, and homology_groups hands them
+    to the element matching.  The face set serves membership alone
+    (`has_face`, equality and `faces`); it is built from the lists on
+    first use of `faces` and then kept.
     """
 
-    __slots__ = ("labels", "_pos", "_faces", "_lists", "_size", "dim", "_by_dim")
+    __slots__ = ("labels", "_pos", "_faces", "_lists", "_size", "dim")
 
     def __init__(self, labels: Iterable[str], faces: Iterable[tuple], closed: bool = False):
         labels = tuple(sorted(labels))
@@ -72,23 +76,30 @@ class SimplicialComplex:
             face_set = _closure(gens)
         self._init(labels, face_set)
 
-    def _init(self, labels: tuple, faces, dim: int | None = None) -> None:
+    def _init(self, labels: tuple, faces) -> None:
+        """Keep a collection of distinct increasing faces, bucketed by
+        least vertex, with no check."""
+        lists = [[] for _ in labels]
+        for f in faces:
+            lists[f[0]].append(f)
+        # the largest face has dim + 1 vertices; -1 for the empty complex
+        self._keep(labels, lists, len(faces), max(map(len, faces), default=0) - 1)
+
+    def _keep(self, labels: tuple, lists: list, size: int, dim: int) -> None:
+        """Set every slot; the face set waits for its first use."""
         self.labels = labels
         self._pos = dict(zip(labels, range(len(labels))))
-        self._faces = faces = frozenset(faces)
-        self._lists = None
-        self._size = len(faces)
-        # the largest face has dim + 1 vertices; -1 for the empty complex
-        self.dim = max(map(len, faces), default=0) - 1 if dim is None else dim
-        self._by_dim = None
+        self._faces = None
+        self._lists = lists
+        self._size = size
+        self.dim = dim
 
     @classmethod
-    def _closed(cls, labels: tuple, faces, dim: int | None = None) -> "SimplicialComplex":
-        """A complex from distinct labels and increasing faces that are
-        closed by construction, with no check; for join and _of_lists.
-        A caller that knows the dimension passes it."""
+    def _closed(cls, labels: tuple, faces) -> "SimplicialComplex":
+        """A complex from distinct labels and distinct increasing faces
+        that are closed by construction, with no check; for join."""
         c = cls.__new__(cls)
-        c._init(labels, faces, dim)
+        c._init(labels, faces)
         return c
 
     @classmethod
@@ -96,15 +107,15 @@ class SimplicialComplex:
         """A complex from distinct labels and its size faces by least
         vertex, closed and increasing by construction, with no check; for
         order_complex."""
-        c = cls._closed(labels, (), dim)
-        c._faces, c._lists, c._size = None, lists, size
+        c = cls.__new__(cls)
+        c._keep(labels, lists, size, dim)
         return c
 
     @property
     def faces(self) -> frozenset:
-        """Every face; an order complex builds the set on first use."""
+        """Every face, as a set built on first use and then kept."""
         if self._faces is None:
-            self._faces = frozenset(itertools.chain.from_iterable(self._lists))
+            self._faces = frozenset(self)
         return self._faces
 
     @classmethod
@@ -122,16 +133,21 @@ class SimplicialComplex:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        if self.labels == other.labels:
-            return self.faces == other.faces
-        if self._pos.keys() != other._pos.keys() or len(self.faces) != len(other.faces):
+        if self._pos.keys() != other._pos.keys() or self._size != other._size:
             return False
+        faces = self.faces
+        if self.labels == other.labels:
+            return all(map(faces.__contains__, other))
         to_self = [self._pos[lab] for lab in other.labels]
-        return all(tuple(sorted(map(to_self.__getitem__, f))) in self.faces for f in other.faces)
+        return all(tuple(sorted(map(to_self.__getitem__, f))) in faces for f in other)
 
     def __hash__(self):
         # the label set and the face count do not depend on the numbering
         return hash((frozenset(self.labels), self._size))
+
+    def __iter__(self):
+        """The faces by least vertex, each once."""
+        return itertools.chain.from_iterable(self._lists)
 
     def __len__(self) -> int:
         return self._size
@@ -139,21 +155,13 @@ class SimplicialComplex:
     def __repr__(self) -> str:
         return f"SimplicialComplex({len(self.labels)} vertices, {self._size} faces, dim {self.dim})"
 
-    def _dim_table(self):
-        if self._by_dim is None:
-            table = {}
-            for f in self.faces:
-                table.setdefault(len(f) - 1, []).append(f)
-            for lst in table.values():
-                lst.sort()
-            self._by_dim = table
-        return self._by_dim
-
     def faces_of_dim(self, d: int) -> list:
-        return self._dim_table().get(d, [])
+        """The d-faces, sorted; each call sorts them afresh."""
+        return sorted(f for f in self if len(f) == d + 1)
 
     def f_vector(self) -> tuple:
-        return tuple(len(self.faces_of_dim(d)) for d in range(self.dim + 1))
+        sizes = Counter(map(len, self))
+        return tuple(sizes[d + 1] for d in range(self.dim + 1))
 
     def face_labels(self, face: tuple) -> tuple:
         """The labels of a face, sorted."""
@@ -169,8 +177,8 @@ class SimplicialComplex:
     def maximal_faces(self) -> list:
         """Faces that are no codimension-1 facet of another face, sorted.
         Marking the facets of every face costs O(faces x dim)."""
-        facets = {f[:i] + f[i + 1 :] for f in self.faces for i in range(len(f))}
-        return sorted(self.faces - facets)
+        facets = {f[:i] + f[i + 1 :] for f in self for i in range(len(f))}
+        return sorted(f for f in self if f not in facets)
 
 
 def _closure(gens: list) -> set:
@@ -278,7 +286,7 @@ def order_complex(p: FinitePoset, cap: int = DEFAULT_SIMPLEX_CAP) -> SimplicialC
 
 
 def euler_characteristic(c: SimplicialComplex) -> int:
-    return sum((-1) ** d * len(c.faces_of_dim(d)) for d in range(c.dim + 1))
+    return sum((-1) ** d * n for d, n in enumerate(c.f_vector()))
 
 
 def join(a: SimplicialComplex, b: SimplicialComplex, cap: int = DEFAULT_SIMPLEX_CAP) -> SimplicialComplex:
@@ -287,7 +295,7 @@ def join(a: SimplicialComplex, b: SimplicialComplex, cap: int = DEFAULT_SIMPLEX_
     Vertex labels are prefixed only when the two sides collide.  Face
     counts multiply, so the same cap as for order complexes applies.
     """
-    total = (len(a.faces) + 1) * (len(b.faces) + 1) - 1
+    total = (len(a) + 1) * (len(b) + 1) - 1
     if total > cap:
         raise SizeCapExceededError(f"join would hold {total} faces, cap is {cap}")
     clash = set(a.labels) & set(b.labels)
@@ -301,8 +309,8 @@ def join(a: SimplicialComplex, b: SimplicialComplex, cap: int = DEFAULT_SIMPLEX_
     amap = [rank[i] for i in range(len(la))]
     bmap = [rank[len(la) + i] for i in range(len(lb))]
     faces = set()
-    afaces = [tuple(sorted(amap[i] for i in f)) for f in a.faces]
-    bfaces = [tuple(sorted(bmap[i] for i in f)) for f in b.faces]
+    afaces = [tuple(sorted(amap[i] for i in f)) for f in a]
+    bfaces = [tuple(sorted(bmap[i] for i in f)) for f in b]
     faces.update(afaces)
     faces.update(bfaces)
     for fa in afaces:
@@ -343,12 +351,12 @@ def collapse_certify(c: SimplicialComplex) -> CollapseResult:
     pair preserves the homotopy type.  The greedy order (smallest face
     first) is deterministic.
     """
-    if not c.faces:
+    if not len(c):
         return CollapseResult(False)
     apexes = cone_apexes(c)
     if apexes:
         return CollapseResult(True, "cone", apexes[0])
-    faces = set(c.faces)
+    faces = set(c)
     cofaces = {f: set() for f in faces}
     for f in faces:
         if len(f) > 1:
@@ -388,9 +396,9 @@ def face_poset(c: SimplicialComplex) -> FinitePoset:
     def name(f):
         return "|".join(c.face_labels(f))
 
-    elements = [name(f) for f in c.faces]
+    elements = [name(f) for f in c]
     pairs = []
-    for f in c.faces:
+    for f in c:
         if len(f) > 1:
             nf = name(f)
             for size in range(1, len(f)):
@@ -411,7 +419,7 @@ def complex_to_lines(c: SimplicialComplex) -> list:
     for lab in c.labels:
         if any(ch.isspace() for ch in lab):
             raise ValueError(f"label {lab!r} contains whitespace")
-    return sorted(" ".join(c.face_labels(f)) for f in c.faces)
+    return sorted(" ".join(c.face_labels(f)) for f in c)
 
 
 def parse_complex_lines(text) -> SimplicialComplex:

@@ -243,8 +243,8 @@ def test_criterion_05_basic_opens_certified_as_cones():
         assert p.labels, name
         report = basis_certificates(p)
         assert len(report.certificates) == len(p.labels), name
-        assert report.all_cone, name
         assert all(cert.kind == CONE for cert in report.certificates), name
+        assert all(cert.apex == cert.element for cert in report.certificates), name
 
 
 def test_criterion_06_gp_verification_and_enumeration():

@@ -18,7 +18,6 @@ from tphi.errors import DimOutOfRangeError
 from tphi.homology import (
     HomologySummary,
     IntegerMatrix,
-    _by_least_vertex,
     _element_matching,
     boundary_matrix,
     format_homology,
@@ -463,16 +462,16 @@ def reference_element_matching(c):
 def test_element_matching_matches_the_former_matching():
     # the same (lower, upper) pairs and critical cells per dimension, on
     # each order complex, from the lists it built, and on its label-order
-    # copy read back from the file form, from one bucket pass of its face
-    # set; the copy leaves critical cells that need Morse boundaries.
-    # homology_groups then agrees with the full Smith forms, twice over
+    # copy read back from the file form, from the lists its face set was
+    # bucketed into; the copy leaves critical cells that need Morse
+    # boundaries.  homology_groups then agrees with the full Smith forms,
+    # twice over
     built = 0
     for p in oracle_posets():
         c = order_complex(p)
         back = parse_complex_lines(complex_to_lines(c))
-        assert c._lists is not None and back._lists is None
-        for c, lists in ((c, c._lists), (back, _by_least_vertex(back.faces, len(back.labels)))):
-            got = _element_matching(lists, c.dim)
+        for c in (c, back):
+            got = _element_matching(c._lists, c.dim)
             want = reference_element_matching(c)
             assert len(got) == len(want) == c.dim + 2
             for size, (g, w) in enumerate(zip(got, want)):
@@ -507,13 +506,12 @@ def test_missing_facet_after_a_retry_is_a_key_error():
     # missing (1,3) on its second try, at vertex 2
     faces = [(0,), (1,), (2,), (3,), (0, 2), (0, 3), (2, 3), (1, 2), (0, 2, 3), (1, 2, 3)]
     c = SimplicialComplex._closed(("a", "b", "c", "d"), faces)
-    bucketed = _by_least_vertex(c.faces, len(c.labels))
-    for lists in (bucketed, [bucket[::-1] for bucket in bucketed]):
+    for lists in (c._lists, [bucket[::-1] for bucket in c._lists]):
         with pytest.raises(KeyError):
             _element_matching(lists, c.dim)
+        with pytest.raises(KeyError):
+            homology_groups(SimplicialComplex._of_lists(c.labels, lists, 10, 2))
     with pytest.raises(KeyError):
         reference_element_matching(c)
     with pytest.raises(KeyError):
         homology_groups(c)
-    with pytest.raises(KeyError):
-        homology_groups(SimplicialComplex._of_lists(c.labels, _by_least_vertex(faces, 4), 10, 2))

@@ -237,7 +237,6 @@ def test_basis_certificates_power_model():
     assert [c.element for c in rep.certificates] == list(mp.poset.labels)
     assert all(c.kind == CONE for c in rep.certificates)
     assert all(c.apex == c.element for c in rep.certificates)
-    assert rep.all_cone
     assert rep.verdict == "all basic opens certified contractible"
     assert rep.homology.groups == ((0, (1, ())), (1, (1, ())))
 
@@ -267,7 +266,8 @@ def test_all_cone_across_model_families():
         build_perp_poset([(P, P, P)], 2).poset,
     ]
     for p in posets:
-        assert basis_certificates(p).all_cone
+        rep = basis_certificates(p)
+        assert all(c.kind == CONE and c.apex == c.element for c in rep.certificates)
 
 
 def test_finite_space_homology_antichain():

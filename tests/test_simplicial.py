@@ -186,6 +186,10 @@ def test_order_complex_numbers_vertices_from_the_poset():
     edge = order_complex(build_poset(["a", "b", "c"], [("a", "b")]))
     assert edge.labels == ("b", "c", "a")
     assert edge != SimplicialComplex.from_simplices([["a"], ["b", "c"]])
+    # and numbered alike
+    assert SimplicialComplex.from_simplices([["a", "b"], ["c"]]) != SimplicialComplex.from_simplices(
+        [["a"], ["b", "c"]]
+    )
 
 
 def test_order_complex_numbering_survives_the_file_format():
@@ -241,10 +245,6 @@ def reference_order_complex(p):
     for r, i in enumerate(order):
         rank[i] = r
     below = p.below
-    longest = [1] * len(order)
-    for i in reversed(order):
-        if below[i]:
-            longest[i] += max(map(longest.__getitem__, below[i]))
     faces = [(r,) for r in range(len(order))]
     for r, i in enumerate(order):
         if not below[i]:
@@ -261,9 +261,7 @@ def reference_order_complex(p):
             faces.append(tuple(chain))
             downs.append(iter(below[j]))
     assert len(set(faces)) == len(faces)
-    return SimplicialComplex._closed(
-        tuple(map(p.labels.__getitem__, order)), faces, max(longest, default=0) - 1
-    )
+    return SimplicialComplex._closed(tuple(map(p.labels.__getitem__, order)), faces)
 
 
 def test_order_complex_matches_the_depth_first_reference():
@@ -277,7 +275,8 @@ def test_order_complex_matches_the_depth_first_reference():
 def test_order_complex_builds_its_face_set_when_asked():
     # the faces stay in the lists they were built in, one per least
     # vertex, while homology is taken; the face set is built from them on
-    # first use, is the reference's and is kept
+    # first use, is the reference's and is kept.  Every other constructor
+    # keeps its faces in the same store
     for p in oracle_posets():
         c = order_complex(p)
         homology_groups(c)
@@ -295,6 +294,44 @@ def test_order_complex_builds_its_face_set_when_asked():
         assert len(faces) == len(c)
         assert faces == reference_order_complex(p).faces
         assert c == back and back == c
+    square = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    closed = square + [(0,), (1,), (2,), (3,)]
+    tri = SimplicialComplex.from_simplices([["a", "b", "c"]])
+    others = [
+        SimplicialComplex("dcba", square),
+        SimplicialComplex("dcba", closed, closed=True),
+        SimplicialComplex([], []),
+        tri,
+        projective_plane(),
+        parse_complex_lines(complex_to_lines(order_complex(build_tphi_power(3, 2).poset))),
+        join(cycle_complex(4), two_points("p", "q")),
+        join(tri, tri),
+        barycentric_subdivision(tri),
+        barycentric_subdivision(dunce_hat()),
+    ]
+    for c in others:
+        assert len(c._lists) == len(c.labels)
+        assert all(f[0] == r for r, faces in enumerate(c._lists) for f in faces)
+        assert len(c) == sum(map(len, c._lists))
+        assert set(c) == c.faces
+    assert [len(c) for c in others[:4]] == [8, 8, 0, 7]
+
+
+def test_readers_leave_an_order_complex_face_set_unbuilt():
+    # the readers walk the lists; only membership builds the face set
+    c = order_complex(dict(_model_battery())["power(3,2)"])
+    lines = complex_to_lines(c)
+    f = c.f_vector()
+    chi = euler_characteristic(c)
+    maximal = c.maximal_faces()
+    assert len(face_poset(c)) == len(c) == len(lines) == sum(f)
+    assert [len(c.faces_of_dim(d)) for d in range(c.dim + 1)] == list(f)
+    h = homology_groups(c)
+    assert c._faces is None
+    assert c.has_face(lines[0].split())
+    assert c._faces is not None and c._faces == set(c)
+    assert chi == sum((-1) ** d * h.betti(d) for d in range(c.dim + 1))
+    assert maximal == vertex_probe_maximal_faces(c)
 
 
 def test_order_complex_cap():

@@ -100,9 +100,9 @@ PINNED = [
         "BasisCertificate(element='a', kind='cone-apex', apex='a', size=3)",
     ),
     (
-        McCordReport((BasisCertificate("a", "cone-apex", "a", 1),), True, H),
+        McCordReport((BasisCertificate("a", "cone-apex", "a", 1),), H),
         "McCordReport(certificates=(BasisCertificate(element='a', kind='cone-apex', "
-        f"apex='a', size=1),), all_cone=True, homology={H_REPR})",
+        f"apex='a', size=1),), homology={H_REPR})",
     ),
     (
         ComponentReport(("a", "b"), "contractible", ("b",)),
@@ -130,7 +130,7 @@ FIELDS = {
     HomologySummary: ("groups", "top_dim", "reduced", "critical"),
     Certificate: ("kind", "apex", "steps", "homology"),
     BasisCertificate: ("element", "kind", "apex", "size"),
-    McCordReport: ("certificates", "all_cone", "homology"),
+    McCordReport: ("certificates", "homology"),
     ComponentReport: ("elements", "status", "core"),
     CWTypeReport: ("components", "verdict"),
 }
@@ -213,7 +213,7 @@ def test_defaults_and_keyword_arguments():
     assert BasisCertificate(element="a", kind="k", apex=None, size=1).apex is None
     assert ComponentReport(elements=(), status="s", core=()).core == ()
     assert CWTypeReport(components=(), verdict="CW type").verdict == "CW type"
-    assert McCordReport(certificates=(), all_cone=True, homology=H).all_cone
+    assert McCordReport(certificates=(), homology=H).homology == H
 
 
 def test_tphi_angles_are_taken_mod_one():
