@@ -20,13 +20,15 @@ critical, so no boundary is built at all.  A finite space that is the
 face poset of a complex reaches the same matching on that complex's faces
 (`mccord.finite_space_homology`), with no complex object built.
 
-The Morse boundaries are reduced by one eliminator: a unit-pivot phase
-taking the shortest row first from a lazy heap, then a classical
-min-entry phase on whatever small residue remains.  Divisibility of the
-invariant factors is restored afterwards by pairwise gcd/lcm exchanges,
-which is cheaper than enforcing it during elimination.
-boundary_matrix and smith_normal_form expose the full boundary maps and
-the same eliminator on an explicit IntegerMatrix.
+The Morse boundaries are reduced by one eliminator, which consumes row
+dicts and keeps its own column index: a unit-pivot phase taking the
+shortest row first from a lazy heap, then a classical min-entry phase on
+whatever small residue remains.  Divisibility of the invariant factors is
+restored afterwards by one pass of gcd/lcm exchanges over the sorted
+factors other than 1, which is cheaper than enforcing it during
+elimination.  boundary_matrix and smith_normal_form expose the full
+boundary maps and the same eliminator on an explicit IntegerMatrix of
+integers.
 """
 
 from __future__ import annotations
@@ -50,9 +52,13 @@ class IntegerMatrix(Frozen):
     __slots__ = _fields = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: tuple = ()):
-        entries = tuple(sorted(entries))
+        if not (isinstance(rows, int) and isinstance(cols, int)):
+            raise ValueError(f"shape {rows!r}x{cols!r} is not integer")
+        entries = tuple(entries)
         seen = set()
         for i, j, v in entries:
+            if not (isinstance(i, int) and isinstance(j, int) and isinstance(v, int)):
+                raise ValueError(f"entry ({i!r},{j!r}) = {v!r} is not an integer")
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
             if v == 0:
@@ -60,7 +66,7 @@ class IntegerMatrix(Frozen):
             if (i, j) in seen:
                 raise ValueError(f"duplicate entry at ({i},{j})")
             seen.add((i, j))
-        Frozen.__init__(self, rows, cols, entries)
+        Frozen.__init__(self, rows, cols, tuple(sorted(entries)))
 
     @classmethod
     def from_dense(cls, grid) -> "IntegerMatrix":
@@ -115,12 +121,15 @@ def _row_sub(rows, col_index, i, src, q):
         del rows[i]
 
 
-def _eliminate(rows: dict, col_index: dict) -> tuple:
-    """Reduce a matrix given as row dicts plus column index, consuming both.
-
-    Returns the non-zero invariant factors, positive and in divisibility
-    order.
-    """
+def _eliminate(rows: dict) -> tuple:
+    """Reduce a matrix given as row dicts {row: {col: non-zero value}},
+    consuming them, to its non-zero invariant factors, positive and in
+    divisibility order.  The column index is built here and kept exact by
+    _row_sub, so a column never names a deleted row."""
+    col_index = {}
+    for i, r in rows.items():
+        for j in r:
+            col_index.setdefault(j, set()).add(i)
     factors = []
 
     # phase 1: unit pivots, shortest row first.  Keys are just row
@@ -160,68 +169,51 @@ def _eliminate(rows: dict, col_index: dict) -> tuple:
                 heapq.heappush(heap, (len(rows[i]), i))
 
     # phase 2: whatever is left has no unit entries; classical reduction
+    # from the least entry, by Euclid steps along its column and its row
     while rows:
-        best = None
-        for i, r in rows.items():
-            for j, v in r.items():
-                key = (abs(v), i, j)
-                if best is None or key < best:
-                    best = key
-        _, i0, j0 = best
+        _, i0, j0 = min((abs(v), i, j) for i, r in rows.items() for j, v in r.items())
         while True:
-            if rows[i0][j0] < 0:
-                r0 = rows[i0]
+            r0 = rows[i0]
+            if r0[j0] < 0:
                 for j in r0:
                     r0[j] = -r0[j]
-            p = rows[i0][j0]
-            swapped = False
+            p = r0[j0]
             for i in list(col_index[j0]):
-                if i == i0 or i not in rows:
-                    continue
-                q = rows[i][j0] // p
-                if q:
-                    _row_sub(rows, col_index, i, rows[i0], q)
-                if rows.get(i, {}).get(j0):
-                    i0 = i  # strictly smaller remainder becomes the pivot
-                    swapped = True
+                if i != i0:
+                    q = rows[i][j0] // p
+                    if q:
+                        _row_sub(rows, col_index, i, r0, q)
+                    if i in col_index[j0]:
+                        i0 = i  # strictly smaller remainder becomes the pivot
+                        break
+            else:
+                for j in list(r0):
+                    if j != j0:
+                        q, r = divmod(r0[j], p)
+                        # column j  -=  q * column j0 touches only this row now
+                        if r:
+                            r0[j] = r
+                            j0 = j
+                            break
+                        del r0[j]
+                        col_index[j].discard(i0)
+                else:
                     break
-            if swapped:
-                continue
-            r0 = rows[i0]
-            finished = True
-            for j in list(r0):
-                if j == j0:
-                    continue
-                q, r = divmod(r0[j], p)
-                # column j  -=  q * column j0 touches only this row now
-                if r:
-                    r0[j] = r
-                    j0 = j
-                    finished = False
-                    break
-                del r0[j]
-                col_index[j].discard(i0)
-            if finished:
-                break
         factors.append(rows[i0][j0])
         col_index[j0].discard(i0)
         del rows[i0]
 
     # restore divisibility: diag(a, b) is equivalent to diag(gcd, lcm).
-    # Factors equal to 1 divide everything, so only the tail needs work.
+    # Factors equal to 1 divide everything, so only the sorted tail needs
+    # work.  After step a, tail[a] divides every later factor, and the
+    # later steps, taking gcds and lcms of its multiples, keep that.
     factors.sort()
     ones = bisect.bisect_right(factors, 1)
     tail = factors[ones:]
-    changed = True
-    while changed:
-        changed = False
-        for a in range(len(tail)):
-            for b in range(a + 1, len(tail)):
-                if tail[b] % tail[a]:
-                    g = math.gcd(tail[a], tail[b])
-                    tail[a], tail[b] = g, tail[a] * tail[b] // g
-                    changed = True
-        tail.sort()
+    for a in range(len(tail)):
+        for b in range(a + 1, len(tail)):
+            g = math.gcd(tail[a], tail[b])
+            tail[a], tail[b] = g, tail[a] * tail[b] // g
     factors[ones:] = tail
     return tuple(factors)
 
@@ -229,11 +221,9 @@ def _eliminate(rows: dict, col_index: dict) -> tuple:
 def smith_normal_form(m: IntegerMatrix) -> tuple:
     """Nonzero invariant factors of m, positive and in divisibility order."""
     rows = {}
-    col_index = {}
     for i, j, v in m.entries:
         rows.setdefault(i, {})[j] = v
-        col_index.setdefault(j, set()).add(i)
-    return _eliminate(rows, col_index)
+    return _eliminate(rows)
 
 
 class HomologySummary(Frozen):
@@ -326,34 +316,35 @@ def _facets(u: tuple) -> list:
     return [u[:k] + u[k + 1 :] for k in range(len(u))]
 
 
-def _signed_sum(u: tuple, skip, flow: dict) -> dict:
-    """Sum of (-1)^k flow[u minus its k-th vertex] over the facets of u
-    other than skip, with zero entries dropped."""
+def _signed_sum(facets: list, skip, sign: int, flow: dict) -> dict:
+    """sign times the sum of (-1)^k flow[facets[k]] over the facets, listed
+    as _facets lists them, other than skip, with zero entries dropped."""
     acc = {}
-    for k, g in enumerate(_facets(u)):
+    for k, g in enumerate(facets):
         if g != skip:
-            w = -1 if k % 2 else 1
+            w = -sign if k % 2 else sign
             for i, x in flow[g].items():
                 acc[i] = acc.get(i, 0) + w * x
     return {i: x for i, x in acc.items() if x}
 
 
-def _morse_rows(partner: list, critical: list, d: int) -> tuple:
+def _morse_rows(partner: list, critical: list, d: int) -> dict:
     """The Morse boundary from critical d-cells to critical (d-1)-cells,
-    as (rows, col_index) for _eliminate.
+    as the row dicts _eliminate takes.
 
     flow[tau] is where a (d-1)-cell tau ends up among the critical cells,
     following the matching: itself if critical, nothing if it is matched
     with a (d-2)-cell (its partner is the marker False), and otherwise,
     with tau matched to the d-cell u, -[u:tau] times the flow of the rest
-    of the boundary of u.  The
-    matching is acyclic, so this terminates; it is evaluated with an
-    explicit stack and memoized, since gradient paths can be long.
+    of the boundary of u.  The facets of u are listed once per visit and
+    serve both the walk and the sum.  The matching is acyclic, so this
+    terminates; it is evaluated with an explicit stack and memoized, since
+    gradient paths can be long.
     """
     row = {f: i for i, f in enumerate(critical[d - 1])}
     low = partner[d]
     flow = {}
-    rows, col_index = {}, {}
+    rows = {}
     for j, s in enumerate(critical[d]):
         stack = _facets(s)
         while stack:
@@ -367,19 +358,16 @@ def _morse_rows(partner: list, critical: list, d: int) -> tuple:
             elif u is False:
                 flow[f] = {}
             else:
-                todo = [g for g in _facets(u) if g != f and g not in flow]
+                facets = _facets(u)
+                todo = [g for g in facets if g != f and g not in flow]
                 if todo:
                     stack.extend(todo)
                     continue
-                sign = 1 if _facets(u).index(f) % 2 else -1
-                flow[f] = {i: sign * x for i, x in _signed_sum(u, f, flow).items()}
+                flow[f] = _signed_sum(facets, f, 1 if facets.index(f) % 2 else -1, flow)
             stack.pop()
-        col = _signed_sum(s, None, flow)
-        if col:
-            col_index[j] = set(col)
-            for i, x in col.items():
-                rows.setdefault(i, {})[j] = x
-    return rows, col_index
+        for i, x in _signed_sum(_facets(s), None, 1, flow).items():
+            rows.setdefault(i, {})[j] = x
+    return rows
 
 
 def homology_groups(c: SimplicialComplex, reduced: bool = False) -> HomologySummary:
@@ -404,7 +392,7 @@ def _face_homology(lists: list, top: int, reduced: bool) -> HomologySummary:
     critical = [[f for f, g in partner[d + 1].items() if g is None] for d in range(top + 1)]
     counts = tuple(map(len, critical))
     factors = {
-        d: _eliminate(*_morse_rows(partner, critical, d))
+        d: _eliminate(_morse_rows(partner, critical, d))
         for d in range(1, top + 1)
         if counts[d] and counts[d - 1] and not (d == 1 and counts[0] == 1)
     }

@@ -38,14 +38,6 @@ class TPhi(Frozen):
             angle = Fraction(angle) % 1
         object.__setattr__(self, "angle", angle)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.angle == other.angle
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.angle,))
-
     @property
     def is_zero(self) -> bool:
         return self.angle is None
@@ -130,9 +122,7 @@ class ArcSet(Frozen):
         arcs: tuple[tuple[Fraction, Fraction], ...] = (),
     ):
         arcs = _canonical_arcs(arcs, full)
-        if full:
-            arcs = ()
-        elif arcs == FULL_MARK:
+        if arcs == FULL_MARK:
             full, arcs = True, ()
         Frozen.__init__(self, has_zero, full, arcs)
 
@@ -146,15 +136,6 @@ class ArcSet(Frozen):
         object.__setattr__(s, "full", False)
         object.__setattr__(s, "arcs", ((start, length),))
         return s
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            mine = (self.has_zero, self.full, self.arcs)
-            return mine == (other.has_zero, other.full, other.arcs)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.has_zero, self.full, self.arcs))
 
     @property
     def is_empty(self) -> bool:

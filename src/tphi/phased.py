@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     DEFAULT_SIMPLEX_CAP,

@@ -293,7 +293,9 @@ def join(a: SimplicialComplex, b: SimplicialComplex, cap: int = DEFAULT_SIMPLEX_
     """Simplicial join: unions of a face from each side (and the originals).
 
     Vertex labels are prefixed only when the two sides collide.  Face
-    counts multiply, so the same cap as for order complexes applies.
+    counts multiply, so the same cap as for order complexes applies.  The
+    two sides' vertex sets are disjoint, so the faces built are distinct
+    by construction and are kept in a list.
     """
     total = (len(a) + 1) * (len(b) + 1) - 1
     if total > cap:
@@ -308,14 +310,9 @@ def join(a: SimplicialComplex, b: SimplicialComplex, cap: int = DEFAULT_SIMPLEX_
         rank[old] = new
     amap = [rank[i] for i in range(len(la))]
     bmap = [rank[len(la) + i] for i in range(len(lb))]
-    faces = set()
     afaces = [tuple(sorted(amap[i] for i in f)) for f in a]
     bfaces = [tuple(sorted(bmap[i] for i in f)) for f in b]
-    faces.update(afaces)
-    faces.update(bfaces)
-    for fa in afaces:
-        for fb in bfaces:
-            faces.add(tuple(sorted(fa + fb)))
+    faces = afaces + bfaces + [tuple(sorted(fa + fb)) for fa in afaces for fb in bfaces]
     return SimplicialComplex._closed(tuple(sorted(labels)), faces)
 
 
@@ -389,22 +386,20 @@ def collapse_certify(c: SimplicialComplex) -> CollapseResult:
 def face_poset(c: SimplicialComplex) -> FinitePoset:
     """Non-empty faces ordered by strict inclusion.
 
-    Face labels join vertex labels with '|'.
+    Only the covers, each face above its facets, are passed on; the
+    closure pass of FinitePoset derives every other inclusion.  Face
+    labels join vertex labels with '|'.
     """
     from .poset import FinitePoset
 
-    def name(f):
-        return "|".join(c.face_labels(f))
-
-    elements = [name(f) for f in c]
-    pairs = []
-    for f in c:
-        if len(f) > 1:
-            nf = name(f)
-            for size in range(1, len(f)):
-                for sub in itertools.combinations(f, size):
-                    pairs.append((name(sub), nf))
-    return FinitePoset(elements, pairs)
+    names = {f: "|".join(c.face_labels(f)) for f in c}
+    pairs = [
+        (names[f[:t] + f[t + 1 :]], nf)
+        for f, nf in names.items()
+        if len(f) > 1
+        for t in range(len(f))
+    ]
+    return FinitePoset(names.values(), pairs)
 
 
 def barycentric_subdivision(c: SimplicialComplex, cap: int = DEFAULT_SIMPLEX_CAP) -> SimplicialComplex:

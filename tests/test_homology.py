@@ -6,6 +6,8 @@ elimination over the rationals.  Neither oracle shares code with the
 sparse elimination under test.
 """
 
+import bisect
+import heapq
 import itertools
 import math
 import random
@@ -19,6 +21,8 @@ from tphi.homology import (
     HomologySummary,
     IntegerMatrix,
     _element_matching,
+    _eliminate,
+    _row_sub,
     boundary_matrix,
     format_homology,
     homology_groups,
@@ -133,6 +137,23 @@ def test_matrix_validation():
         IntegerMatrix(2, 2, ((2, 0, 1),))
     with pytest.raises(ValueError):
         IntegerMatrix(2, 2, ((0, 0, 1), (0, 0, 2)))
+
+
+def test_matrix_takes_integers_only():
+    # a non-integer value once came back as a factor, (1.5,), or failed
+    # inside math.gcd; every entry is now checked when the matrix is built
+    for v in (1.5, 2.0, Fraction(1, 2)):
+        with pytest.raises(ValueError, match=r"entry \(1,0\) = .* is not an integer"):
+            IntegerMatrix.from_dense([[1, 0], [v, 3]])
+        with pytest.raises(ValueError, match="is not an integer"):
+            IntegerMatrix(2, 2, ((0, 0, 1), (1, 1, v)))
+    with pytest.raises(ValueError, match=r"entry \(0.0,1\) = 1 is not an integer"):
+        IntegerMatrix(2, 2, ((0.0, 1, 1),))
+    with pytest.raises(ValueError, match="is not an integer"):
+        IntegerMatrix(2, 2, ((1, 0.5, 1),))
+    with pytest.raises(ValueError, match="is not integer"):
+        IntegerMatrix(2.0, 2)
+    assert smith_normal_form(IntegerMatrix(2, 2, iter(((1, 1, 3), (0, 0, 2))))) == (1, 6)
 
 
 # -------------------------------------------------------------- boundary
@@ -515,3 +536,198 @@ def test_missing_facet_after_a_retry_is_a_key_error():
         reference_element_matching(c)
     with pytest.raises(KeyError):
         homology_groups(c)
+
+
+# --------------------------------------------- the former eliminator as oracle
+
+# The former `_eliminate`, verbatim but for its name: it took the column
+# index from its caller.  `_row_sub` is unchanged and shared.
+def reference_eliminate(rows: dict, col_index: dict) -> tuple:
+    """Reduce a matrix given as row dicts plus column index, consuming both.
+
+    Returns the non-zero invariant factors, positive and in divisibility
+    order.
+    """
+    factors = []
+
+    # phase 1: unit pivots, shortest row first.  Keys are just row
+    # lengths, so stale heap entries cost one O(1) check instead of a
+    # Markowitz rescan; the row is only scanned once, when it wins.
+    heap = [(len(r), i) for i, r in rows.items()]
+    heapq.heapify(heap)
+    while heap:
+        key, i0 = heapq.heappop(heap)
+        r0 = rows.get(i0)
+        if not r0:
+            continue
+        if len(r0) > key:
+            heapq.heappush(heap, (len(r0), i0))
+            continue
+        best = None
+        for j, v in r0.items():
+            if v == 1 or v == -1:
+                cand = (len(col_index[j]), j)
+                if best is None or cand < best:
+                    best = cand
+        if best is None:
+            # no unit entry; phase 2 picks it up unless a later
+            # subtraction re-pushes it
+            continue
+        j0 = best[1]
+        v0 = r0[j0]
+        factors.append(1)
+        touched = [i for i in col_index[j0] if i != i0]
+        for i in touched:
+            _row_sub(rows, col_index, i, r0, rows[i][j0] * v0)
+        for j in r0:
+            col_index[j].discard(i0)
+        del rows[i0]
+        for i in touched:
+            if i in rows:
+                heapq.heappush(heap, (len(rows[i]), i))
+
+    # phase 2: whatever is left has no unit entries; classical reduction
+    while rows:
+        best = None
+        for i, r in rows.items():
+            for j, v in r.items():
+                key = (abs(v), i, j)
+                if best is None or key < best:
+                    best = key
+        _, i0, j0 = best
+        while True:
+            if rows[i0][j0] < 0:
+                r0 = rows[i0]
+                for j in r0:
+                    r0[j] = -r0[j]
+            p = rows[i0][j0]
+            swapped = False
+            for i in list(col_index[j0]):
+                if i == i0 or i not in rows:
+                    continue
+                q = rows[i][j0] // p
+                if q:
+                    _row_sub(rows, col_index, i, rows[i0], q)
+                if rows.get(i, {}).get(j0):
+                    i0 = i  # strictly smaller remainder becomes the pivot
+                    swapped = True
+                    break
+            if swapped:
+                continue
+            r0 = rows[i0]
+            finished = True
+            for j in list(r0):
+                if j == j0:
+                    continue
+                q, r = divmod(r0[j], p)
+                # column j  -=  q * column j0 touches only this row now
+                if r:
+                    r0[j] = r
+                    j0 = j
+                    finished = False
+                    break
+                del r0[j]
+                col_index[j].discard(i0)
+            if finished:
+                break
+        factors.append(rows[i0][j0])
+        col_index[j0].discard(i0)
+        del rows[i0]
+
+    # restore divisibility: diag(a, b) is equivalent to diag(gcd, lcm).
+    # Factors equal to 1 divide everything, so only the tail needs work.
+    factors.sort()
+    ones = bisect.bisect_right(factors, 1)
+    tail = factors[ones:]
+    changed = True
+    while changed:
+        changed = False
+        for a in range(len(tail)):
+            for b in range(a + 1, len(tail)):
+                if tail[b] % tail[a]:
+                    g = math.gcd(tail[a], tail[b])
+                    tail[a], tail[b] = g, tail[a] * tail[b] // g
+                    changed = True
+        tail.sort()
+    factors[ones:] = tail
+    return tuple(factors)
+
+
+def column_index(rows):
+    col_index = {}
+    for i, r in rows.items():
+        for j in r:
+            col_index.setdefault(j, set()).add(i)
+    return col_index
+
+
+def assert_eliminators_agree(rows):
+    """_eliminate on rows and reference_eliminate on a copy give the same
+    factors; returns them."""
+    entries = [(i, j, v) for i, r in rows.items() for j, v in r.items()]
+    copy = {i: dict(r) for i, r in rows.items()}
+    want = reference_eliminate(copy, column_index(copy))
+    got = _eliminate(rows)
+    assert got == want, entries
+    assert not rows
+    return got
+
+
+def rows_of(m):
+    rows = {}
+    for i, j, v in m.entries:
+        rows.setdefault(i, {})[j] = v
+    return rows
+
+
+def test_eliminate_matches_the_former_eliminator_on_random_matrices():
+    # sparse matrices up to 12 x 12; each takes a multiplier in 1..4 and
+    # either small magnitudes, so unit pivots and phase 1 run, or ones up
+    # to 97, so phase 2 runs its Euclid steps and torsion shows
+    rng = random.Random(20261020)
+    torsion = 0
+    for _ in range(3000):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        density = rng.uniform(0.1, 0.9)
+        top = rng.choice((3, 97))
+        mult = rng.randint(1, 4)
+        grid = {}
+        for i in range(rows):
+            for j in range(cols):
+                if rng.random() < density:
+                    sign = rng.choice((-1, 1))
+                    grid.setdefault(i, {})[j] = sign * rng.randint(1, top) * mult
+        factors = assert_eliminators_agree(grid)
+        for x, y in zip(factors, factors[1:]):
+            assert y % x == 0
+        # a factor above 1 comes from phase 2; two of them, unless one
+        # divides the other as it came, from the divisibility pass too
+        torsion += factors[-2:-1] > (1,)
+    assert torsion > 1000
+
+
+def test_eliminate_matches_the_former_eliminator_on_boundaries(monkeypatch):
+    # every full boundary matrix of the oracle posets' order complexes and
+    # of their label-order file copies, and every Morse boundary that
+    # homology_groups reduces on the copies
+    import tphi.homology
+
+    morse = []
+
+    def checked(rows):
+        morse.append(assert_eliminators_agree(rows))
+        return morse[-1]
+
+    full = 0
+    for p in oracle_posets():
+        c = order_complex(p)
+        back = parse_complex_lines(complex_to_lines(c))
+        for x in (c, back):
+            for d in range(1, x.dim + 2):
+                m = boundary_matrix(x, d)
+                assert smith_normal_form(m) == assert_eliminators_agree(rows_of(m))
+                full += 1
+        with monkeypatch.context() as mp:
+            mp.setattr(tphi.homology, "_eliminate", checked)
+            homology_groups(back)
+    assert full > 500 and len(morse) >= 40

@@ -6,6 +6,7 @@ give circles, and the octahedron shows up as a triple join.
 """
 
 import gc
+import itertools
 import random
 
 import pytest
@@ -13,11 +14,12 @@ import pytest
 import tphi.simplicial
 from test_acceptance import _model_battery
 from test_homology import oracle_posets, projective_plane
-from test_mccord import dunce_hat, random_posets
+from test_mccord import cell_test_complexes, dunce_hat, icosahedron_disk, random_posets
 from tphi.errors import SizeCapExceededError
 from tphi.homology import homology_groups
+from tphi.mccord import cw_type_report
 from tphi.models import build_tphi_power
-from tphi.poset import FinitePoset, build_poset, chain_count
+from tphi.poset import FinitePoset, build_poset, chain_count, core
 from tphi.simplicial import (
     DEFAULT_SIMPLEX_CAP,
     CollapseResult,
@@ -389,6 +391,21 @@ def test_join_euler_identity():
     )
 
 
+def test_join_faces_are_distinct_and_closed():
+    # the faces join builds from disjoint vertex sets are kept in a list;
+    # none repeats, and the complex equals the one closed from its facets
+    pair = two_points("p", "q")
+    for a, b in (
+        (cycle_complex(3), cycle_complex(4)),
+        (projective_plane(), pair),
+        (pair, pair),
+        (SimplicialComplex.from_simplices([]), cycle_complex(3)),
+    ):
+        c = join(a, b)
+        assert len(c) == len(c.faces) == (len(a) + 1) * (len(b) + 1) - 1
+        assert c == SimplicialComplex.from_simplices(map(c.face_labels, c.maximal_faces()))
+
+
 def test_join_cap():
     a = cycle_complex(4)
     with pytest.raises(SizeCapExceededError):
@@ -482,6 +499,42 @@ def test_face_poset_of_triangle():
     # covers: 6 vertex-edge + 3 edge-triangle
     assert len(p.covers()) == 9
     assert chain_count(p) == 25
+
+
+def reference_face_poset(c):
+    """The former `face_poset`: every face above each of its proper
+    non-empty subsets, all pairs passed to FinitePoset."""
+
+    def name(f):
+        return "|".join(c.face_labels(f))
+
+    elements = [name(f) for f in c]
+    pairs = []
+    for f in c:
+        if len(f) > 1:
+            nf = name(f)
+            for size in range(1, len(f)):
+                for sub in itertools.combinations(f, size):
+                    pairs.append((name(sub), nf))
+    return FinitePoset(elements, pairs)
+
+
+def test_face_poset_from_covers_matches_all_subsets():
+    # the closure pass derives from the covers the order that every
+    # inclusion spells out; cores and the cw-report, which read the
+    # stored covers in their order, agree too
+    complexes = cell_test_complexes() + [dunce_hat(), projective_plane()]
+    complexes += [
+        barycentric_subdivision(c)
+        for c in (projective_plane(), dunce_hat(), icosahedron_disk())
+    ]
+    for c in complexes:
+        got, want = face_poset(c), reference_face_poset(c)
+        assert got == want and hash(got) == hash(want)
+        assert got.covers() == want.covers()
+        for q, r in ((got, want), (got.opposite(), want.opposite())):
+            assert core(q) == core(r)
+            assert cw_type_report(q) == cw_type_report(r)
 
 
 def test_barycentric_subdivision():
