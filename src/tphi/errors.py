@@ -5,7 +5,8 @@ Everything raised on purpose derives from ``TphiError`` so the command line
 driver can map library failures to a single exit code.  The default size
 cap and the capped counts that guard every builder live here too, next to
 ``SizeCapExceededError``, so a module that only needs a guard imports no
-other tphi module.  So does ``Frozen``, the base of the immutable value
+other tphi module, and so does ``check_file_labels``, the label rule of
+both file writers.  So does ``Frozen``, the base of the immutable value
 classes: every module loads this one, and none of them needs the
 standard library's data-class generator, whose import pulls in
 ``inspect`` and ``ast``.
@@ -39,6 +40,15 @@ def capped_comb(n: int, r: int, cap: int) -> int:
         if out > cap:
             return cap + 1
     return out
+
+
+def check_file_labels(labels: Iterable[str]) -> None:
+    """Refuse, with ValueError, a label the text formats cannot carry: the
+    readers split lines at whitespace and skip blank and '#' lines."""
+    for lab in labels:
+        # str.split() breaks at exactly the characters str.isspace() accepts
+        if lab.split() != [lab] or lab[0] == "#":
+            raise ValueError(f"label {lab!r} cannot be written: it is empty, holds whitespace or starts with '#'")
 
 
 class TphiError(Exception):

@@ -54,6 +54,8 @@ class IntegerMatrix(Frozen):
     def __init__(self, rows: int, cols: int, entries: tuple = ()):
         if not (isinstance(rows, int) and isinstance(cols, int)):
             raise ValueError(f"shape {rows!r}x{cols!r} is not integer")
+        if rows < 0 or cols < 0:
+            raise ValueError(f"shape {rows}x{cols} is negative")
         entries = tuple(entries)
         seen = set()
         for i, j, v in entries:
@@ -73,6 +75,8 @@ class IntegerMatrix(Frozen):
         grid = [list(row) for row in grid]
         rows = len(grid)
         cols = len(grid[0]) if grid else 0
+        if any(len(row) != cols for row in grid):
+            raise ValueError(f"rows of lengths {sorted(set(map(len, grid)))} are ragged")
         entries = [
             (i, j, v) for i, row in enumerate(grid) for j, v in enumerate(row) if v
         ]

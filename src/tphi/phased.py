@@ -37,7 +37,6 @@ from .hyperfield import (
     format_value,
     in_tphi_k,
     parse_value,
-    phase_key,
     scalars,
     unit,
     zero_in_residue_sum,
@@ -57,10 +56,6 @@ DISCRETIZATION_CAVEAT = (
 def support(x: PhasedVector) -> frozenset:
     """0-based positions of the non-zero entries."""
     return frozenset(i for i, e in enumerate(x) if not e.is_zero)
-
-
-def vector_key(x: PhasedVector):
-    return tuple(phase_key(e) for e in x)
 
 
 def format_vector(x: PhasedVector) -> str:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterable, Mapping
 
-from .errors import CycleDetectedError, Frozen, UnknownElementError
+from .errors import CycleDetectedError, Frozen, UnknownElementError, check_file_labels
 
 _EMPTY = frozenset()
 
@@ -397,12 +397,14 @@ def format_poset_file(obj) -> str:
         main, index, mirror = obj.poset, obj.index_poset, obj.mirror
     else:
         main, index, mirror = obj, None, None
-    for lab in main.labels:
-        if any(c.isspace() for c in lab):
-            raise ValueError(f"label {lab!r} contains whitespace")
+    check_file_labels(main.labels)
     lines = [f"elem {lab}" for lab in main.labels]
     lines += [f"rel {a} < {b}" for a, b in main.covers()]
     if index is not None:
+        # the parser knows a mirrored poset by its mirror lines
+        if not main.labels:
+            raise ValueError("a mirrored poset with no elements has no mirror lines to write")
+        check_file_labels(index.labels)
         lines.append("index")
         lines += [f"elem {lab}" for lab in index.labels]
         lines += [f"rel {a} < {b}" for a, b in index.covers()]

@@ -4,11 +4,15 @@ source.
 A complex stores its vertex labels and every face as an increasing
 tuple of vertex indices, in one store: a list per vertex of the faces
 whose least vertex it is, which the element matching of `homology` reads
-as it is.  The order complex of a poset has one vertex per element and
-one face per non-empty chain; building it is guarded by a simplex-count
-cap because chain counts explode much faster than poset sizes.  Joins,
-Euler characteristics, cone detection, greedy free-face collapsing, face
-posets, and barycentric subdivision live here too.
+as it is.  A complex is built one of two ways: checked and closed
+downward from generators (the constructor and `from_simplices`, and so
+the file reader and `join`), or unchecked from faces already kept by
+least vertex (`order_complex`).  The order complex of a poset has one
+vertex per element and one face per non-empty chain; building it is
+guarded by a simplex-count cap because chain counts explode much faster
+than poset sizes.  Joins, Euler characteristics, cone detection, greedy
+free-face collapsing, face posets, and barycentric subdivision live here
+too.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import operator
 from collections import Counter, defaultdict
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import DEFAULT_SIMPLEX_CAP, Frozen, SizeCapExceededError
+from .errors import DEFAULT_SIMPLEX_CAP, Frozen, SizeCapExceededError, check_file_labels
 
 # posets are imported where a complex is made from one or made into one,
 # so parsing a complex file and taking its homology loads no `poset`
@@ -30,16 +34,19 @@ if TYPE_CHECKING:
 class SimplicialComplex:
     """Immutable abstract simplicial complex on string-labeled vertices.
 
-    Every face is checked when the complex is built: non-empty, no vertex
-    twice, known vertex indices, and with closed=True every facet present.
-    The vertex indices are the order in which homology_groups matches
-    faces: order_complex numbers the vertices from the poset, every other
-    constructor in label order.  Equality and hash see only the labels,
-    so one complex numbered two ways compares equal.
+    There are two ways in.  `SimplicialComplex(labels, faces)` and
+    `from_simplices`, which `parse_complex_lines` calls, check every face
+    (non-empty, no vertex twice, known vertex indices) and close the faces
+    downward.  `_of_lists`, which `order_complex` calls, takes faces kept
+    by least vertex as given, with no check.  The vertex indices are the
+    order in which homology_groups matches faces: order_complex numbers the
+    vertices from the poset, the checked way in label order.  Equality and
+    hash see only the labels, so one complex numbered two ways compares
+    equal.
 
     Every complex keeps its faces in one store, _lists, where _lists[r]
     holds the faces whose least vertex is r: an order complex in the order
-    it built them, any other complex bucketed once when it is built.
+    it built them, a checked complex bucketed once when it is built.
     Iterating the complex walks the lists, and homology_groups hands them
     to the element matching.  The face set serves membership alone
     (`has_face`, equality and `faces`); it is built from the lists on
@@ -48,42 +55,16 @@ class SimplicialComplex:
 
     __slots__ = ("labels", "_pos", "_faces", "_lists", "_size", "dim")
 
-    def __init__(self, labels: Iterable[str], faces: Iterable[tuple], closed: bool = False):
+    def __init__(self, labels: Iterable[str], faces: Iterable[Iterable[int]]):
         labels = tuple(sorted(labels))
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate vertex labels")
-        self._build(labels, [tuple(sorted(f)) for f in faces], closed)
-
-    def _build(self, labels: tuple, gens: list, closed: bool) -> None:
-        """Check each increasing face against the distinct sorted labels,
-        close the faces downward (or, with closed, check that they are
-        closed) and store them."""
-        for f in gens:
-            if not f:
-                raise ValueError("faces must be non-empty")
-            if not (0 <= f[0] and f[-1] < len(labels)):
-                raise ValueError(f"face {f} uses an unknown vertex index")
-            if len(set(f)) < len(f):
-                raise ValueError(f"face {f} repeats a vertex")
-        if closed:
-            face_set = set(gens)
-            for f in face_set:
-                if len(f) > 1:
-                    for i in range(len(f)):
-                        if f[:i] + f[i + 1 :] not in face_set:
-                            raise KeyError(f"face {f} lacks its facet {f[:i] + f[i + 1 :]}")
-        else:
-            face_set = _closure(gens)
-        self._init(labels, face_set)
-
-    def _init(self, labels: tuple, faces) -> None:
-        """Keep a collection of distinct increasing faces, bucketed by
-        least vertex, with no check."""
+        face_set = _closure([tuple(sorted(f)) for f in faces], len(labels))
         lists = [[] for _ in labels]
-        for f in faces:
+        for f in face_set:
             lists[f[0]].append(f)
         # the largest face has dim + 1 vertices; -1 for the empty complex
-        self._keep(labels, lists, len(faces), max(map(len, faces), default=0) - 1)
+        self._keep(labels, lists, len(face_set), max(map(len, face_set), default=0) - 1)
 
     def _keep(self, labels: tuple, lists: list, size: int, dim: int) -> None:
         """Set every slot; the face set waits for its first use."""
@@ -93,14 +74,6 @@ class SimplicialComplex:
         self._lists = lists
         self._size = size
         self.dim = dim
-
-    @classmethod
-    def _closed(cls, labels: tuple, faces) -> "SimplicialComplex":
-        """A complex from distinct labels and distinct increasing faces
-        that are closed by construction, with no check; for join."""
-        c = cls.__new__(cls)
-        c._init(labels, faces)
-        return c
 
     @classmethod
     def _of_lists(cls, labels: tuple, lists: list, size: int, dim: int) -> "SimplicialComplex":
@@ -124,11 +97,9 @@ class SimplicialComplex:
         generator is mapped to its set of vertex indices first, which drops
         a repeated label, and sorted once, as integers."""
         gens = list(map(tuple, simplices))
-        labels = tuple(sorted(set().union(*gens)))
+        labels = sorted(set().union(*gens))
         pos = dict(zip(labels, range(len(labels))))
-        c = cls.__new__(cls)
-        c._build(labels, [tuple(sorted({pos[lab] for lab in g})) for g in gens], False)
-        return c
+        return cls(labels, ({pos[lab] for lab in g} for g in gens))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
@@ -181,12 +152,20 @@ class SimplicialComplex:
         return sorted(f for f in self if f not in facets)
 
 
-def _closure(gens: list) -> set:
-    """Every face of the generators.  Refuses at once when one generator's
+def _closure(gens: list, n: int) -> set:
+    """Every face of the generators, increasing tuples of vertex indices
+    below n.  A generator that is empty, repeats a vertex or uses an
+    unknown one is a ValueError.  Refuses at once when one generator's
     2^m - 1 faces, a lower bound on the closure, exceed DEFAULT_SIMPLEX_CAP,
     and otherwise as soon as the closure passes it."""
     cap = DEFAULT_SIMPLEX_CAP
     for f in gens:
+        if not f:
+            raise ValueError("faces must be non-empty")
+        if not (0 <= f[0] and f[-1] < n):
+            raise ValueError(f"face {f} uses an unknown vertex index")
+        if len(set(f)) < len(f):
+            raise ValueError(f"face {f} repeats a vertex")
         if 2 ** len(f) - 1 > cap:
             raise SizeCapExceededError(
                 f"a generator closes to {2 ** len(f) - 1} faces, cap is {cap}"
@@ -292,10 +271,10 @@ def euler_characteristic(c: SimplicialComplex) -> int:
 def join(a: SimplicialComplex, b: SimplicialComplex, cap: int = DEFAULT_SIMPLEX_CAP) -> SimplicialComplex:
     """Simplicial join: unions of a face from each side (and the originals).
 
-    Vertex labels are prefixed only when the two sides collide.  Face
-    counts multiply, so the same cap as for order complexes applies.  The
-    two sides' vertex sets are disjoint, so the faces built are distinct
-    by construction and are kept in a list.
+    Vertex labels are prefixed only when the two sides collide, and every
+    label of both sides is kept, also one in no face.  Face counts
+    multiply, so the same cap as for order complexes applies; the checked
+    constructor closes the faces too, which stops at DEFAULT_SIMPLEX_CAP.
     """
     total = (len(a) + 1) * (len(b) + 1) - 1
     if total > cap:
@@ -303,17 +282,13 @@ def join(a: SimplicialComplex, b: SimplicialComplex, cap: int = DEFAULT_SIMPLEX_
     clash = set(a.labels) & set(b.labels)
     la = [f"A:{lab}" for lab in a.labels] if clash else list(a.labels)
     lb = [f"B:{lab}" for lab in b.labels] if clash else list(b.labels)
-    labels = la + lb
-    order = sorted(range(len(labels)), key=lambda i: labels[i])
-    rank = [0] * len(labels)
-    for new, old in enumerate(order):
-        rank[old] = new
-    amap = [rank[i] for i in range(len(la))]
-    bmap = [rank[len(la) + i] for i in range(len(lb))]
-    afaces = [tuple(sorted(amap[i] for i in f)) for f in a]
-    bfaces = [tuple(sorted(bmap[i] for i in f)) for f in b]
-    faces = afaces + bfaces + [tuple(sorted(fa + fb)) for fa in afaces for fb in bfaces]
-    return SimplicialComplex._closed(tuple(sorted(labels)), faces)
+    labels = sorted(la + lb)
+    pos = dict(zip(labels, range(len(labels))))
+    amap = [pos[lab] for lab in la]
+    bmap = [pos[lab] for lab in lb]
+    afaces = [tuple(map(amap.__getitem__, f)) for f in a]
+    bfaces = [tuple(map(bmap.__getitem__, f)) for f in b]
+    return SimplicialComplex(labels, afaces + bfaces + [fa + fb for fa in afaces for fb in bfaces])
 
 
 def cone_apexes(c: SimplicialComplex) -> list:
@@ -410,10 +385,12 @@ def barycentric_subdivision(c: SimplicialComplex, cap: int = DEFAULT_SIMPLEX_CAP
 
 def complex_to_lines(c: SimplicialComplex) -> list:
     """Canonical export: every face on one line as sorted labels, lines
-    sorted; diff-friendly."""
-    for lab in c.labels:
-        if any(ch.isspace() for ch in lab):
-            raise ValueError(f"label {lab!r} contains whitespace")
+    sorted; diff-friendly.  A label that check_file_labels refuses, or a
+    vertex in no face, which no line could carry, is a ValueError."""
+    check_file_labels(c.labels)
+    for lab, faces in zip(c.labels, c._lists):
+        if not faces:
+            raise ValueError(f"vertex {lab!r} is in no face, so no line can carry it")
     return sorted(" ".join(c.face_labels(f)) for f in c)
 
 

@@ -333,6 +333,18 @@ def test_order_complex_cap(tmp_path, capsys):
     assert "cap" in err
 
 
+def test_order_complex_refuses_a_label_its_file_would_lose(tmp_path, capsys):
+    # a circle: the lines of a face led by '#a' once read back as comments,
+    # and `homology` on the complex file printed H_1 = 0 with exit 0
+    f = tmp_path / "circle.poset"
+    f.write_text("elem #a\nelem b\nelem c\nelem d\nrel #a < c\nrel #a < d\nrel b < c\nrel b < d\n")
+    code, out, _ = run(capsys, "mccord-verify", str(f))
+    assert code == 0 and "H_1 = Z^1\n" in out
+    code, out, err = run(capsys, "order-complex", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: label '#a' cannot be written")
+
+
 class CountingStdout(io.StringIO):
     """A stdout that counts its write calls."""
 

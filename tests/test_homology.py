@@ -153,6 +153,14 @@ def test_matrix_takes_integers_only():
         IntegerMatrix(2, 2, ((1, 0.5, 1),))
     with pytest.raises(ValueError, match="is not integer"):
         IntegerMatrix(2.0, 2)
+    # a negative shape, and a short row first or last, once passed or
+    # were padded with zeros
+    for shape in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="negative"):
+            IntegerMatrix(*shape)
+    for grid in ([[1, 2], [3]], [[1], [2, 3]]):
+        with pytest.raises(ValueError, match="ragged"):
+            IntegerMatrix.from_dense(grid)
     assert smith_normal_form(IntegerMatrix(2, 2, iter(((1, 1, 3), (0, 0, 2))))) == (1, 6)
 
 
@@ -284,7 +292,7 @@ def test_summary_equality_ignores_dimension():
 
 
 def test_empty_complex():
-    empty = SimplicialComplex([], [], closed=True)
+    empty = SimplicialComplex([], [])
     s = homology_groups(empty)
     assert s.groups == ()
     assert format_homology(s) == []
@@ -322,7 +330,7 @@ def relabeled(c, rng):
     rng.shuffle(perm)
     labels = [f"w{perm[v]:04d}:{lab}" for v, lab in enumerate(c.labels)]
     faces = [tuple(sorted(perm[v] for v in f)) for f in c.faces]
-    return SimplicialComplex(labels, faces, closed=True)
+    return SimplicialComplex(labels, faces)
 
 
 def relabeled_poset(p, rng):
@@ -403,19 +411,28 @@ def test_long_gradient_paths_need_no_recursion():
     assert h.critical[0] > 1 and h.critical[1] > 1
 
 
+def unchecked_complex(labels, faces):
+    """A complex on the faces exactly as given, bucketed by least vertex
+    with no check: for the broken complexes that the checked constructor
+    refuses or closes."""
+    lists = [[] for _ in labels]
+    for f in faces:
+        lists[f[0]].append(f)
+    dim = max(map(len, faces), default=0) - 1
+    return SimplicialComplex._of_lists(tuple(labels), lists, len(faces), dim)
+
+
 def test_boundary_rows_keep_failure_modes():
-    # a face with a repeated vertex and a missing facet both raise when
-    # the complex is built, and boundary_matrix still raises on either
+    # a face with a repeated vertex raises when the complex is built, and
+    # boundary_matrix still raises on it and on a missing facet
     with pytest.raises(ValueError, match="repeats"):
-        SimplicialComplex(["a", "b"], [(0,), (1,), (0, 0)], closed=True)
+        SimplicialComplex(["a", "b"], [(0,), (1,), (0, 0)])
     with pytest.raises(ValueError, match="repeats"):
         SimplicialComplex(["a", "b"], [(0, 0, 1)])
-    with pytest.raises(KeyError):
-        SimplicialComplex(["a", "b"], [(0,), (0, 1)], closed=True)
-    bad = SimplicialComplex._closed(("a", "b"), [(0,), (1,), (0, 0)])
+    bad = unchecked_complex(("a", "b"), [(0,), (1,), (0, 0)])
     with pytest.raises(ValueError):
         boundary_matrix(bad, 1)
-    open_edge = SimplicialComplex._closed(("a", "b"), [(0,), (0, 1)])
+    open_edge = unchecked_complex(("a", "b"), [(0,), (0, 1)])
     with pytest.raises(KeyError):
         boundary_matrix(open_edge, 1)
     with pytest.raises(KeyError):
@@ -526,7 +543,7 @@ def test_missing_facet_after_a_retry_is_a_key_error():
     # (1,2,3) first tries (2,3), which (0,2,3) took, then needs the
     # missing (1,3) on its second try, at vertex 2
     faces = [(0,), (1,), (2,), (3,), (0, 2), (0, 3), (2, 3), (1, 2), (0, 2, 3), (1, 2, 3)]
-    c = SimplicialComplex._closed(("a", "b", "c", "d"), faces)
+    c = unchecked_complex(("a", "b", "c", "d"), faces)
     for lists in (c._lists, [bucket[::-1] for bucket in c._lists]):
         with pytest.raises(KeyError):
             _element_matching(lists, c.dim)

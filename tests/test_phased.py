@@ -25,6 +25,7 @@ from tphi.hyperfield import (
     TPhi,
     ZERO,
     boxplus_fold,
+    phase_key,
     scalars,
     unit,
     units,
@@ -50,7 +51,6 @@ from tphi.phased import (
     support,
     transpositions,
     transversal,
-    vector_key,
 )
 
 P = unit(0, 1)   # +1
@@ -139,6 +139,11 @@ def test_perp_enumerate_two_constraints():
     got = perp_enumerate([(P, P, ZERO), (ZERO, P, P)], 2)
     assert got == [(P, M, P), (M, P, M)]
     assert got == reference_perp([(P, P, ZERO), (ZERO, P, P)], 2)
+
+
+def vector_key(x):
+    """The sort key of a phased vector: its entries' phase keys in order."""
+    return tuple(phase_key(e) for e in x)
 
 
 def test_perp_enumerate_sorted_lexicographically():

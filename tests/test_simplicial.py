@@ -13,13 +13,13 @@ import pytest
 
 import tphi.simplicial
 from test_acceptance import _model_battery
-from test_homology import oracle_posets, projective_plane
+from test_homology import oracle_posets, projective_plane, unchecked_complex
 from test_mccord import cell_test_complexes, dunce_hat, icosahedron_disk, random_posets
 from tphi.errors import SizeCapExceededError
 from tphi.homology import homology_groups
 from tphi.mccord import cw_type_report
 from tphi.models import build_tphi_power
-from tphi.poset import FinitePoset, build_poset, chain_count, core
+from tphi.poset import FinitePoset, build_poset, chain_count, core, format_poset_file, mirrored, parse_poset_file
 from tphi.simplicial import (
     DEFAULT_SIMPLEX_CAP,
     CollapseResult,
@@ -68,14 +68,12 @@ def test_maximal_faces_equals_vertex_probe():
     tri = SimplicialComplex.from_simplices([["a", "b", "c"]])
     spaces += [projective_plane(), dunce_hat(), cycle_complex(3), cycle_complex(8)]
     spaces += [join(cycle_complex(5), two_points("u", "v")), barycentric_subdivision(tri)]
-    # A face set that is not closed downward: closed=True refuses it, the
-    # unchecked builder takes it as given.  Both versions look only at
-    # codimension-1 cofaces: (0,) lies in (0, 1, 2) but in no edge, so it
-    # stays maximal; (1, 2) is the one facet of (0, 1, 2) present.
+    # A face set that is not closed downward, taken as given.  Both
+    # versions look only at codimension-1 cofaces: (0,) lies in (0, 1, 2)
+    # but in no edge, so it stays maximal; (1, 2) is the one facet of
+    # (0, 1, 2) present.
     unclosed = [(0,), (3,), (1, 2), (0, 1, 2), (2, 3)]
-    with pytest.raises(KeyError):
-        SimplicialComplex("abcd", unclosed, closed=True)
-    spaces.append(SimplicialComplex._closed(tuple("abcd"), unclosed))
+    spaces.append(unchecked_complex(tuple("abcd"), unclosed))
     for c in spaces:
         assert c.maximal_faces() == vertex_probe_maximal_faces(c)
     assert spaces[-1].maximal_faces() == [(0,), (0, 1, 2), (2, 3)]
@@ -152,12 +150,16 @@ def test_closure_stops_at_the_cap(monkeypatch):
 
 
 def test_faces_are_checked_when_built():
-    # repeated vertices and missing facets: test_boundary_rows_keep_failure_modes
+    # repeated vertices: test_boundary_rows_keep_failure_modes
     with pytest.raises(ValueError, match="unknown"):
         SimplicialComplex(["a", "b"], [(0, 2)])
+    with pytest.raises(ValueError, match="unknown"):
+        SimplicialComplex(["a", "b"], [(-1, 0)])
     with pytest.raises(ValueError, match="non-empty"):
-        SimplicialComplex(["a"], [(0,), ()], closed=True)
-    closed = SimplicialComplex(["a", "b"], [(0,), (1,), (0, 1)], closed=True)
+        SimplicialComplex(["a"], [(0,), ()])
+    with pytest.raises(ValueError, match="duplicate"):
+        SimplicialComplex(["a", "a"], [(0,)])
+    closed = SimplicialComplex(["a", "b"], [(0,), (1,), (0, 1)])
     assert closed == SimplicialComplex.from_simplices([["a", "b"]])
 
 
@@ -263,7 +265,7 @@ def reference_order_complex(p):
             faces.append(tuple(chain))
             downs.append(iter(below[j]))
     assert len(set(faces)) == len(faces)
-    return SimplicialComplex._closed(tuple(map(p.labels.__getitem__, order)), faces)
+    return unchecked_complex(tuple(map(p.labels.__getitem__, order)), faces)
 
 
 def test_order_complex_matches_the_depth_first_reference():
@@ -301,7 +303,7 @@ def test_order_complex_builds_its_face_set_when_asked():
     tri = SimplicialComplex.from_simplices([["a", "b", "c"]])
     others = [
         SimplicialComplex("dcba", square),
-        SimplicialComplex("dcba", closed, closed=True),
+        SimplicialComplex("dcba", closed),
         SimplicialComplex([], []),
         tri,
         projective_plane(),
@@ -404,6 +406,10 @@ def test_join_faces_are_distinct_and_closed():
         c = join(a, b)
         assert len(c) == len(c.faces) == (len(a) + 1) * (len(b) + 1) - 1
         assert c == SimplicialComplex.from_simplices(map(c.face_labels, c.maximal_faces()))
+    # a label in no face is kept, which closing the faces alone would drop
+    c = join(SimplicialComplex(["x", "y"], [(0,)]), pair)
+    assert c.labels == ("p", "q", "x", "y")
+    assert c.f_vector() == (3, 2)
 
 
 def test_join_cap():
@@ -452,7 +458,7 @@ def test_cycle_is_inconclusive():
 def test_single_vertex_and_empty():
     v = SimplicialComplex.from_simplices([["solo"]])
     assert collapse_certify(v) == CollapseResult(True, "cone", "solo")
-    empty = SimplicialComplex([], [], closed=True)
+    empty = SimplicialComplex([], [])
     assert collapse_certify(empty) == CollapseResult(False)
     assert empty.dim == -1
 
@@ -465,9 +471,8 @@ def test_dim_and_f_vector_for_every_constructor():
     posets += [p.opposite() for p in posets] + [build_poset([], []), build_poset("xyz", [])]
     complexes = [
         SimplicialComplex("abcd", tri),
-        SimplicialComplex("abcd", [(0, 1, 2), (0, 1), (0, 2), (1, 2), (0,), (1,), (2,), (3,)], closed=True),
+        SimplicialComplex("abcd", [(0, 1, 2), (0, 1), (0, 2), (1, 2), (0,), (1,), (2,), (3,)]),
         SimplicialComplex([], []),
-        SimplicialComplex([], [], closed=True),
         SimplicialComplex.from_simplices([["a", "b"], ["c"]]),
         SimplicialComplex.from_simplices([]),
         parse_complex_lines("a b c\nc d\n"),
@@ -485,7 +490,7 @@ def test_dim_and_f_vector_for_every_constructor():
         assert c.f_vector() == tuple(
             sum(len(f) == d + 1 for f in c.faces) for d in range(dim + 1)
         )
-    assert [c.dim for c in complexes[:4]] == [2, 2, -1, -1]
+    assert [c.dim for c in complexes[:3]] == [2, 2, -1]
     assert complexes[-1].dim == 0 and complexes[-2].dim == -1
 
 
@@ -556,6 +561,43 @@ def test_export_round_trip():
     assert parse_complex_lines("\n".join(lines)) == c
     # generators only, closure restored by the parser
     assert parse_complex_lines("a b c\nc d\n# comment\n") == c
+
+
+# labels a text file can carry, and ones it cannot: empty, with whitespace,
+# or led by '#', which makes a comment line
+FILE_LABELS = ("a", "b", "é", "x,y", "d#", "<", "#x", "", "a b", "\t", "\x1c")
+
+
+def test_file_formats_read_back_or_refuse():
+    # seeded posets, mirrored posets and complexes on labels from the pool:
+    # each is written and read back equal, or its writer raises ValueError;
+    # a label led by '#' or an empty one once came back silently dropped
+    rng = random.Random(20261019)
+    kept = refused = 0
+
+    def round_trip(write, read, obj):
+        nonlocal kept, refused
+        try:
+            text = write(obj)
+        except ValueError:
+            refused += 1
+            return
+        assert read(text) == obj, (obj, text)
+        kept += 1
+
+    for _ in range(300):
+        labels = rng.sample(FILE_LABELS, rng.randint(0, 6))
+        pairs = [ab for ab in itertools.combinations(labels, 2) if rng.random() < 0.4]
+        p = build_poset(labels, pairs)
+        index = build_poset(rng.sample(FILE_LABELS, rng.randint(1, 3)), [])
+        m = mirrored(p, index, {lab: rng.choice(index.labels) for lab in labels})
+        for obj in (p, m):
+            round_trip(format_poset_file, parse_poset_file, obj)
+        gens = [rng.sample(labels, rng.randint(1, len(labels))) for _ in range(rng.randint(0, 3)) if labels]
+        with_isolated = SimplicialComplex(labels, [(0,)] if labels else [])
+        for c in (order_complex(p), SimplicialComplex.from_simplices(gens), with_isolated):
+            round_trip(complex_to_lines, parse_complex_lines, c)
+    assert kept > 300 and refused > 300
 
 
 def test_export_rejects_whitespace_labels():
