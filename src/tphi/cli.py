@@ -271,8 +271,12 @@ def cmd_model_build(args) -> int:
         )
     if args.vector and args.family != "perp":
         raise ValueError("constraint vectors are taken by --family perp only")
+    if args.r is not None and args.family != "grassmannian":
+        raise ValueError("--r is taken by --family grassmannian only")
     if args.family == "grassmannian":
-        for i, phi in enumerate(enum_grassmannian(args.n, args.r, args.k, args.cap)):
+        # a missing --r is rank 0, which enum_grassmannian refuses
+        r = 0 if args.r is None else args.r
+        for i, phi in enumerate(enum_grassmannian(args.n, r, args.k, args.cap)):
             args.out.write("\n" + format_gp(phi) if i else format_gp(phi))
         return 0
     if args.family == "power":
@@ -336,7 +340,7 @@ _SUBCOMMANDS = {
         ("--family", {"choices": ("power", "perp", "grassmannian"), "required": True}),
         _N,
         _K,
-        ("--r", {"type": int, "default": 0}),
+        ("--r", {"type": int}),
         ("vector", {"nargs": "*", "help": "constraint vectors (perp family)"}),
         _CAP,
         _FORMAT,

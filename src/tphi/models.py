@@ -38,7 +38,7 @@ from .phased import (
     _perp_rows,
     _relation_count,
 )
-from .poset import FinitePoset, MirroredPoset, _from_ids, build_poset
+from .poset import FinitePoset, MirroredPoset, build_poset
 
 
 def _chain_poset(labels) -> FinitePoset:
@@ -89,7 +89,7 @@ def build_tphi_power(n: int, k: int, cap: int = DEFAULT_SIMPLEX_CAP) -> Mirrored
     # only vectors with two or more non-zero residues have a vector below
     upper = itertools.compress(enumerate(vectors(range(k + 1))), map((n - 1).__gt__, zeros))
     pairs = [(x - e * w, x) for x, v in upper for e, w in zip(v, weight) if e]
-    poset = _from_ids(labels, pairs)
+    poset = FinitePoset._of_ids(labels, pairs)
     index = _chain_poset(str(s) for s in range(1, n + 1))
     return MirroredPoset(poset, index, tuple(zip(labels, map(stratum.__getitem__, zeros))))
 
@@ -132,7 +132,7 @@ def build_perp_poset(vs, k: int, cap: int = DEFAULT_SIMPLEX_CAP) -> MirroredPose
                 y = id_of.get(tuple(below))
                 if y is not None:
                     pairs.append((y, x))
-    poset = _from_ids(labels, pairs)
+    poset = FinitePoset._of_ids(labels, pairs)
     index = _chain_poset(sorted(set(stratum), key=int))
     return MirroredPoset(poset, index, tuple(zip(labels, stratum)))
 

@@ -2,18 +2,21 @@
 
 A poset is stored on integer ids: element i is ``labels[i]``, with the
 labels in sorted order, so id order is label order.  Every poset goes
-through one closure pass, ``FinitePoset._close``: the constructor turns
-label pairs into ids, model builders pass id pairs through ``_from_ids``,
-and ``opposite`` and ``induced`` reuse the ids they hold.  The pass takes
-each element's direct successors, rejects cycles by Kahn's algorithm, and
-walks the elements in reverse topological order.  The elements above i are
-its direct successors together with everything above them, and the direct
-successors outside that union are i's up-covers.  The pass stores
-``above`` and ``below`` (frozensets of ids, one shared empty frozenset
-where there is nothing) and ``up_covers`` (tuples of ids), so covers are
-read, never recomputed.  The number of chains with each minimum is counted
-on first use and cached on the poset, so ``chain_count``,
-``order_complex`` and ``basis_certificates`` share one count.
+through one closure pass, ``FinitePoset._close``, by one of two ways in.
+The constructor checks its label pairs and turns them into ids.
+``FinitePoset._of_ids`` checks nothing: it takes labels in any order with
+pairs of their positions and renumbers them into label order.  The model
+builders, ``opposite`` and ``induced`` use it, as they make or hold the
+ids.  The pass takes each element's direct successors, rejects cycles by
+Kahn's algorithm, and walks the elements in reverse topological order.
+The elements above i are its direct successors together with everything
+above them, and the direct successors outside that union are i's
+up-covers.  The pass stores ``above`` and ``below`` (frozensets of ids,
+one shared empty frozenset where there is nothing) and ``up_covers``
+(tuples of ids), so covers are read, never recomputed.  The number of
+chains with each minimum is counted on first use and cached on the poset,
+so ``chain_count``, ``order_complex`` and ``basis_certificates`` share one
+count.
 
 A mirrored poset carries a monotone map onto a second poset of stratum
 indices, mimicking how a graded space records the stratum of each point.
@@ -54,16 +57,25 @@ class FinitePoset:
         self._close(labels, pos, direct)
 
     @classmethod
-    def _on_ids(cls, labels: tuple, pos: dict, direct: Mapping) -> "FinitePoset":
-        """The poset on sorted labels, their positions, and the direct
-        successors of each id, with no label looked up."""
+    def _of_ids(cls, labels, pairs: Iterable[tuple]) -> "FinitePoset":
+        """The poset on distinct labels, given in any order, with strict
+        pairs (a, b) of positions in that list, each pair once.  Nothing is
+        checked and no label is looked up: for callers that make or hold
+        the ids, which are renumbered into label order."""
+        order = sorted(range(len(labels)), key=labels.__getitem__)
+        new = dict(zip(order, range(len(order))))
+        direct = defaultdict(list)
+        for a, b in pairs:
+            direct[new[a]].append(new[b])
+        ordered = tuple(map(labels.__getitem__, order))
         p = cls.__new__(cls)
-        p._close(labels, pos, direct)
+        p._close(ordered, dict(zip(ordered, range(len(ordered)))), direct)
         return p
 
     def _close(self, labels: tuple, pos: dict, direct: Mapping) -> None:
-        """The closure pass.  direct maps an id to its direct successors,
-        each once; ids with none may be left out."""
+        """The closure pass of both ways in: labels sorted, pos the id of
+        each, and direct mapping an id to its direct successors, each once;
+        ids with none may be left out."""
         n = len(labels)
         indegree = [0] * n
         for ds in direct.values():
@@ -130,11 +142,8 @@ class FinitePoset:
 
     def strict_pairs(self) -> list:
         """All pairs (a, b) with a < b, sorted."""
-        out = []
-        for i, ups in enumerate(self.above):
-            for j in ups:
-                out.append((self.labels[i], self.labels[j]))
-        return sorted(out)
+        labels = self.labels
+        return [(labels[i], labels[j]) for i, ups in enumerate(self.above) for j in sorted(ups)]
 
     def upset(self, seeds: Iterable[str]) -> frozenset:
         """Reflexive up-closure of the given elements."""
@@ -152,22 +161,15 @@ class FinitePoset:
         ]
 
     def opposite(self) -> "FinitePoset":
-        downs = defaultdict(list)
-        for i, ups in enumerate(self.up_covers):
-            for j in ups:
-                downs[j].append(i)
-        return FinitePoset._on_ids(self.labels, self._pos, downs)
+        return FinitePoset._of_ids(
+            self.labels, [(j, i) for i, ups in enumerate(self.up_covers) for j in ups]
+        )
 
     def induced(self, subset: Iterable[str]) -> "FinitePoset":
         ids = sorted({self.index_of(lab) for lab in subset})
         new = {i: r for r, i in enumerate(ids)}
-        labels = tuple(self.labels[i] for i in ids)
-        direct = {}
-        for r, i in enumerate(ids):
-            ds = [new[j] for j in self.above[i] if j in new]
-            if ds:
-                direct[r] = ds
-        return FinitePoset._on_ids(labels, dict(zip(labels, range(len(labels)))), direct)
+        pairs = [(r, new[j]) for r, i in enumerate(ids) for j in self.above[i] if j in new]
+        return FinitePoset._of_ids([self.labels[i] for i in ids], pairs)
 
     def maximal_elements(self) -> list:
         return [lab for i, lab in enumerate(self.labels) if not self.above[i]]
@@ -179,20 +181,6 @@ class FinitePoset:
 def build_poset(elements: Iterable[str], pairs: Iterable[tuple]) -> FinitePoset:
     """Close the strict pairs transitively; raise on cycles."""
     return FinitePoset(elements, pairs)
-
-
-def _from_ids(labels: list, pairs: Iterable[tuple]) -> FinitePoset:
-    """The poset on distinct labels, given in any order, with strict pairs
-    (a, b) of positions in that list, each pair once.  For model builders,
-    which make their elements and know the order, so no label is looked
-    up; the ids are renumbered into label order."""
-    order = sorted(range(len(labels)), key=labels.__getitem__)
-    new = dict(zip(order, range(len(order))))
-    direct = defaultdict(list)
-    for a, b in pairs:
-        direct[new[a]].append(new[b])
-    ordered = tuple(map(labels.__getitem__, order))
-    return FinitePoset._on_ids(ordered, dict(zip(ordered, range(len(ordered)))), direct)
 
 
 def _chains_by_minimum(p: FinitePoset) -> tuple:
@@ -289,7 +277,8 @@ class MirroredPoset(Frozen):
         out = {idx: [] for idx in self.index_poset.labels}
         for lab, idx in self.assignments:
             out[idx].append(lab)
-        return {idx: tuple(sorted(labs)) for idx, labs in out.items()}
+        # assignments are stored in label order
+        return {idx: tuple(labs) for idx, labs in out.items()}
 
 
 def mirrored(poset: FinitePoset, index_poset: FinitePoset, mapping: Mapping) -> MirroredPoset:
@@ -394,9 +383,9 @@ def format_poset_file(obj) -> str:
     """Canonical text: sorted elem lines, sorted cover-pair rel lines, and
     for mirrored posets an index block plus mirror lines."""
     if isinstance(obj, MirroredPoset):
-        main, index, mirror = obj.poset, obj.index_poset, obj.mirror
+        main, index = obj.poset, obj.index_poset
     else:
-        main, index, mirror = obj, None, None
+        main, index = obj, None
     check_file_labels(main.labels)
     lines = [f"elem {lab}" for lab in main.labels]
     lines += [f"rel {a} < {b}" for a, b in main.covers()]
@@ -408,7 +397,7 @@ def format_poset_file(obj) -> str:
         lines.append("index")
         lines += [f"elem {lab}" for lab in index.labels]
         lines += [f"rel {a} < {b}" for a, b in index.covers()]
-        lines += [f"mirror {lab} -> {idx}" for lab, idx in sorted(mirror.items())]
+        lines += [f"mirror {lab} -> {idx}" for lab, idx in obj.assignments]
     return "\n".join(lines) + "\n"
 
 

@@ -538,14 +538,19 @@ def test_model_build_validates_spec(capsys):
     )
     assert code == 2
     assert err == "error: constraint length differs from n\n"
-    # vectors are refused outside the perp family, not dropped
-    for family in ("power", "grassmannian"):
-        code, out, err = run(
-            capsys, "model-build", "--family", family, "--n", "2", "--k", "3", "--r", "1",
-            "0/1,1/2",
-        )
-        assert (code, out) == (2, "")
-        assert err == "error: constraint vectors are taken by --family perp only\n"
+    # vectors are refused outside the perp family and --r outside the
+    # grassmannian family, not dropped; vectors are checked first
+    vectors = "error: constraint vectors are taken by --family perp only\n"
+    rank = "error: --r is taken by --family grassmannian only\n"
+    for extra, message in [
+        (("power", "--k", "3", "--r", "1", "0/1,1/2"), vectors),
+        (("grassmannian", "--k", "3", "--r", "1", "0/1,1/2"), vectors),
+        (("power", "--k", "2", "--r", "7"), rank),
+        (("power", "--k", "2", "--r", "0"), rank),
+        (("perp", "--k", "2", "--r", "7", "0/1,0/1"), rank),
+    ]:
+        code, out, err = run(capsys, "model-build", "--n", "2", "--family", *extra)
+        assert (code, out, err) == (2, "", message), extra
 
 
 PERP_FAULTS = (

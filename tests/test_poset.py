@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import defaultdict
 
 import pytest
 
@@ -350,23 +351,116 @@ def test_id_core_raises_like_reference_closure():
         build_poset("abcd", [("a", "b"), ("c", "d"), ("d", "c")])
 
 
+POWER_SPECS = [(1, 1), (1, 7), (2, 3), (3, 2), (3, 4), (4, 2), (5, 1)]
+PERP_SPECS = [
+    ([(ONE, ONE, ONE)], 2),
+    ([(ONE, ONE, ONE, ONE)], 2),
+    ([(ONE, ONE, ONE), (ONE, unit(1, 2), ONE)], 4),
+]
+
+
 def test_model_posets_match_reference_closure():
-    for n, k in [(1, 1), (1, 7), (2, 3), (3, 2), (3, 4), (4, 2), (5, 1)]:
+    for n, k in POWER_SPECS:
         built = build_tphi_power(n, k)
         assignment, pairs = _label_pair_power(n, k)
         elements = list(assignment)
         assert built.poset == build_poset(elements, pairs)
         assert_matches_reference(built.poset, elements, pairs)
-    for vs, k in [
-        ([(ONE, ONE, ONE)], 2),
-        ([(ONE, ONE, ONE, ONE)], 2),
-        ([(ONE, ONE, ONE), (ONE, unit(1, 2), ONE)], 4),
-    ]:
+    for vs, k in PERP_SPECS:
         built = build_perp_poset(vs, k)
         assignment, pairs = _label_pair_perp(vs, k)
         elements = list(assignment)
         assert built.poset == build_poset(elements, pairs)
         assert_matches_reference(built.poset, elements, pairs)
+
+
+def former_on_ids(labels, pos, direct):
+    """FinitePoset._on_ids before _of_ids replaced it."""
+    p = FinitePoset.__new__(FinitePoset)
+    p._close(labels, pos, direct)
+    return p
+
+
+def former_from_ids(labels, pairs):
+    """poset._from_ids before _of_ids replaced it."""
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    new = dict(zip(order, range(len(order))))
+    direct = defaultdict(list)
+    for a, b in pairs:
+        direct[new[a]].append(new[b])
+    ordered = tuple(map(labels.__getitem__, order))
+    return former_on_ids(ordered, dict(zip(ordered, range(len(ordered)))), direct)
+
+
+def former_opposite(p):
+    """FinitePoset.opposite before it went through _of_ids."""
+    downs = defaultdict(list)
+    for i, ups in enumerate(p.up_covers):
+        for j in ups:
+            downs[j].append(i)
+    return former_on_ids(p.labels, p._pos, downs)
+
+
+def former_induced(p, subset):
+    """FinitePoset.induced before it went through _of_ids."""
+    ids = sorted({p.index_of(lab) for lab in subset})
+    new = {i: r for r, i in enumerate(ids)}
+    labels = tuple(p.labels[i] for i in ids)
+    direct = {}
+    for r, i in enumerate(ids):
+        ds = [new[j] for j in p.above[i] if j in new]
+        if ds:
+            direct[r] = ds
+    return former_on_ids(labels, dict(zip(labels, range(len(labels)))), direct)
+
+
+def assert_same_internals(p, q):
+    """The same ids, covers, and iteration order of every above and below
+    set: what core, the Hasse order and the matching read."""
+    assert p.labels == q.labels
+    assert list(p._pos.items()) == list(q._pos.items())
+    assert p.up_covers == q.up_covers
+    assert [list(s) for s in p.above] == [list(s) for s in q.above]
+    assert [list(s) for s in p.below] == [list(s) for s in q.below]
+
+
+def test_construction_routes_keep_the_former_internals(monkeypatch):
+    # the builders' calls to _of_ids, recorded and replayed through the
+    # former _from_ids
+    calls = []
+    of_ids = FinitePoset._of_ids
+
+    def recorded(cls, labels, pairs):
+        pairs = list(pairs)
+        calls.append((labels, pairs))
+        return of_ids(labels, pairs)
+
+    monkeypatch.setattr(FinitePoset, "_of_ids", classmethod(recorded))
+    built = [build_tphi_power(n, k) for n, k in POWER_SPECS]
+    built += [build_perp_poset(vs, k) for vs, k in PERP_SPECS]
+    monkeypatch.undo()
+    assert len(calls) == len(built)
+    posets = []
+    for mp, (labels, pairs) in zip(built, calls):
+        assert_same_internals(mp.poset, former_from_ids(labels, pairs))
+        posets.append(mp.poset)
+    # seeded random posets on shuffled labels, each pair once by id
+    for labels, label_pairs in random_pair_posets(150, 20261020):
+        ids = {lab: i for i, lab in enumerate(labels)}
+        pairs = list(dict.fromkeys((ids[a], ids[b]) for a, b in label_pairs))
+        p = FinitePoset._of_ids(labels, pairs)
+        assert_same_internals(p, former_from_ids(labels, pairs))
+        posets.append(p)
+    rng = random.Random(20261020)
+    for p in posets:
+        q = p.opposite()
+        assert_same_internals(q, former_opposite(p))
+        assert_same_internals(q.opposite(), former_opposite(former_opposite(p)))
+        for share in (0.0, 0.3, 0.7, 1.0):
+            keep = [lab for lab in p.labels if rng.random() < share]
+            rng.shuffle(keep)
+            assert_same_internals(p.induced(keep), former_induced(p, keep))
+            assert_same_internals(q.induced(keep), former_induced(q, keep))
 
 
 def test_chain_counts_are_cached():
