@@ -274,9 +274,9 @@ def cmd_model_build(args) -> int:
     if args.r is not None and args.family != "grassmannian":
         raise ValueError("--r is taken by --family grassmannian only")
     if args.family == "grassmannian":
-        # a missing --r is rank 0, which enum_grassmannian refuses
-        r = 0 if args.r is None else args.r
-        for i, phi in enumerate(enum_grassmannian(args.n, r, args.k, args.cap)):
+        if args.r is None:
+            raise ValueError("--family grassmannian needs --r")
+        for i, phi in enumerate(enum_grassmannian(args.n, args.r, args.k, args.cap)):
             args.out.write("\n" + format_gp(phi) if i else format_gp(phi))
         return 0
     if args.family == "power":

@@ -4,20 +4,25 @@ homology_groups runs one element matching over the faces (Jonsson,
 "Simplicial Complexes of Graphs", LNM 1928): taking the vertices v in
 index order, it pairs every still unmatched face f containing v with
 f - v when that face is unmatched too.  It reads the faces by least
-vertex, as every complex keeps them: an order complex in the lists it
-built them in, any other complex bucketed once when it is built.  A face
-first tries its least vertex, straight from that vertex's list, so f - v
-is a slice there, and the matching stores no new tuple: the upper face of
-a pair is marked False and the lower one names it as its partner.  A
-sequence of element matchings is acyclic, so by Forman ("Morse theory for
-cell complexes", Adv. Math. 134, 1998) the faces left over, the critical
-cells, span a chain complex with the homology of the whole.  Its boundary
-follows each critical cell's boundary along the matching to the critical
-cells one dimension down, and is built only between dimensions that both
-hold critical cells.  On the order complexes of the power models, whose
-vertices order_complex numbers from the poset, only Betti + 1 cells are
-critical, so no boundary is built at all.  A finite space that is the
-face poset of a complex reaches the same matching on that complex's faces
+vertex, as every complex keeps them, and works on integer ids: a face's
+id is its place in the concatenation of those lists, and one list, mate,
+says of each face whether it is critical, matched with a face below it,
+or matched with a face above it, whose id it then holds.  A face first
+tries its least vertex, and only a face whose try fails joins a retry
+list, at its next vertex.  The id of f - v comes from the order complex's
+own layout, in which ids are sums of block offsets, so the first tries
+pair ranges of ids with no tuple made or hashed; the faces of a complex
+built the checked way, or of a face poset, are numbered once by one dict,
+which the tries read instead.  A sequence of element matchings is
+acyclic, so by Forman ("Morse theory for cell complexes", Adv. Math. 134,
+1998) the faces left over, the critical cells, span a chain complex with
+the homology of the whole.  Its boundary follows each critical cell's
+boundary along the matching to the critical cells one dimension down, and
+is built only between dimensions that both hold critical cells.  On the
+order complexes of the power models, whose vertices order_complex numbers
+from the poset, only Betti + 1 cells are critical, so no boundary is
+built at all.  A finite space that is the face poset of a complex reaches
+the same matching on that complex's faces
 (`mccord.finite_space_homology`), with no complex object built.
 
 The Morse boundaries are reduced by one eliminator, which consumes row
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 import math
 from typing import TYPE_CHECKING
 
@@ -230,6 +236,11 @@ def smith_normal_form(m: IntegerMatrix) -> tuple:
     return _eliminate(rows)
 
 
+# the mate of a face matched with a face below it; a face matched with a
+# face above it has that face's id, a critical face None
+_BELOW = -1
+
+
 class HomologySummary(Frozen):
     """Integer homology of one complex.
 
@@ -261,59 +272,119 @@ class HomologySummary(Frozen):
         return self.group(d)[0]
 
 
-def _element_matching(lists: list, top: int) -> list:
+def _element_matching(lists: list, layout: tuple | None) -> tuple:
     """One element-matching pass, in vertex index order, over the faces of
-    a complex of dimension at most top, closed under taking facets, given
-    by least vertex: lists[r] holds the faces whose least vertex is r.
+    a complex closed under taking facets, given by least vertex: lists[r]
+    holds the faces whose least vertex is r.  A face's id is its position
+    in faces, the concatenation of the lists.
 
     For each vertex r in turn, every unmatched face f that contains r and
     has two or more vertices is matched with f - r when that face is
-    unmatched too.  Whether a face is matched at r does not depend on the
-    order of the faces tried there, so the faces of lists[r] try r in the
-    order given, f - r being f[1:], and then the faces retried at r.  A
-    face whose try fails is retried at its next vertex, so it sits in one
-    retry list at a time.  Returns partner[m] for every face size m,
-    mapping a face to None when it is critical, to False when it is matched
-    with a face below it, and to its partner when it is matched with a
-    face above it.  The marker keeps no tuple f - r alive.  A missing facet
-    f - r raises KeyError.
+    unmatched too.  A face whose try fails is retried at its next vertex,
+    so it sits in one retry list at a time.  Returns (faces, number, mate):
+    mate[i] is None when face i is critical, _BELOW when it is matched with
+    a face below it, and the id of its partner when it is matched with a
+    face above it.
+
+    The tries run in two sweeps.  A face's first try, at its least vertex
+    r, pairs it with f[1:], whose least vertex is later than r; a retry at
+    r pairs two faces whose least vertex is earlier than r.  So the first
+    tries at r touch no face that a retry at an earlier vertex touches,
+    and every first try, in vertex order, can run before every retry, in
+    vertex order, with the same pairs.  Within one vertex the order of the
+    tries does not matter either: the pairs (f, f - r) at r are disjoint.
+    A face already matched at its first try has f[1:] matched too, so
+    skipping it saves only the look-up: before the turn of r, a face with
+    no vertex below r is matched exactly when some vertex below r extends
+    it to a face, and a vertex that extends f extends f[1:].
+
+    The id of f - r comes from one of two sources.  Without a layout,
+    number, built here, maps every face to its id, and a missing facet
+    raises KeyError.  With the layout (order, below) of `order_complex`,
+    number is None and ids are sums.  There lists[r] holds, for each j of
+    below[order[r]] in that frozenset's iteration order, (r,) joined to
+    every face of lists[s], s the rank of j, and then (r,) alone.  Let
+    off[r][s] be where s's block starts in lists[r], L[r] the length of
+    lists[r] and base[r] where it starts in faces.  Then f = (f0, ..., fk)
+    has
+
+        id(f) = base[f0] + off[f0][f1] + ... + off[fk-1][fk] + L[fk] - 1,
+
+    by induction on k: (fk,) is last in lists[fk], and f[i:] sits in
+    fi's block for fi+1 at the place that f[i+1:] has in lists[fi+1].  So
+    the first tries pair the ids of r's blocks, a range, with the ranges of
+    the lists they repeat, and a retry at the t-th vertex r of f, t >= 1,
+    after p and before s, trades off[p][r] + off[r][s] for off[p][s], or,
+    at the last vertex, off[p][r] + L[r] for L[p].  At the last vertex of
+    an edge (p, r) that is the id of (p,), base[p + 1] - 1.  The table
+    off[r] of an element is built the first time a retry needs it, so a
+    complex of edges builds none.  The walk reads below[order[r]], the very
+    frozenset that order_complex walked, which iterates the same way each
+    time, so it meets the blocks in the order they were built in.
     """
-    partner = [{} for _ in range(top + 2)]
-    for faces in lists:
-        for f in faces:
-            partner[len(f)][f] = None
-    retry = [[] for _ in lists]
-    for r, faces in enumerate(lists):
-        for f in faces:
-            m = len(f)
-            if m == 1:
+    faces = list(itertools.chain.from_iterable(lists))
+    mate = [None] * len(faces)
+    base = list(itertools.accumulate(map(len, lists), initial=0))
+    if layout is None:
+        number = dict(zip(faces, range(len(faces))))
+        kept = [len(f) > 1 for f in faces]
+        ups = itertools.compress(range(len(faces)), kept)
+        downs = [number[f[1:]] for f in itertools.compress(faces, kept)]
+    else:
+        number = None
+        order, below = layout
+        size = list(map(len, lists))
+        # rank[i]: the vertex of the element i; ids[i]: the ids of its list
+        rank = sorted(range(len(order)), key=order.__getitem__)
+        ids = list(map(list(map(range, base, base[1:])).__getitem__, rank))
+        tables = [None] * len(order)
+
+        def offsets(r):
+            """off[r], keyed by rank, built on first use and then kept."""
+            tables[r] = off = {}
+            o = 0
+            for j in below[order[r]]:
+                off[rank[j]] = o
+                o += len(ids[j])
+            return off
+
+        # every face but the last of each list, (r,), and f[1:] for each
+        ups = itertools.chain.from_iterable(map(range, base, [end - 1 for end in base[1:]]))
+        heads = itertools.chain.from_iterable(map(below.__getitem__, order))
+        downs = itertools.chain.from_iterable(map(ids.__getitem__, heads))
+    tried = [[] for _ in lists]
+    for u, d in zip(ups, downs):
+        if mate[u] is None:
+            if mate[d] is None:
+                mate[u] = _BELOW
+                mate[d] = u
+            else:
+                tried[faces[u][1]].append(u)
+    for r, retries in enumerate(tried):
+        for u in retries:
+            if mate[u] is not None:
                 continue
-            up = partner[m]
-            if up[f] is not None:
-                continue
-            g = f[1:]
-            down = partner[m - 1]
-            if down[g] is not None:
-                retry[f[1]].append(f)
-                continue
-            up[f] = False
-            down[g] = f
-        for f in retry[r]:
-            m = len(f)
-            up = partner[m]
-            if up[f] is not None:
-                continue
+            f = faces[u]
             t = f.index(r)
-            g = f[:t] + f[t + 1 :]
-            down = partner[m - 1]
-            if down[g] is not None:
-                if t + 1 < m:
-                    retry[f[t + 1]].append(f)
-                continue
-            up[f] = False
-            down[g] = f
-        retry[r] = None
-    return partner
+            more = t + 1 < len(f)
+            if layout is None:
+                d = number[f[:t] + f[t + 1 :]]
+            elif more:
+                p, s = f[t - 1], f[t + 1]
+                off_p = tables[p] or offsets(p)
+                d = u - off_p[r] - (tables[r] or offsets(r))[s] + off_p[s]
+            elif t == 1:
+                d = base[f[0] + 1] - 1
+            else:
+                p = f[t - 1]
+                d = u - (tables[p] or offsets(p))[r] - size[r] + size[p]
+            if mate[d] is None:
+                mate[u] = _BELOW
+                mate[d] = u
+            elif more:
+                tried[f[t + 1]].append(u)
+        tried[r] = None
+    return faces, number, mate
 
 
 def _facets(u: tuple) -> list:
@@ -321,8 +392,9 @@ def _facets(u: tuple) -> list:
 
 
 def _signed_sum(facets: list, skip, sign: int, flow: dict) -> dict:
-    """sign times the sum of (-1)^k flow[facets[k]] over the facets, listed
-    as _facets lists them, other than skip, with zero entries dropped."""
+    """sign times the sum of (-1)^k flow[facets[k]] over the facet ids,
+    listed as _facets lists the facets, other than skip, with zero entries
+    dropped."""
     acc = {}
     for k, g in enumerate(facets):
         if g != skip:
@@ -332,74 +404,86 @@ def _signed_sum(facets: list, skip, sign: int, flow: dict) -> dict:
     return {i: x for i, x in acc.items() if x}
 
 
-def _morse_rows(partner: list, critical: list, d: int) -> dict:
+def _morse_rows(faces: list, number: dict, mate: list, critical: list, d: int) -> dict:
     """The Morse boundary from critical d-cells to critical (d-1)-cells,
-    as the row dicts _eliminate takes.
+    given by id, as the row dicts _eliminate takes.
 
     flow[tau] is where a (d-1)-cell tau ends up among the critical cells,
     following the matching: itself if critical, nothing if it is matched
-    with a (d-2)-cell (its partner is the marker False), and otherwise,
-    with tau matched to the d-cell u, -[u:tau] times the flow of the rest
-    of the boundary of u.  The facets of u are listed once per visit and
-    serve both the walk and the sum.  The matching is acyclic, so this
-    terminates; it is evaluated with an explicit stack and memoized, since
-    gradient paths can be long.
+    with a (d-2)-cell (its mate is _BELOW), and otherwise, with tau
+    matched to the d-cell u, -[u:tau] times the flow of the rest of the
+    boundary of u.  The facet ids of u are found once, serve both the walk
+    and the sum, and wait in waiting while the walk is away.  The matching
+    is acyclic, so this terminates; it is evaluated with an explicit stack
+    and memoized, since gradient paths can be long.
     """
     row = {f: i for i, f in enumerate(critical[d - 1])}
-    low = partner[d]
     flow = {}
+    waiting = {}
     rows = {}
     for j, s in enumerate(critical[d]):
-        stack = _facets(s)
+        boundary = list(map(number.__getitem__, _facets(faces[s])))
+        stack = boundary[:]
         while stack:
             f = stack[-1]
             if f in flow:
                 stack.pop()
                 continue
-            u = low[f]
+            u = mate[f]
             if u is None:
                 flow[f] = {row[f]: 1}
-            elif u is False:
+            elif u == _BELOW:
                 flow[f] = {}
             else:
-                facets = _facets(u)
+                facets = waiting.pop(f, None) or list(map(number.__getitem__, _facets(faces[u])))
                 todo = [g for g in facets if g != f and g not in flow]
                 if todo:
+                    waiting[f] = facets
                     stack.extend(todo)
                     continue
                 flow[f] = _signed_sum(facets, f, 1 if facets.index(f) % 2 else -1, flow)
             stack.pop()
-        for i, x in _signed_sum(_facets(s), None, 1, flow).items():
+        for i, x in _signed_sum(boundary, None, 1, flow).items():
             rows.setdefault(i, {})[j] = x
     return rows
 
 
 def homology_groups(c: SimplicialComplex, reduced: bool = False) -> HomologySummary:
     """Homology in every dimension through one element matching, on the
-    faces the complex keeps by least vertex; its face set stays unbuilt."""
-    return _face_homology(c._lists, c.dim, reduced)
+    faces the complex keeps by least vertex, with the layout of an order
+    complex when it has one; its face set stays unbuilt."""
+    return _face_homology(c._lists, c.dim, reduced, c._layout)
 
 
-def _face_homology(lists: list, top: int, reduced: bool) -> HomologySummary:
+def _face_homology(lists: list, top: int, reduced: bool, layout: tuple | None = None) -> HomologySummary:
     """Homology of the complex of dimension top whose faces, increasing
-    tuples closed under taking facets, lists[r] holds by least vertex r.
+    tuples closed under taking facets, lists[r] holds by least vertex r,
+    laid out as `order_complex` lays them out when layout is given.
 
-    The critical cells of the matching span the Morse complex, which has
-    the homology of the complex.  Its boundary from d is zero unless
-    critical cells lie in both d and d-1, and from 1 also when one vertex
-    is critical, so only the remaining maps are built and reduced; reduced
-    only lowers rank in dimension 0."""
+    Without a layout the faces are numbered once, by one dict; with it,
+    only when a Morse boundary is built.  The critical cells of the
+    matching span the Morse complex, which has the homology of the
+    complex.  Its boundary from d is zero unless critical cells lie in
+    both d and d-1, and from 1 also when one vertex is critical, so only
+    the remaining maps are built and reduced; reduced only lowers rank in
+    dimension 0."""
     if top < 1:
         # points only, or nothing: no boundary to reduce
         return _assemble((sum(map(len, lists)),) if top == 0 else (), {}, reduced)
-    partner = _element_matching(lists, top)
-    critical = [[f for f, g in partner[d + 1].items() if g is None] for d in range(top + 1)]
+    faces, number, mate = _element_matching(lists, layout)
+    critical = [[] for _ in range(top + 1)]
+    for i, m in enumerate(mate):
+        if m is None:
+            critical[len(faces[i]) - 1].append(i)
     counts = tuple(map(len, critical))
-    factors = {
-        d: _eliminate(_morse_rows(partner, critical, d))
+    wanted = [
+        d
         for d in range(1, top + 1)
         if counts[d] and counts[d - 1] and not (d == 1 and counts[0] == 1)
-    }
+    ]
+    if wanted and number is None:
+        number = dict(zip(faces, range(len(faces))))
+    factors = {d: _eliminate(_morse_rows(faces, number, mate, critical, d)) for d in wanted}
     return _assemble(counts, factors, reduced)
 
 

@@ -130,11 +130,12 @@ def finite_space_homology(
     "Posets, regular CW complexes and Bruhat order", European J. Combin. 5,
     1984), so the element matching of `homology` runs on K's faces, one
     per element, in place of p's chains: bucketed here by least vertex, as
-    a complex keeps them, with no complex built.  There the cap bounds the
-    elements plus the strict pairs, the work of the check.  Any other
-    poset, or one beyond the cap, goes to the order complex, whose chain
-    cap refuses everything the face path would: each element and each
-    strict pair is a chain.
+    a complex keeps them, with no complex built, and numbered by the
+    matching's dict, since they have no order complex's layout.  There
+    the cap bounds the elements plus the strict pairs, the work of the
+    check.  Any other poset, or one beyond the cap, goes to the order
+    complex, whose chain cap refuses everything the face path would: each
+    element and each strict pair is a chain.
     """
     if len(p) + sum(map(len, p.below)) <= cap:
         faces = _complex_faces(p)

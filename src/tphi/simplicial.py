@@ -7,12 +7,13 @@ whose least vertex it is, which the element matching of `homology` reads
 as it is.  A complex is built one of two ways: checked and closed
 downward from generators (the constructor and `from_simplices`, and so
 the file reader and `join`), or unchecked from faces already kept by
-least vertex (`order_complex`).  The order complex of a poset has one
-vertex per element and one face per non-empty chain; building it is
-guarded by a simplex-count cap because chain counts explode much faster
-than poset sizes.  Joins, Euler characteristics, cone detection, greedy
-free-face collapsing, face posets, and barycentric subdivision live here
-too.
+least vertex (`order_complex`), which alone keeps the layout its lists
+follow, for `homology` to number the faces by.  The order complex of a
+poset has one vertex per element and one face per non-empty chain;
+building it is guarded by a simplex-count cap because chain counts
+explode much faster than poset sizes.  Joins, Euler characteristics,
+cone detection, greedy free-face collapsing, face posets, and
+barycentric subdivision live here too.
 """
 
 from __future__ import annotations
@@ -38,11 +39,14 @@ class SimplicialComplex:
     `from_simplices`, which `parse_complex_lines` calls, check every face
     (non-empty, no vertex twice, known vertex indices) and close the faces
     downward.  `_of_lists`, which `order_complex` calls, takes faces kept
-    by least vertex as given, with no check.  The vertex indices are the
-    order in which homology_groups matches faces: order_complex numbers the
-    vertices from the poset, the checked way in label order.  Equality and
-    hash see only the labels, so one complex numbered two ways compares
-    equal.
+    by least vertex as given, with no check.  Only `order_complex` sets
+    _layout, the (order, below) its lists are laid out by, from which the
+    element matching of homology_groups finds face ids by arithmetic;
+    every other complex has None there, and the matching numbers its faces
+    by one dict.  The vertex indices are the order in which homology_groups
+    matches faces: order_complex numbers the vertices from the poset, the
+    checked way in label order.  Equality and hash see only the labels,
+    so one complex numbered two ways compares equal.
 
     Every complex keeps its faces in one store, _lists, where _lists[r]
     holds the faces whose least vertex is r: an order complex in the order
@@ -53,7 +57,7 @@ class SimplicialComplex:
     first use of `faces` and then kept.
     """
 
-    __slots__ = ("labels", "_pos", "_faces", "_lists", "_size", "dim")
+    __slots__ = ("labels", "_pos", "_faces", "_lists", "_layout", "_size", "dim")
 
     def __init__(self, labels: Iterable[str], faces: Iterable[Iterable[int]]):
         labels = tuple(sorted(labels))
@@ -72,6 +76,7 @@ class SimplicialComplex:
         self._pos = dict(zip(labels, range(len(labels))))
         self._faces = None
         self._lists = lists
+        self._layout = None
         self._size = size
         self.dim = dim
 
@@ -226,7 +231,11 @@ def order_complex(p: FinitePoset, cap: int = DEFAULT_SIMPLEX_CAP) -> SimplicialC
 
     Chain counts are computed first; anything beyond the cap raises
     SizeCapExceededError instead of building.  The dimension is the
-    longest chain's length less one.
+    longest chain's length less one.  The complex keeps its layout,
+    (order, p.below): the faces of vertex r are, for each j of
+    below[order[r]] in that frozenset's iteration order, (r,) joined to
+    every face of the vertex of j, and then (r,) alone.  homology_groups
+    reads face ids off it.
     """
     from .poset import chain_count
 
@@ -256,12 +265,14 @@ def order_complex(p: FinitePoset, cap: int = DEFAULT_SIMPLEX_CAP) -> SimplicialC
             longest[i] += max(map(longest.__getitem__, below[i]))
         else:
             chains[i] = (head,)
-    return SimplicialComplex._of_lists(
+    c = SimplicialComplex._of_lists(
         tuple(map(p.labels.__getitem__, order)),
         list(map(chains.__getitem__, order)),
         total,
         max(longest, default=0) - 1,
     )
+    c._layout = (order, below)
+    return c
 
 
 def euler_characteristic(c: SimplicialComplex) -> int:

@@ -539,7 +539,8 @@ def test_model_build_validates_spec(capsys):
     assert code == 2
     assert err == "error: constraint length differs from n\n"
     # vectors are refused outside the perp family and --r outside the
-    # grassmannian family, not dropped; vectors are checked first
+    # grassmannian family, not dropped; vectors are checked first.  The
+    # grassmannian family refuses a missing --r by name
     vectors = "error: constraint vectors are taken by --family perp only\n"
     rank = "error: --r is taken by --family grassmannian only\n"
     for extra, message in [
@@ -548,6 +549,7 @@ def test_model_build_validates_spec(capsys):
         (("power", "--k", "2", "--r", "7"), rank),
         (("power", "--k", "2", "--r", "0"), rank),
         (("perp", "--k", "2", "--r", "7", "0/1,0/1"), rank),
+        (("grassmannian", "--k", "2"), "error: --family grassmannian needs --r\n"),
     ]:
         code, out, err = run(capsys, "model-build", "--n", "2", "--family", *extra)
         assert (code, out, err) == (2, "", message), extra

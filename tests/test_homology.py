@@ -20,6 +20,7 @@ from tphi.errors import DimOutOfRangeError
 from tphi.homology import (
     HomologySummary,
     IntegerMatrix,
+    _BELOW,
     _element_matching,
     _eliminate,
     _row_sub,
@@ -388,8 +389,9 @@ def test_power_models_leave_betti_plus_one_critical_cells():
 
 
 def test_power_7_1_order_complex_homology_within_budget():
-    # 94,585 faces matched from the lists order_complex built, the face
-    # set never made: about 0.1 s on a 2-core host
+    # 94,585 faces matched on ids read off the layout of the lists
+    # order_complex built, no face tuple hashed and the face set never
+    # made: about 0.05 s on a 2-core host, half of it the order complex
     p = build_tphi_power(7, 1).poset
     start = time.perf_counter()
     c = order_complex(p)
@@ -497,39 +499,49 @@ def reference_element_matching(c):
     return partner
 
 
+def assert_same_matching(faces, mate, want):
+    """The mates of the ids, as _element_matching gives them, pair the same
+    faces as the partners of reference_element_matching."""
+    assert len(faces) == len(mate) == sum(map(len, want))
+    number = dict(zip(faces, range(len(faces))))
+    assert len(number) == len(faces)
+    for f, u in zip(faces, mate):
+        w = want[len(f)][f]
+        if u is None:
+            assert w is None
+        elif u == _BELOW:
+            # the former matching kept the lower face here
+            assert len(w) == len(f) - 1 and mate[number[w]] == number[f]
+        else:
+            assert faces[u] == w and len(w) == len(f) + 1
+
+
 def test_element_matching_matches_the_former_matching():
     # the same (lower, upper) pairs and critical cells per dimension, on
-    # each order complex, from the lists it built, and on its label-order
-    # copy read back from the file form, from the lists its face set was
-    # bucketed into; the copy leaves critical cells that need Morse
-    # boundaries.  homology_groups then agrees with the full Smith forms,
-    # twice over
+    # each order complex, numbered through its layout; on the same lists
+    # with the layout dropped, numbered through the dict; and on its
+    # label-order copy read back from the file form, from the lists its
+    # face set was bucketed into.  The copy leaves critical cells that need
+    # Morse boundaries.  homology_groups then agrees with the full Smith
+    # forms, twice over
     built = 0
     for p in oracle_posets():
         c = order_complex(p)
+        bare = SimplicialComplex._of_lists(c.labels, c._lists, len(c), c.dim)
         back = parse_complex_lines(complex_to_lines(c))
-        for c in (c, back):
-            got = _element_matching(c._lists, c.dim)
-            want = reference_element_matching(c)
-            assert len(got) == len(want) == c.dim + 2
-            for size, (g, w) in enumerate(zip(got, want)):
-                assert g.keys() == w.keys()
-                for f, u in g.items():
-                    if u is None:
-                        assert w[f] is None
-                    elif u is False:
-                        # the former matching kept the lower face here
-                        assert len(w[f]) == size - 1 and got[size - 1][w[f]] == f
-                    else:
-                        assert len(u) == size + 1 and w[f] == u
-            if c.dim < 1:
+        for x in (c, bare, back):
+            faces, number, mate = _element_matching(x._lists, x._layout)
+            assert (number is None) == (x is c)
+            want = reference_element_matching(x)
+            assert_same_matching(faces, mate, want)
+            if x.dim < 1:
                 continue
-            h = homology_groups(c)
+            h = homology_groups(x)
             assert h.critical == tuple(
                 sum(u is None for u in w.values()) for w in want[1:]
             )
-            assert h == uncleared_homology(c, False)
-            again = homology_groups(c)
+            assert h == uncleared_homology(x, False)
+            again = homology_groups(x)
             assert (again, again.critical) == (h, h.critical)
             counts = h.critical
             built += any(
@@ -546,7 +558,7 @@ def test_missing_facet_after_a_retry_is_a_key_error():
     c = unchecked_complex(("a", "b", "c", "d"), faces)
     for lists in (c._lists, [bucket[::-1] for bucket in c._lists]):
         with pytest.raises(KeyError):
-            _element_matching(lists, c.dim)
+            _element_matching(lists, None)
         with pytest.raises(KeyError):
             homology_groups(SimplicialComplex._of_lists(c.labels, lists, 10, 2))
     with pytest.raises(KeyError):

@@ -276,6 +276,24 @@ def test_order_complex_matches_the_depth_first_reference():
         assert len(c) == chain_count(p)
 
 
+def test_order_complex_keeps_the_layout_of_its_lists():
+    # the element matching numbers an order complex's faces from its
+    # layout (order, below): lists[r] holds, for each j of below[order[r]]
+    # in that frozenset's iteration order, (r,) joined to every face of the
+    # list of j's rank, and then (r,) alone.  Every other way in keeps none
+    for p in oracle_posets():
+        c = order_complex(p)
+        order, below = c._layout
+        assert below is p.below and sorted(order) == list(range(len(p)))
+        rank = {i: r for r, i in enumerate(order)}
+        for r, faces in enumerate(c._lists):
+            laid = [(r,) + g for j in below[order[r]] for g in c._lists[rank[j]]]
+            assert list(faces) == laid + [(r,)]
+        back = parse_complex_lines(complex_to_lines(c))
+        assert back._layout is None
+    assert join(cycle_complex(4), two_points("p", "q"))._layout is None
+
+
 def test_order_complex_builds_its_face_set_when_asked():
     # the faces stay in the lists they were built in, one per least
     # vertex, while homology is taken; the face set is built from them on
