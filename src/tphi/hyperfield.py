@@ -4,8 +4,8 @@ A scalar is either zero or a point of the unit circle, stored as a rational
 number of turns in ``[0, 1)``.  Multiplication adds angles.  Addition is
 multivalued: the sum of two circle points is the smallest closed arc joining
 them, the sum of a point with its antipode is the whole hyperfield, and zero
-is the neutral element.  Sums of several terms are therefore finite unions
-of closed arcs, represented by ``ArcSet``.
+is the neutral element.  A sum is therefore zero, one closed arc or
+everything; ``ArcSet`` holds it, and any finite union of closed arcs.
 
 Angles are ``fractions.Fraction`` values, so every membership and equality
 question is decided exactly.  Sums are decided on integer residues: the
@@ -13,8 +13,8 @@ angles of the non-zero terms are put over the lcm h of their denominators,
 as residues mod 2h, and one scan of the gaps between the sorted residues
 settles the sum.  Zero lies in it exactly when no gap is wider than half a
 turn; otherwise the sum is the arc that the one wider gap leaves.
-``Fraction`` appears only at that arc's endpoints.  All values are
-immutable; nothing here keeps hidden state.
+``Fraction`` appears only at that arc's endpoints, and a float is refused
+everywhere.  All values are immutable; nothing here keeps hidden state.
 """
 
 from __future__ import annotations
@@ -28,6 +28,13 @@ from .errors import EmptySumError, Frozen
 HALF = Fraction(1, 2)
 
 
+def _rational(x) -> Fraction:
+    """x as a Fraction; a float is a ValueError, as 0.1 is not 1/10."""
+    if isinstance(x, float):
+        raise ValueError(f"{x!r} is a float; give an int, a Fraction or a string such as '1/10'")
+    return Fraction(x)
+
+
 class TPhi(Frozen):
     """Hyperfield scalar: zero (``angle is None``) or ``exp(2*pi*i*angle)``."""
 
@@ -35,7 +42,7 @@ class TPhi(Frozen):
 
     def __init__(self, angle: Fraction | None):
         if angle is not None:
-            angle = Fraction(angle) % 1
+            angle = _rational(angle) % 1
         object.__setattr__(self, "angle", angle)
 
     @property
@@ -70,8 +77,8 @@ ONE = TPhi(Fraction(0))
 def unit(numerator, denominator=None) -> TPhi:
     """Circle point at ``numerator/denominator`` turns (one arg: any rational)."""
     if denominator is None:
-        return TPhi(Fraction(numerator))
-    return TPhi(Fraction(numerator, denominator))
+        return TPhi(numerator)
+    return TPhi(_rational(numerator) / _rational(denominator))
 
 
 def neg(v: TPhi) -> TPhi:
@@ -110,7 +117,9 @@ class ArcSet(Frozen):
     ``0 <= start < 1`` and ``0 <= length < 1``, pairwise disjoint, not even
     touching at endpoints, sorted by start.  A ``length`` of zero is a
     single circle point.  Arcs run counterclockwise and may wrap past zero
-    turns.  Structural equality therefore decides set equality.
+    turns.  Structural equality therefore decides set equality.  Every arc
+    is checked, also under ``full``: a negative length or a float is a
+    ValueError.
     """
 
     __slots__ = _fields = ("has_zero", "full", "arcs")
@@ -121,8 +130,8 @@ class ArcSet(Frozen):
         full: bool = False,
         arcs: tuple[tuple[Fraction, Fraction], ...] = (),
     ):
-        arcs = _canonical_arcs(arcs, full)
-        if arcs == FULL_MARK:
+        arcs = _canonical_arcs(arcs)
+        if full or arcs is None:
             full, arcs = True, ()
         Frozen.__init__(self, has_zero, full, arcs)
 
@@ -148,63 +157,34 @@ class ArcSet(Frozen):
             return True
         return any(_on_arc(s, l, v.angle) for s, l in self.arcs)
 
-    def rotated(self, turns: Fraction) -> "ArcSet":
-        """The set multiplied pointwise by the unit at ``turns`` angles."""
-        return ArcSet(
-            self.has_zero,
-            self.full,
-            tuple(((s + turns) % 1, l) for s, l in self.arcs),
-        )
-
     def __str__(self) -> str:
         return format_arcset(self)
 
 
-# Sentinel returned by _canonical_arcs when the listed arcs cover the circle.
-FULL_MARK = ((Fraction(0), Fraction(1)),)
-
-
-def _canonical_arcs(arcs, full: bool):
-    if full:
-        return ()
-    segments = []
+def _canonical_arcs(arcs):
+    """The canonical arcs of the union of the (start, length) arcs, or None
+    for the whole circle.  One sorted sweep over the intervals
+    [start mod 1, start mod 1 + length]: those that meet merge, then the
+    last, which alone may pass 1, takes in the first ones it reaches a full
+    turn on.  An interval a turn long or more is the whole circle."""
+    spans = []
     for start, length in arcs:
-        start = Fraction(start)
-        length = Fraction(length)
+        start, length = _rational(start) % 1, _rational(length)
         if length < 0:
             raise ValueError("arc length must be non-negative")
-        if length >= 1:
-            return FULL_MARK
-        start %= 1
-        end = start + length
-        if end > 1:
-            segments.append((start, Fraction(1)))
-            segments.append((Fraction(0), end - 1))
+        spans.append([start, start + length])
+    merged = []
+    for span in sorted(spans):
+        if merged and span[0] <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], span[1])
         else:
-            segments.append((start, end))
-    if not segments:
-        return ()
-    segments.sort()
-    merged = [segments[0]]
-    for start, end in segments[1:]:
-        last_start, last_end = merged[-1]
-        if start <= last_end:
-            if end > last_end:
-                merged[-1] = (last_start, end)
-        else:
-            merged.append((start, end))
-    if len(merged) == 1 and merged[0] == (0, 1):
-        return FULL_MARK
-    if len(merged) > 1 and merged[0][0] == 0 and merged[-1][1] == 1:
-        # Touching across the wrap point: fold the last segment around.
+            merged.append(span)
+    while len(merged) > 1 and merged[-1][1] >= merged[0][0] + 1:
         first = merged.pop(0)
-        start = merged[-1][0]
-        length = 1 - start + first[1]
-        if length >= 1:
-            return FULL_MARK
-        merged[-1] = (start, start + length)
-    out = tuple((s, e - s) for s, e in merged)
-    return tuple(sorted(out))
+        merged[-1][1] = max(merged[-1][1], first[1] + 1)
+    if merged and merged[-1][1] - merged[-1][0] >= 1:
+        return None
+    return tuple((s, e - s) for s, e in merged)
 
 
 def _on_arc(start: Fraction, length: Fraction, angle: Fraction) -> bool:
@@ -319,7 +299,7 @@ def scale_arcset(a: TPhi, s: ArcSet) -> ArcSet:
         return EMPTY
     if a.is_zero:
         return ZERO_ONLY
-    return s.rotated(a.angle)
+    return ArcSet(s.has_zero, s.full, tuple((start + a.angle, l) for start, l in s.arcs))
 
 
 def neg_arcset(s: ArcSet) -> ArcSet:

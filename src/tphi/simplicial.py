@@ -279,17 +279,17 @@ def euler_characteristic(c: SimplicialComplex) -> int:
     return sum((-1) ** d * n for d, n in enumerate(c.f_vector()))
 
 
-def join(a: SimplicialComplex, b: SimplicialComplex, cap: int = DEFAULT_SIMPLEX_CAP) -> SimplicialComplex:
+def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
     """Simplicial join: unions of a face from each side (and the originals).
 
     Vertex labels are prefixed only when the two sides collide, and every
     label of both sides is kept, also one in no face.  Face counts
-    multiply, so the same cap as for order complexes applies; the checked
-    constructor closes the faces too, which stops at DEFAULT_SIMPLEX_CAP.
+    multiply: a join of more than DEFAULT_SIMPLEX_CAP faces, the cap the
+    checked constructor closes under, is refused before anything is built.
     """
     total = (len(a) + 1) * (len(b) + 1) - 1
-    if total > cap:
-        raise SizeCapExceededError(f"join would hold {total} faces, cap is {cap}")
+    if total > DEFAULT_SIMPLEX_CAP:
+        raise SizeCapExceededError(f"join would hold {total} faces, cap is {DEFAULT_SIMPLEX_CAP}")
     clash = set(a.labels) & set(b.labels)
     la = [f"A:{lab}" for lab in a.labels] if clash else list(a.labels)
     lb = [f"B:{lab}" for lab in b.labels] if clash else list(b.labels)
@@ -388,10 +388,10 @@ def face_poset(c: SimplicialComplex) -> FinitePoset:
     return FinitePoset(names.values(), pairs)
 
 
-def barycentric_subdivision(c: SimplicialComplex, cap: int = DEFAULT_SIMPLEX_CAP) -> SimplicialComplex:
+def barycentric_subdivision(c: SimplicialComplex) -> SimplicialComplex:
     """Order complex of the face poset: one vertex per face, one face per
     chain of faces."""
-    return order_complex(face_poset(c), cap)
+    return order_complex(face_poset(c))
 
 
 def complex_to_lines(c: SimplicialComplex) -> list:

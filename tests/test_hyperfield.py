@@ -4,7 +4,9 @@ boxplus_fold and contains_zero both decide a sum by one scan of the gaps
 between integer residues.  reference_fold below is the pairwise fold on
 Fraction arcs that boxplus_fold replaced; it shares no code with the gap
 scan, so both are checked against it exhaustively on small
-discretizations and on seeded random batches.
+discretizations and on seeded random batches.  reference_canonical_arcs
+is the split-merge-fold canonicalizer that the sorted sweep in ArcSet
+replaced; the sweep is checked against it on seeded random unions.
 """
 
 import itertools
@@ -129,6 +131,105 @@ def _assert_fold_matches_reference(terms):
     assert got == ArcSet(got.has_zero, got.full, got.arcs), terms
 
 
+REFERENCE_FULL_MARK = ((Fraction(0), Fraction(1)),)
+
+
+def reference_canonical_arcs(arcs, full: bool):
+    if full:
+        return ()
+    segments = []
+    for start, length in arcs:
+        start = Fraction(start)
+        length = Fraction(length)
+        if length < 0:
+            raise ValueError("arc length must be non-negative")
+        if length >= 1:
+            return REFERENCE_FULL_MARK
+        start %= 1
+        end = start + length
+        if end > 1:
+            segments.append((start, Fraction(1)))
+            segments.append((Fraction(0), end - 1))
+        else:
+            segments.append((start, end))
+    if not segments:
+        return ()
+    segments.sort()
+    merged = [segments[0]]
+    for start, end in segments[1:]:
+        last_start, last_end = merged[-1]
+        if start <= last_end:
+            if end > last_end:
+                merged[-1] = (last_start, end)
+        else:
+            merged.append((start, end))
+    if len(merged) == 1 and merged[0] == (0, 1):
+        return REFERENCE_FULL_MARK
+    if len(merged) > 1 and merged[0][0] == 0 and merged[-1][1] == 1:
+        # Touching across the wrap point: fold the last segment around.
+        first = merged.pop(0)
+        start = merged[-1][0]
+        length = 1 - start + first[1]
+        if length >= 1:
+            return REFERENCE_FULL_MARK
+        merged[-1] = (start, start + length)
+    out = tuple((s, e - s) for s, e in merged)
+    return tuple(sorted(out))
+
+
+def reference_arcset(has_zero, full, arcs):
+    """(has_zero, full, arcs) as the former ArcSet constructor made them."""
+    arcs = reference_canonical_arcs(arcs, full)
+    if arcs == REFERENCE_FULL_MARK:
+        full, arcs = True, ()
+    return has_zero, full, arcs
+
+
+def reference_scale(a: TPhi, ref):
+    """The former scale_arcset, through the former ArcSet.rotated."""
+    has_zero, full, arcs = ref
+    if not (has_zero or full or arcs):
+        return False, False, ()
+    if a.is_zero:
+        return True, False, ()
+    return reference_arcset(has_zero, full, tuple(((s + a.angle) % 1, l) for s, l in arcs))
+
+
+def _random_union(rng):
+    """Seeded arcs over one denominator: starts from -2 to 3 turns, lengths
+    0, under 1/2, at least 1/2, at least 1; some arcs start where the
+    previous one ends, a whole number of turns away."""
+    q = rng.choice((1, 2, 3, 4, 6, 8, 12, 97))
+    arcs = []
+    for _ in range(rng.randint(0, 6)):
+        if arcs and rng.random() < 0.3:
+            start = arcs[-1][0] + arcs[-1][1] + rng.randint(-1, 1)
+        else:
+            start = Fraction(rng.randint(-2 * q, 3 * q), q)
+        kind = rng.random()
+        if kind < 0.2:
+            length = Fraction(0)
+        elif kind < 0.6:
+            length = Fraction(rng.randrange(q), 2 * q)
+        elif kind < 0.95:
+            length = Fraction(rng.randrange(q, 2 * q), 2 * q)
+        else:
+            length = Fraction(rng.randint(2 * q, 4 * q), 2 * q)
+        arcs.append((start, length))
+    return q, tuple(arcs)
+
+
+def _assert_canonical(s: ArcSet):
+    assert not (s.full and s.arcs)
+    for (s0, l0), (s1, _) in zip(s.arcs, s.arcs[1:]):
+        assert s0 + l0 < s1
+    for start, length in s.arcs:
+        assert type(start) is type(length) is Fraction
+        assert 0 <= start < 1 and 0 <= length < 1
+    if len(s.arcs) > 1:
+        assert s.arcs[-1][0] + s.arcs[-1][1] < s.arcs[0][0] + 1
+
+
 def _arc(ps, qs, plen_num, plen_den):
     return (Fraction(ps, qs), Fraction(plen_num, plen_den))
 
@@ -249,6 +350,34 @@ def test_canonical_forms():
     assert f.full
     with pytest.raises(ValueError):
         ArcSet(arcs=((Fraction(0), Fraction(-1, 4)),))
+
+
+def test_canonical_arcs_match_the_former_canonicalizer():
+    rng = random.Random(20261020)
+    scales = [ZERO, ONE, unit(1, 2), unit(1, 3), unit(5, 8), unit(3, 97)]
+    grids = {}
+    for _ in range(3000):
+        q, arcs = _random_union(rng)
+        has_zero, full = rng.random() < 0.5, rng.random() < 0.05
+        s = ArcSet(has_zero, full, arcs)
+        ref = reference_arcset(has_zero, full, arcs)
+        assert (s.has_zero, s.full, s.arcs) == ref, arcs
+        _assert_canonical(s)
+        for a in scales:
+            t = scale_arcset(a, s)
+            assert (t.has_zero, t.full, t.arcs) == reference_scale(a, ref), (a, arcs)
+            _assert_canonical(t)
+        assert neg_arcset(s) == scale_arcset(unit(1, 2), s)
+        # membership on a grid four times finer than the arcs' denominator,
+        # against the listed arcs themselves
+        n = 4 * q
+        if n not in grids:
+            grids[n] = [unit(j, n) for j in range(n)]
+        points = grids[n]
+        ints = [(int(start * n), int(length * n)) for start, length in arcs]
+        for j, x in enumerate(points):
+            want = full or any(l >= n or (j - st) % n <= l for st, l in ints)
+            assert s.contains(x) == want, (arcs, x)
 
 
 def test_membership_queries():

@@ -431,9 +431,12 @@ def test_join_faces_are_distinct_and_closed():
 
 
 def test_join_cap():
-    a = cycle_complex(4)
-    with pytest.raises(SizeCapExceededError):
-        join(a, a, cap=10)
+    # the full simplex on 12 vertices has 4,095 faces; its join with itself
+    # would hold 4,096^2 - 1, past the default cap, and is refused before
+    # any closure runs
+    a = SimplicialComplex.from_simplices([[f"v{i}" for i in range(12)]])
+    with pytest.raises(SizeCapExceededError, match="join would hold 16777215 faces"):
+        join(a, a)
 
 
 def test_cone_detection():

@@ -15,7 +15,7 @@ import pytest
 
 from tphi.errors import BadArityError, IndexOutOfRangeError, UnknownElementError
 from tphi.homology import HomologySummary, IntegerMatrix
-from tphi.hyperfield import ArcSet, TPhi, boxplus_fold, unit
+from tphi.hyperfield import ArcSet, TPhi, boxplus_fold, contains_zero, unit
 from tphi.mccord import (
     BasisCertificate,
     Certificate,
@@ -223,6 +223,19 @@ def test_tphi_angles_are_taken_mod_one():
     assert TPhi("3/2") == TPhi(Fraction(1, 2))
     assert TPhi(None).angle is None and TPhi(None).is_zero
     assert hash(TPhi(Fraction(7, 4))) == hash(TPhi(Fraction(3, 4))) == hash((Fraction(3, 4),))
+    # a float is refused: 0.1 is 3602879701896397/36028797018963968, not 1/10,
+    # and 1/10 + 3/5 holds zero where the float sum would not
+    assert unit("1/10") == unit(1, 10) == unit(Fraction(1, 10)) == TPhi(Fraction(11, 10))
+    assert contains_zero([unit(1, 10), unit(3, 5)])
+    for make, message in [
+        (lambda: TPhi(0.1), "0.1 is a float"),
+        (lambda: TPhi(-0.5), "-0.5 is a float"),
+        (lambda: unit(0.1), "0.1 is a float"),
+        (lambda: unit(0.5, 2), "0.5 is a float"),
+        (lambda: unit(1, 10.0), "10.0 is a float"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            make()
 
 
 def test_arcsets_are_canonical():
@@ -237,8 +250,17 @@ def test_arcsets_are_canonical():
     assert ArcSet(True, False, ((0, 1),)) == full
     assert ArcSet(True, False, ((0, 2 * q), (2 * q, 2 * q))) == full
     assert ArcSet(True, True, ((0, q),)) == full and full.arcs == ()
-    with pytest.raises(ValueError, match="arc length must be non-negative"):
-        ArcSet(arcs=((0, -q),))
+    # every arc is checked, wherever it sits and also under full=True
+    for kwargs, message in [
+        ({"arcs": ((0, -q),)}, "arc length must be non-negative"),
+        ({"arcs": ((0, 1), (0, -q))}, "arc length must be non-negative"),
+        ({"full": True, "arcs": ((0, -q),)}, "arc length must be non-negative"),
+        ({"arcs": ((0.5, q),)}, "0.5 is a float"),
+        ({"arcs": ((0, q), (q, 0.25))}, "0.25 is a float"),
+        ({"full": True, "arcs": ((0, 1.0),)}, "1.0 is a float"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ArcSet(**kwargs)
     one = ArcSet._one_arc(q, q / 2)
     assert type(one) is ArcSet and one == ArcSet(arcs=((q, q / 2),))
     assert (one.has_zero, one.full) == (False, False)
