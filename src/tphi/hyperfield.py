@@ -32,7 +32,7 @@ def _rational(x) -> Fraction:
     """x as a Fraction; a float is a ValueError, as 0.1 is not 1/10."""
     if isinstance(x, float):
         raise ValueError(f"{x!r} is a float; give an int, a Fraction or a string such as '1/10'")
-    return Fraction(x)
+    return x if type(x) is Fraction else Fraction(x)
 
 
 class TPhi(Frozen):
