@@ -302,11 +302,10 @@ def _element_matching(lists: list, layout: tuple | None) -> tuple:
     number, built here, maps every face to its id, and a missing facet
     raises KeyError.  With the layout (order, below) of `order_complex`,
     number is None and ids are sums.  There lists[r] holds, for each j of
-    below[order[r]] in that frozenset's iteration order, (r,) joined to
-    every face of lists[s], s the rank of j, and then (r,) alone.  Let
-    off[r][s] be where s's block starts in lists[r], L[r] the length of
-    lists[r] and base[r] where it starts in faces.  Then f = (f0, ..., fk)
-    has
+    below[order[r]] in sorted id order, (r,) joined to every face of
+    lists[s], s the rank of j, and then (r,) alone.  Let off[r][s] be
+    where s's block starts in lists[r], L[r] the length of lists[r] and
+    base[r] where it starts in faces.  Then f = (f0, ..., fk) has
 
         id(f) = base[f0] + off[f0][f1] + ... + off[fk-1][fk] + L[fk] - 1,
 
@@ -319,8 +318,8 @@ def _element_matching(lists: list, layout: tuple | None) -> tuple:
     an edge (p, r) that is the id of (p,), base[p + 1] - 1.  The table
     off[r] of an element is built the first time a retry needs it, so a
     complex of edges builds none.  The walk reads below[order[r]], the very
-    frozenset that order_complex walked, which iterates the same way each
-    time, so it meets the blocks in the order they were built in.
+    sorted tuple that order_complex walked, so it meets the blocks in the
+    order they were built in.
     """
     faces = list(itertools.chain.from_iterable(lists))
     mate = [None] * len(faces)

@@ -28,11 +28,21 @@ from .errors import EmptySumError, Frozen
 HALF = Fraction(1, 2)
 
 
+_GIVE = "give an int, a Fraction or a string such as '1/10'"
+
+
 def _rational(x) -> Fraction:
-    """x as a Fraction; a float is a ValueError, as 0.1 is not 1/10."""
-    if isinstance(x, float):
-        raise ValueError(f"{x!r} is a float; give an int, a Fraction or a string such as '1/10'")
-    return x if type(x) is Fraction else Fraction(x)
+    """x as a Fraction.  Every refusal is a ValueError that names x: a
+    float, as 0.1 is not 1/10; a bool, which is no angle; and anything
+    that Fraction refuses, whatever it raises."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, (float, bool)):
+        raise ValueError(f"{x!r} is a {type(x).__name__}; {_GIVE}")
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"{x!r} is not a rational number; {_GIVE}") from None
 
 
 class TPhi(Frozen):
@@ -78,7 +88,10 @@ def unit(numerator, denominator=None) -> TPhi:
     """Circle point at ``numerator/denominator`` turns (one arg: any rational)."""
     if denominator is None:
         return TPhi(numerator)
-    return TPhi(_rational(numerator) / _rational(denominator))
+    num, den = _rational(numerator), _rational(denominator)
+    if not den:
+        raise ValueError(f"unit({numerator!r}, {denominator!r}) has a zero denominator")
+    return TPhi(num / den)
 
 
 def neg(v: TPhi) -> TPhi:

@@ -170,10 +170,10 @@ def _complex_faces(p: FinitePoset) -> list | None:
     """
     below = p.below
     number = {x: i for i, x in enumerate(x for x, down in enumerate(below) if not down)}
-    minimal = frozenset(number)
     faces = []
     for x, down in enumerate(below):
-        face = tuple(sorted(map(number.__getitem__, down & minimal))) if down else (number[x],)
+        # down is sorted and atoms are numbered in id order: face is increasing
+        face = tuple([number[z] for z in down if z in number]) if down else (number[x],)
         if len(down) + 2 != 1 << len(face):
             return None
         faces.append(face)

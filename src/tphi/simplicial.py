@@ -233,9 +233,9 @@ def order_complex(p: FinitePoset, cap: int = DEFAULT_SIMPLEX_CAP) -> SimplicialC
     SizeCapExceededError instead of building.  The dimension is the
     longest chain's length less one.  The complex keeps its layout,
     (order, p.below): the faces of vertex r are, for each j of
-    below[order[r]] in that frozenset's iteration order, (r,) joined to
-    every face of the vertex of j, and then (r,) alone.  homology_groups
-    reads face ids off it.
+    below[order[r]] in sorted id order, (r,) joined to every face of the
+    vertex of j, and then (r,) alone.  homology_groups reads face ids off
+    it.
     """
     from .poset import chain_count
 

@@ -16,7 +16,7 @@ import time
 import pytest
 
 from test_acceptance import _model_battery
-from test_homology import cycle_complex, octahedron, projective_plane
+from test_homology import cycle_complex, octahedron, oracle_posets, projective_plane
 from tphi.errors import SizeCapExceededError, UnknownElementError
 from tphi.homology import homology_groups
 from tphi.hyperfield import ONE, scalars
@@ -487,6 +487,59 @@ def test_core_matches_naive_removal():
         assert core_shape(p, kept) == core_shape(p, naive_core(p)), p
 
 
+def reference_core(p) -> tuple:
+    """The former `core`, on the former store: above as frozensets, and
+    "no live lower cover of b lies above a" as one isdisjoint."""
+    above = [frozenset(ids) for ids in p.above]
+    ups = [dict.fromkeys(cs) for cs in p.up_covers]
+    downs = [{} for _ in ups]
+    for a, cs in enumerate(p.up_covers):
+        for b in cs:
+            downs[b][a] = None
+    live = [True] * len(ups)
+    queue = list(range(len(ups)))
+    while queue:
+        x = queue.pop()
+        if not live[x] or (len(ups[x]) != 1 and len(downs[x]) != 1):
+            continue
+        live[x] = False
+        for b in ups[x]:
+            del downs[b][x]
+        for a in downs[x]:
+            del ups[a][x]
+            for b in ups[x]:
+                if above[a].isdisjoint(downs[b]):
+                    ups[a][b] = None
+                    downs[b][a] = None
+        queue += downs[x]
+        queue += ups[x]
+    return tuple(lab for lab, keep in zip(p.labels, live) if keep)
+
+
+def reference_less(p, a, b) -> bool:
+    """The former `FinitePoset.less`: membership in a frozenset."""
+    return p.index_of(b) in frozenset(p.above[p.index_of(a)])
+
+
+def test_core_and_less_match_the_frozenset_store():
+    # the oracle posets, 150 seeded random posets and the face posets, each
+    # with its opposite; less on every ordered pair
+    posets = random_posets(150, 20261021, largest=14)
+    posets += [face_poset(c) for c in cell_test_complexes()]
+    posets += [p.opposite() for p in posets]
+    posets += oracle_posets()
+    shrunk = related = 0
+    for p in posets:
+        kept = core(p)
+        assert kept == reference_core(p), p
+        shrunk += len(kept) < len(p)
+        for a in p.labels:
+            for b in p.labels:
+                assert p.less(a, b) == reference_less(p, a, b), (p, a, b)
+                related += p.less(a, b)
+    assert shrunk > 300 and related > 20000
+
+
 def reference_type_classes(p):
     """The former `discrete_type_classes`: a walk over every strict pair,
     above and below, with a new set per element."""
@@ -501,7 +554,7 @@ def reference_type_classes(p):
         while stack:
             i = stack.pop()
             comp.append(p.labels[i])
-            for j in p.above[i] | p.below[i]:
+            for j in set(p.above[i]).union(p.below[i]):
                 if not seen[j]:
                     seen[j] = True
                     stack.append(j)

@@ -279,7 +279,7 @@ def test_order_complex_matches_the_depth_first_reference():
 def test_order_complex_keeps_the_layout_of_its_lists():
     # the element matching numbers an order complex's faces from its
     # layout (order, below): lists[r] holds, for each j of below[order[r]]
-    # in that frozenset's iteration order, (r,) joined to every face of the
+    # in sorted id order, (r,) joined to every face of the
     # list of j's rank, and then (r,) alone.  Every other way in keeps none
     for p in oracle_posets():
         c = order_complex(p)

@@ -233,6 +233,17 @@ def test_tphi_angles_are_taken_mod_one():
         (lambda: unit(0.1), "0.1 is a float"),
         (lambda: unit(0.5, 2), "0.5 is a float"),
         (lambda: unit(1, 10.0), "10.0 is a float"),
+        # every other refusal is a ValueError that names the value too,
+        # not Fraction's TypeError or ZeroDivisionError
+        (lambda: TPhi([1]), r"\[1\] is not a rational number"),
+        (lambda: TPhi(1j), r"1j is not a rational number"),
+        (lambda: TPhi("x"), "'x' is not a rational number"),
+        (lambda: TPhi("1/0"), "'1/0' is not a rational number"),
+        (lambda: unit(1, 0), r"unit\(1, 0\) has a zero denominator"),
+        (lambda: unit("1", "0/3"), r"unit\('1', '0/3'\) has a zero denominator"),
+        (lambda: unit(1, "y"), "'y' is not a rational number"),
+        (lambda: TPhi(True), "True is a bool"),
+        (lambda: unit(False, 3), "False is a bool"),
     ]:
         with pytest.raises(ValueError, match=message):
             make()
