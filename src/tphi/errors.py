@@ -5,14 +5,16 @@ Everything raised on purpose derives from ``TphiError`` so the command line
 driver can map library failures to a single exit code.  The default size
 cap and the capped counts that guard every builder live here too, next to
 ``SizeCapExceededError``, so a module that only needs a guard imports no
-other tphi module, and so does ``check_file_labels``, the label rule of
-both file writers.  So does ``Frozen``, the base of the immutable value
-classes: every module loads this one, and none of them needs the
-standard library's data-class generator, whose import pulls in
-``inspect`` and ``ast``.
+other tphi module.  So do the two halves of the text formats' line rule:
+``file_lines``, the one way the three file readers split their text, and
+``check_file_labels``, the label rule of both file writers, which refuses
+every label those lines could not carry.  So does ``Frozen``, the base of
+the immutable value classes: every module loads this one, and none of
+them needs the standard library's data-class generator, whose import
+pulls in ``inspect`` and ``ast``.
 """
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 DEFAULT_SIMPLEX_CAP = 5_000_000
 
@@ -42,13 +44,24 @@ def capped_comb(n: int, r: int, cap: int) -> int:
     return out
 
 
+def file_lines(text: str) -> Iterator[str]:
+    """The lines of a text file as its reader takes them: one leading
+    byte-order mark (U+FEFF) dropped, each line stripped, and blank lines
+    and lines that start with '#' skipped."""
+    for raw in text.removeprefix("\ufeff").splitlines():
+        line = raw.strip()
+        if line and line[0] != "#":
+            yield line
+
+
 def check_file_labels(labels: Iterable[str]) -> None:
-    """Refuse, with ValueError, a label the text formats cannot carry: the
-    readers split lines at whitespace and skip blank and '#' lines."""
+    """Refuse, with ValueError, a label the text formats cannot carry:
+    file_lines drops a leading byte-order mark and skips blank and '#'
+    lines, and the readers split each line at whitespace."""
     for lab in labels:
         # str.split() breaks at exactly the characters str.isspace() accepts
-        if lab.split() != [lab] or lab[0] == "#":
-            raise ValueError(f"label {lab!r} cannot be written: it is empty, holds whitespace or starts with '#'")
+        if lab.split() != [lab] or lab[0] in "#\ufeff":
+            raise ValueError(f"label {lab!r} cannot be written: it is empty, holds whitespace or starts with '#' or U+FEFF")
 
 
 class TphiError(Exception):

@@ -88,7 +88,8 @@ def build_tphi_power(n: int, k: int, cap: int = DEFAULT_SIMPLEX_CAP) -> Mirrored
     zeros = list(map(operator.countOf, vectors(range(k + 1)), itertools.repeat(0)))
     # only vectors with two or more non-zero residues have a vector below
     upper = itertools.compress(enumerate(vectors(range(k + 1))), map((n - 1).__gt__, zeros))
-    pairs = [(x - e * w, x) for x, v in upper for e, w in zip(v, weight) if e]
+    # a generator, so the pairs go straight into _of_ids's lists
+    pairs = ((x - e * w, x) for x, v in upper for e, w in zip(v, weight) if e)
     poset = FinitePoset._of_ids(labels, pairs)
     index = _chain_poset(str(s) for s in range(1, n + 1))
     return MirroredPoset(poset, index, tuple(zip(labels, map(stratum.__getitem__, zeros))))
@@ -122,16 +123,13 @@ def build_perp_poset(vs, k: int, cap: int = DEFAULT_SIMPLEX_CAP) -> MirroredPose
     labels, stratum, pairs = [], [], []
     for x, r in enumerate(rows):
         labels.append(",".join(table[e] for e in r))
-        nonzero = [i for i, e in enumerate(r) if e]
-        stratum.append(str(len(nonzero)))
-        for size in range(1, len(nonzero)):
-            for zeroed in itertools.combinations(nonzero, size):
-                below = list(r)
-                for i in zeroed:
-                    below[i] = 0
-                y = id_of.get(tuple(below))
-                if y is not None:
-                    pairs.append((y, x))
+        stratum.append(str(len(r) - r.count(0)))
+        # each way of zeroing some of r's entries: r itself is skipped, and
+        # the zero vector is no member
+        for below in itertools.product(*[(0, e) if e else (0,) for e in r]):
+            y = id_of.get(below)
+            if y is not None and y != x:
+                pairs.append((y, x))
     poset = FinitePoset._of_ids(labels, pairs)
     index = _chain_poset(sorted(set(stratum), key=int))
     return MirroredPoset(poset, index, tuple(zip(labels, stratum)))

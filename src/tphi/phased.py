@@ -28,6 +28,7 @@ from .errors import (
     ZeroVectorError,
     capped_comb,
     capped_product,
+    file_lines,
 )
 from .hyperfield import (
     TPhi,
@@ -205,12 +206,7 @@ def gp_eval(phi: GPFunction, tup: Sequence[int]) -> TPhi:
 
 
 def _inversions(tup) -> int:
-    return sum(
-        1
-        for i in range(len(tup))
-        for j in range(i + 1, len(tup))
-        if tup[i] > tup[j]
-    )
+    return sum(a > b for a, b in itertools.combinations(tup, 2))
 
 
 def gp_relation_terms(phi: GPFunction, xs: Sequence[int], ys: Sequence[int]) -> list:
@@ -436,11 +432,7 @@ def format_gp(phi: GPFunction) -> str:
 
 def parse_gp_file(text: str) -> GPFunction:
     """Parse the file form; tuples not listed get the value zero."""
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
+    lines = list(file_lines(text))
     if not lines:
         raise ValueError("empty function file")
     header = lines[0].split()

@@ -31,7 +31,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from typing import Iterable, Mapping
 
-from .errors import CycleDetectedError, Frozen, UnknownElementError, check_file_labels
+from .errors import CycleDetectedError, Frozen, UnknownElementError, check_file_labels, file_lines
 
 
 class FinitePoset:
@@ -72,11 +72,12 @@ class FinitePoset:
         p._close(ordered, dict(zip(ordered, range(len(ordered)))), direct)
         return p
 
-    def _close(self, labels: tuple, pos: dict, direct: Mapping) -> None:
+    def _close(self, labels: tuple, pos: dict, direct: dict) -> None:
         """The closure pass of both ways in: labels sorted, pos the id of
-        each, and direct mapping an id to its direct successors, each once;
-        ids with none may be left out.  above and below come out as sorted
-        tuples of ids; no set outlives the element it is built for."""
+        each, and direct, which the pass empties, mapping an id to its
+        direct successors, each once; ids with none may be left out.  above
+        and below come out as sorted tuples of ids; no set outlives the
+        element it is built for."""
         n = len(labels)
         indegree = [0] * n
         for ds in direct.values():
@@ -99,7 +100,8 @@ class FinitePoset:
         above = [()] * n
         up_covers = [()] * n
         for i in reversed(topo):
-            ds = direct[i]
+            # direct's lists go as above's tuples come
+            ds = direct.pop(i)
             reach = set()
             for j in ds:
                 reach.update(above[j])
@@ -426,10 +428,7 @@ def parse_poset_file(text: str):
     index_elems, index_pairs = [], []
     mirror = {}
     target_elems, target_pairs = main_elems, main_pairs
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in file_lines(text):
         tokens = line.split()
         if tokens == ["index"]:
             target_elems, target_pairs = index_elems, index_pairs

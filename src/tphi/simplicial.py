@@ -24,7 +24,7 @@ import operator
 from collections import Counter, defaultdict
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import DEFAULT_SIMPLEX_CAP, Frozen, SizeCapExceededError, check_file_labels
+from .errors import DEFAULT_SIMPLEX_CAP, Frozen, SizeCapExceededError, check_file_labels, file_lines
 
 # posets are imported where a complex is made from one or made into one,
 # so parsing a complex file and taking its homology loads no `poset`
@@ -406,15 +406,8 @@ def complex_to_lines(c: SimplicialComplex) -> list:
 
 
 def parse_complex_lines(text) -> SimplicialComplex:
-    """Parse the export form; lines are face generators, closure is taken."""
-    if isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = list(text)
-    gens = []
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        gens.append(line.split())
-    return SimplicialComplex.from_simplices(gens)
+    """Parse the export form, as text or as a list of lines such as
+    complex_to_lines returns; lines are face generators, closure is taken."""
+    if not isinstance(text, str):
+        text = "\n".join(text)
+    return SimplicialComplex.from_simplices([line.split() for line in file_lines(text)])
