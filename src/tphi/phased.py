@@ -160,6 +160,9 @@ class GPFunction(Frozen):
             raise BadArityError(f"arity r={r} outside 1..{n}")
         seen = {}
         for key, val in entries:
+            for i in key:
+                if isinstance(i, (float, bool)):
+                    raise ValueError(f"index {i!r} is a {type(i).__name__}; give an int")
             key = tuple(int(i) for i in key)
             if len(key) != r:
                 raise BadArityError(f"key {key} is not an {r}-tuple")
@@ -255,8 +258,8 @@ def gp_verify_all(phi: GPFunction, all_tuples: bool = False) -> GPReport:
     counted first and refused above DEFAULT_SIMPLEX_CAP.
 
     The values are taken as their angle_residues, and each relation is
-    read from the rows of _gp_sweep as they are generated: the cap allows
-    millions of relations, so no table of them is held.
+    tested as _gp_sweep yields it: the cap allows millions of relations,
+    so no table of them is held.
     """
     if phi.is_zero:
         return GPReport(False, "not identically zero")
@@ -269,8 +272,12 @@ def gp_verify_all(phi: GPFunction, all_tuples: bool = False) -> GPReport:
     residues, h = angle_residues([v for _, v in phi.entries])
     residue = dict(zip(keys, residues))
     value = [residue.get(t) for t in itertools.combinations(range(1, n + 1), r)]
-    for xs, ys, terms in _gp_sweep(n, r, all_tuples):
-        if not _gp_relation_holds(terms, value, h):
+
+    def weigh(i, p):
+        return None if value[i] is None else value[i] + h * p
+
+    for xs, ys, pairs in _gp_sweep(n, r, all_tuples, weigh):
+        if not zero_in_residue_sum([a + b for a, b in pairs], h):
             return GPReport(False, "exchange relation failed", xs, ys)
     return GPReport(True)
 
@@ -285,8 +292,9 @@ def _relation_count(n: int, r: int, all_tuples: bool, cap: int) -> int:
 
 
 def _gp_relation_holds(terms, value, h: int) -> bool:
-    """One row of the relation table on residues mod 2h: value[i] is the
-    residue of phi on the i-th increasing tuple, None where phi is zero."""
+    """One relation of _gp_relations_by_last_tuple on residues mod 2h:
+    value[i] is the residue of phi on the i-th increasing tuple, None
+    where phi is zero."""
     return zero_in_residue_sum(
         [
             value[a] + value[b] + h * p
@@ -297,15 +305,18 @@ def _gp_relation_holds(terms, value, h: int) -> bool:
     )
 
 
-def _gp_sweep(n: int, r: int, all_tuples: bool):
-    """Yield (xs, ys, terms) for every exchange relation, in the order of
-    the gp_verify_all sweep.
+def _gp_sweep(n: int, r: int, all_tuples: bool, weigh):
+    """Yield (xs, ys, pairs) for each exchange relation of the
+    gp_verify_all sweep that has a non-zero term, xs outer and ys inner.
 
-    terms lists the terms of gp_relation_terms that are not zero for every
-    function, as (a, b, p): the term is phi(A) * phi(B) times a half turn
-    when p is 1, where A and B are the a-th and b-th increasing r-tuples in
-    lexicographic order.  p collects the relation's own sign and the
-    parities of the permutations that sort the two tuples.
+    weigh(i, p) is the caller's entry for phi on the i-th increasing
+    r-tuple times a half turn when p is odd, None where that is zero.
+    pairs lists the terms of gp_relation_terms in order, as (a, b): a for
+    xs less x_k with the relation's sign for k, b for (x_k,) + ys.  The a
+    entries are weighed once per xs, the b entries once per call as one
+    column over the ys sweep for each x.  Each relation keeps its place
+    and its own sum, so every verdict and the first failure are those of
+    the term-by-term sweep; one left out has an empty sum, which holds.
     """
     ground = range(1, n + 1)
     index = {t: i for i, t in enumerate(itertools.combinations(ground, r))}
@@ -322,24 +333,35 @@ def _gp_sweep(n: int, r: int, all_tuples: bool):
     # tuple -> (index of its sorted form, parity of the sort); tuples with
     # repeated entries are missing, since phi vanishes on them
     signed = {t: (index[tuple(sorted(t))], _inversions(t) % 2) for t in candidates}
+
+    def entry(t, sign=0):
+        s = signed.get(t)
+        return None if s is None else weigh(s[0], s[1] + sign)
+
+    columns = {x: [entry((x,) + ys) for ys in ys_sweep] for x in ground}
     for xs in xs_sweep:
-        for ys in ys_sweep:
-            terms = []
-            for k in range(r + 1):
-                a = signed.get(xs[:k] + xs[k + 1 :])
-                b = signed.get((xs[k],) + ys)
-                if a is not None and b is not None:
-                    # gp_relation_terms puts a half turn on its odd 1-based k
-                    terms.append((a[0], b[0], (a[1] + b[1] + k + 1) % 2))
-            yield xs, ys, tuple(terms)
+        heads, tails = [], []
+        for k, x in enumerate(xs):
+            # gp_relation_terms puts a half turn on its odd 1-based k
+            a = entry(xs[:k] + xs[k + 1 :], k + 1)
+            if a is not None:
+                heads.append(a)
+                tails.append(columns[x])
+        for ys, bs in zip(ys_sweep, zip(*tails)):
+            pairs = [(a, b) for a, b in zip(heads, bs) if b is not None]
+            if pairs:
+                yield xs, ys, pairs
 
 
 def _gp_relations_by_last_tuple(n: int, r: int) -> list:
     """The exchange relations on increasing tuples, filed by their last
     tuple: entry q lists the terms of every relation whose largest tuple
-    index is q, so it can be checked once tuples 0..q have values."""
+    index is q, so it can be checked once tuples 0..q have values.  A
+    term (a, b, p) is phi(A) * phi(B) times a half turn when p is 1, A
+    and B the a-th and b-th increasing r-tuples."""
     closing = [[] for _ in range(math.comb(n, r))]
-    for _, _, terms in _gp_sweep(n, r, False):
+    for _, _, pairs in _gp_sweep(n, r, False, lambda i, p: (i, p)):
+        terms = tuple((a, b, (p + q) % 2) for (a, p), (b, q) in pairs)
         closing[max(max(a, b) for a, b, _ in terms)].append(terms)
     return closing
 

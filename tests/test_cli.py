@@ -90,6 +90,23 @@ def test_gp_check_failing_function(tmp_path, capsys):
     assert list(obj) == ["ok", "reason", "xs", "ys"]
 
 
+def test_gp_check_all_tuples_failure_is_pinned(tmp_path, capsys):
+    # three values on (5, 3): the first failure follows a run of relations
+    # whose terms are all zero, and both sweeps stop at the same relation
+    f = tmp_path / "sparse.gp"
+    f.write_text("5 3\n1 3 5 : 1/4\n1 4 5 : 0/1\n2 4 5 : 3/4\n")
+    code, out, err = run(capsys, "gp-check", str(f), "--all-tuples")
+    assert (code, out, err) == (1, "fail: exchange relation failed at xs=1,2,3,5 ys=4,5\n", "")
+    code, out, err = run(capsys, "gp-check", str(f), "--all-tuples", "--format", "json-lines")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "ok": False,
+        "reason": "exchange relation failed",
+        "xs": [1, 2, 3, 5],
+        "ys": [4, 5],
+    }
+
+
 def test_gp_check_missing_file(capsys):
     code, _, err = run(capsys, "gp-check", "/nonexistent/file.gp")
     assert code == 2

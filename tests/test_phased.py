@@ -6,6 +6,7 @@ oracle stay separate: perp_enumerate searches residue rows, and
 reference_perp filters scalar tuples through perp_membership.
 """
 
+import functools
 import itertools
 import random
 
@@ -24,11 +25,13 @@ from tphi.hyperfield import (
     ONE,
     TPhi,
     ZERO,
+    angle_residues,
     boxplus_fold,
     phase_key,
     scalars,
     unit,
     units,
+    zero_in_residue_sum,
 )
 from tphi.models import build_perp_poset, enum_grassmannian
 from tphi.phased import (
@@ -334,12 +337,20 @@ MIXED_REALIZABLE = GPFunction.from_values(
 )
 
 
+# Three values on (5, 3): the relations fail first at xs=(1,2,3,5), after
+# a run of relations whose terms are all zero.
+SPARSE_53 = GPFunction.from_values(
+    5, 3, {(1, 3, 5): unit(1, 4), (1, 4, 5): ONE, (2, 4, 5): unit(3, 4)}
+)
+
+
 def test_verify_all_matches_term_sweep():
     rng = random.Random(20261018)
     mixed = [ZERO, ZERO] + units(3) + units(4) + units(6)
     funcs = [MIXED_REALIZABLE, scalar_multiply(unit(1, 5), MIXED_REALIZABLE)]
-    for phi in enum_grassmannian(4, 2, 2)[::15]:
+    for phi in enum_grassmannian(4, 2, 2)[::15] + enum_grassmannian(5, 3, 1)[::65]:
         funcs.append(scalar_multiply(unit(1, 3), phi))
+    funcs.append(SPARSE_53)
     for n, r in ((3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (4, 1)):
         tuples = list(itertools.combinations(range(1, n + 1), r))
         for _ in range(6):
@@ -351,12 +362,87 @@ def test_verify_all_matches_term_sweep():
         rep = gp_verify_all(phi)
         assert (rep.ok, rep.xs, rep.ys) == want, format_gp(phi)
         passed += rep.ok
-        if phi.n <= 4:
-            want = sweep_report(phi, all_tuples=True)
-            rep = gp_verify_all(phi, all_tuples=True)
-            assert (rep.ok, rep.xs, rep.ys) == want, format_gp(phi)
+        want = sweep_report(phi, all_tuples=True)
+        rep = gp_verify_all(phi, all_tuples=True)
+        assert (rep.ok, rep.xs, rep.ys) == want, format_gp(phi)
     assert sweep_report(MIXED_REALIZABLE)[0]
     assert 12 <= passed < len(funcs)
+
+
+def reference_verify_all(phi, all_tuples=False):
+    """gp_verify_all as it was before its sweep hoisted the look-ups out
+    of the relation loop: each relation is rebuilt from four look-ups of
+    sliced tuples and checked as a list of index terms.  The cap refusal
+    is left out, and reference_sweep keeps the relations of each shape."""
+    if phi.is_zero:
+        return GPReport(False, "not identically zero")
+    n, r = phi.n, phi.r
+    keys = [key for key, _ in phi.entries]
+    residues, h = angle_residues([v for _, v in phi.entries])
+    residue = dict(zip(keys, residues))
+    value = [residue.get(t) for t in itertools.combinations(range(1, n + 1), r)]
+    for xs, ys, terms in reference_sweep(n, r, all_tuples):
+        live = [
+            value[a] + value[b] + h * p
+            for a, b, p in terms
+            if value[a] is not None and value[b] is not None
+        ]
+        if not zero_in_residue_sum(live, h):
+            return GPReport(False, "exchange relation failed", xs, ys)
+    return GPReport(True)
+
+
+@functools.cache
+def reference_sweep(n, r, all_tuples):
+    """(xs, ys, terms) for every exchange relation in sweep order, terms
+    as (a, b, p): phi(A) * phi(B) times a half turn when p is 1, where A
+    and B are the a-th and b-th increasing r-tuples."""
+    ground = range(1, n + 1)
+    index = {t: i for i, t in enumerate(itertools.combinations(ground, r))}
+    if all_tuples:
+        xs_sweep = itertools.product(ground, repeat=r + 1)
+        ys_sweep = list(itertools.product(ground, repeat=r - 1))
+        candidates = itertools.permutations(ground, r)
+    else:
+        xs_sweep = itertools.combinations(ground, r + 1)
+        ys_sweep = list(itertools.combinations(ground, r - 1))
+        candidates = ((x,) + ys for ys in ys_sweep for x in ground if x not in ys)
+    signed = {t: (index[tuple(sorted(t))], _inversions(t) % 2) for t in candidates}
+    relations = []
+    for xs in xs_sweep:
+        for ys in ys_sweep:
+            terms = []
+            for k in range(r + 1):
+                a = signed.get(xs[:k] + xs[k + 1 :])
+                b = signed.get((xs[k],) + ys)
+                if a is not None and b is not None:
+                    terms.append((a[0], b[0], (a[1] + b[1] + k + 1) % 2))
+            relations.append((xs, ys, tuple(terms)))
+    return tuple(relations)
+
+
+def test_verify_all_matches_the_former_sweep():
+    # seeded functions on every shape with n <= 5 and r <= 3, on random
+    # supports, with values from five discretizations; ranks 1, n - 1 and
+    # n pass whatever the values, so the other shapes get more draws
+    rng = random.Random(20261020)
+    pool = [ONE] + units(2) + units(3) + units(4) + units(6)
+    drawn = []
+    for n in range(1, 6):
+        for r in range(1, min(n, 3) + 1):
+            tuples = list(itertools.combinations(range(1, n + 1), r))
+            for _ in range(12 if 1 < r < n - 1 else 3):
+                support = rng.sample(tuples, rng.randint(1, len(tuples)))
+                drawn.append(GPFunction.from_values(n, r, {t: rng.choice(pool) for t in support}))
+    failing = sum(not reference_verify_all(phi).ok for phi in drawn)
+    assert 3 * failing >= len(drawn)
+    funcs = drawn + enum_grassmannian(4, 2, 2) + enum_grassmannian(5, 3, 1)
+    for phi in funcs:
+        for all_tuples in (False, True):
+            assert gp_verify_all(phi, all_tuples) == reference_verify_all(phi, all_tuples), (
+                format_gp(phi),
+                all_tuples,
+            )
 
 
 def test_verify_all_counts_relations_against_cap():

@@ -288,6 +288,8 @@ def test_gp_function_normalises_and_checks_its_entries():
         ((2, 1, (((3,), unit(0)),)), IndexOutOfRangeError, r"index 3 outside 1\.\.2"),
         ((2, 2, (((2, 1), unit(0)),)), BadArityError, r"key \(2, 1\) must be strictly increasing"),
         ((2, 1, (((1,), unit(0)), (("1",), unit(0)))), ValueError, r"duplicate key \(1,\)"),
+        ((3, 1, (((1.7,), unit(0)),)), ValueError, r"^index 1\.7 is a float; give an int$"),
+        ((3, 1, (((True,), unit(0)),)), ValueError, r"^index True is a bool; give an int$"),
     ]
     for args, error, message in cases:
         with pytest.raises(error, match=message):
