@@ -259,7 +259,9 @@ def gp_verify_all(phi: GPFunction, all_tuples: bool = False) -> GPReport:
 
     The values are taken as their angle_residues, and each relation is
     tested as _gp_sweep yields it: the cap allows millions of relations,
-    so no table of them is held.
+    so no table of them is held.  The sweep makes each look-up that does
+    not depend on ys once, but keeps the order of the relations and tests
+    each one, so the report is the one a term-by-term sweep gives.
     """
     if phi.is_zero:
         return GPReport(False, "not identically zero")
@@ -347,6 +349,7 @@ def _gp_sweep(n: int, r: int, all_tuples: bool, weigh):
             if a is not None:
                 heads.append(a)
                 tails.append(columns[x])
+        # with no a entry there are no rows of b entries: every sum is empty
         for ys, bs in zip(ys_sweep, zip(*tails)):
             pairs = [(a, b) for a, b in zip(heads, bs) if b is not None]
             if pairs:
