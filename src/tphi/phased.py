@@ -161,7 +161,7 @@ class GPFunction(Frozen):
         seen = {}
         for key, val in entries:
             for i in key:
-                if isinstance(i, (float, bool)):
+                if isinstance(i, bool) or not isinstance(i, (int, str)):
                     raise ValueError(f"index {i!r} is a {type(i).__name__}; give an int")
             key = tuple(int(i) for i in key)
             if len(key) != r:

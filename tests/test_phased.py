@@ -436,7 +436,7 @@ def test_verify_all_matches_the_former_sweep():
                 drawn.append(GPFunction.from_values(n, r, {t: rng.choice(pool) for t in support}))
     failing = sum(not reference_verify_all(phi).ok for phi in drawn)
     assert 3 * failing >= len(drawn)
-    funcs = drawn + enum_grassmannian(4, 2, 2) + enum_grassmannian(5, 3, 1)
+    funcs = drawn + [SPARSE_53] + enum_grassmannian(4, 2, 2) + enum_grassmannian(5, 3, 1)
     for phi in funcs:
         for all_tuples in (False, True):
             assert gp_verify_all(phi, all_tuples) == reference_verify_all(phi, all_tuples), (

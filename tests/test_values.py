@@ -290,6 +290,7 @@ def test_gp_function_normalises_and_checks_its_entries():
         ((2, 1, (((1,), unit(0)), (("1",), unit(0)))), ValueError, r"duplicate key \(1,\)"),
         ((3, 1, (((1.7,), unit(0)),)), ValueError, r"^index 1\.7 is a float; give an int$"),
         ((3, 1, (((True,), unit(0)),)), ValueError, r"^index True is a bool; give an int$"),
+        ((3, 1, (((Fraction(3, 2),), unit(0)),)), ValueError, r"^index Fraction\(3, 2\) is a Fraction"),
     ]
     for args, error, message in cases:
         with pytest.raises(error, match=message):
