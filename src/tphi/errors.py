@@ -8,7 +8,8 @@ cap and the capped counts that guard every builder live here too, next to
 other tphi module.  So do the two halves of the text formats' line rule:
 ``file_lines``, the one way the three file readers split their text, and
 ``check_file_labels``, the label rule of both file writers, which refuses
-every label those lines could not carry.  So does ``Frozen``, the base of
+every label those lines could not carry, and ``parse_int``, the integer
+rule of every number a text format carries.  So does ``Frozen``, the base of
 the immutable value classes: every module loads this one, and none of
 them needs the standard library's data-class generator, whose import
 pulls in ``inspect`` and ``ast``.
@@ -52,6 +53,16 @@ def file_lines(text: str) -> Iterator[str]:
         line = raw.strip()
         if line and line[0] != "#":
             yield line
+
+
+def parse_int(text: str) -> int:
+    """text as an int: ASCII digits, with one optional leading '-'.  What
+    else int() takes, such as '+', '_' between digits, whitespace or the
+    digits of other scripts, is a ValueError that names the text."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an integer in ASCII digits")
+    return int(text)
 
 
 def check_file_labels(labels: Iterable[str]) -> None:

@@ -9,21 +9,25 @@ everything; ``ArcSet`` holds it, and any finite union of closed arcs.
 
 Angles are ``fractions.Fraction`` values, so every membership and equality
 question is decided exactly.  Sums are decided on integer residues: the
-angles of the non-zero terms are put over the lcm h of their denominators,
-as residues mod 2h, and one scan of the gaps between the sorted residues
-settles the sum.  Zero lies in it exactly when no gap is wider than half a
-turn; otherwise the sum is the arc that the one wider gap leaves.
-``Fraction`` appears only at that arc's endpoints, and a float is refused
+angle of each non-zero term is read once as its integer ratio p/q, put
+over the lcm h of the denominators as the residue p * (2h // q) mod 2h,
+and one scan of the gaps between the sorted distinct residues settles the
+sum.  Zero lies in it exactly when no gap is wider than half a turn;
+otherwise the sum is the arc that the one wider gap leaves.  Every caller
+with residues of its own, such as the exchange relations and the perp
+tests of ``phased``, reaches the same scan through ``zero_in_residue_sum``.
+No ``Fraction`` arithmetic is done on the way; ``Fraction`` appears only at
+the endpoints of ``boxplus_fold``'s arc, and a float is refused
 everywhere.  All values are immutable; nothing here keeps hidden state.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
-from .errors import EmptySumError, Frozen
+from .errors import EmptySumError, Frozen, parse_int
 
 HALF = Fraction(1, 2)
 
@@ -236,14 +240,10 @@ def boxplus_fold(terms: Sequence[TPhi]) -> ArcSet:
     than half a turn round to its start.  The result does not depend on
     the order of the terms.
     """
-    terms = list(terms)
-    if not terms:
-        raise EmptySumError("cannot sum an empty sequence of scalars")
-    points = [t for t in terms if not t.is_zero]
+    points, h = _sum_points(terms)
     if not points:
         return ZERO_ONLY
-    residues, h = angle_residues(points)
-    wide = _wide_gap(residues, h)
+    wide = _wide_gap(points, h)
     if wide is None:
         return FULL_WITH_ZERO
     gap, end = wide
@@ -251,19 +251,35 @@ def boxplus_fold(terms: Sequence[TPhi]) -> ArcSet:
     return ArcSet._one_arc(Fraction(end, m), Fraction(m - gap, m))
 
 
-def _wide_gap(residues, h: int):
-    """The gap wider than h between consecutive distinct points of the
-    residues mod 2h, as (width, end) where end is the point that closes it
-    going counterclockwise, or None when no gap is that wide.
+def _sum_points(terms) -> tuple[list[int], int]:
+    """The non-zero terms as (points, h): the distinct residues mod 2h of
+    their angles, sorted, where h is the lcm of the angle denominators.
+
+    Each angle p/q is read once as its integer ratio and becomes
+    p * (2h // q), which lies in [0, 2h) since the angle lies in [0, 1).
+    A sum of no terms raises EmptySumError; one of zeros has no points.
+    """
+    angles = [t.angle for t in terms]
+    if not angles:
+        raise EmptySumError("cannot sum an empty sequence of scalars")
+    ratios = [a.as_integer_ratio() for a in angles if a is not None]
+    h = lcm(*(q for _, q in ratios))
+    m = 2 * h
+    return sorted({p * (m // q) for p, q in ratios}), h
+
+
+def _wide_gap(points: list[int], h: int):
+    """The gap wider than h between consecutive points, given as distinct
+    residues in [0, 2h) in increasing order, as (width, end) where end is
+    the point that closes it going counterclockwise, or None when no gap
+    is that wide.
 
     The gaps add up to 2h, so at most one is wider than h.  One point
     leaves a gap of 2h; no points at all give None.
     """
-    m = 2 * h
-    points = sorted({x % m for x in residues})
     if not points:
         return None
-    prev = points[-1] - m
+    prev = points[-1] - 2 * h
     for x in points:
         if x - prev > h:
             return x - prev, x
@@ -282,28 +298,27 @@ def zero_in_residue_sum(residues, h: int) -> bool:
     has antipodal end points, so the two tests together say that no gap
     exceeds h.
     """
-    return _wide_gap(residues, h) is None
+    m = 2 * h
+    return _wide_gap(sorted({x % m for x in residues}), h) is None
 
 
 def angle_residues(values: Sequence[TPhi]) -> tuple[list[int], int]:
     """The non-zero values as (residues, h): each angle put over the lcm h
     of the angle denominators, as an integer residue mod 2h, so that h
     residues make half a turn."""
-    angles = [v.angle for v in values]
-    h = lcm(*(a.denominator for a in angles))
-    return [a.numerator * (2 * h // a.denominator) for a in angles], h
+    ratios = [v.angle.as_integer_ratio() for v in values]
+    h = lcm(*(q for _, q in ratios))
+    m = 2 * h
+    return [p * (m // q) for p, q in ratios], h
 
 
 def contains_zero(terms: Sequence[TPhi]) -> bool:
     """Whether zero lies in the multivalued sum of the terms.
 
-    Decided without folding, by ``zero_in_residue_sum`` on the
-    ``angle_residues`` of the non-zero terms.
+    Decided without folding, by the gap scan of boxplus_fold on the same
+    points.
     """
-    terms = list(terms)
-    if not terms:
-        raise EmptySumError("cannot sum an empty sequence of scalars")
-    return zero_in_residue_sum(*angle_residues([t for t in terms if not t.is_zero]))
+    return _wide_gap(*_sum_points(terms)) is None
 
 
 def scale_arcset(a: TPhi, s: ArcSet) -> ArcSet:
@@ -328,18 +343,27 @@ def format_value(v: TPhi) -> str:
 
 def format_scalars(k: int) -> list[str]:
     """``[format_value(s) for s in scalars(k)]``, computed from the residues
-    alone: position 0 is zero and position j+1 is j/k turns in lowest terms."""
+    alone: position 0 is zero and position j+1 is j/k turns in lowest terms.
+
+    The table is filled one divisor q of k at a time, in increasing order:
+    p/q turns is position p*(k/q) + 1, and the first q to reach a position
+    is the denominator of its lowest terms, so no position needs a gcd.
+    """
     if k < 1:
         raise ValueError("k must be positive")
-    out = ["0"]
-    for j in range(k):
-        g = gcd(j, k)
-        out.append(f"{j // g}/{k // g}")
+    out = ["0"] + [None] * k
+    for q in range(1, k + 1):
+        if k % q:
+            continue
+        tail = "/" + str(q)
+        for p, j in enumerate(range(1, k + 1, k // q)):
+            if out[j] is None:
+                out[j] = str(p) + tail
     return out
 
 
 def parse_value(text: str) -> TPhi:
-    """Parse '0' (zero) or 'p/q' (p/q turns)."""
+    """Parse '0' (zero) or 'p/q' (p/q turns), p and q by parse_int."""
     text = text.strip()
     if text == "0":
         return ZERO
@@ -347,7 +371,7 @@ def parse_value(text: str) -> TPhi:
     if len(parts) != 2:
         raise ValueError(f"bad scalar {text!r}: expected '0' or 'p/q'")
     try:
-        num, den = int(parts[0]), int(parts[1])
+        num, den = parse_int(parts[0]), parse_int(parts[1])
     except ValueError:
         raise ValueError(f"bad scalar {text!r}: expected '0' or 'p/q'") from None
     if den <= 0:

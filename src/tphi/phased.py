@@ -29,6 +29,7 @@ from .errors import (
     capped_comb,
     capped_product,
     file_lines,
+    parse_int,
 )
 from .hyperfield import (
     TPhi,
@@ -71,14 +72,28 @@ def perp_membership(vs: Sequence[PhasedVector], x: PhasedVector) -> bool:
     """Whether x is orthogonal to every vector in vs.
 
     Orthogonality to v means zero lies in the multivalued sum of the
-    entrywise products v_i * x_i.
+    entrywise products v_i * x_i.  The sum is decided on integer residues,
+    with no product scalar made: x's angles are read once as integer
+    ratios, and for each v the entries non-zero in both are put over the
+    lcm h of their denominators, so that each product is the sum of its
+    two residues mod 2h.  A zero x is refused before any v is looked at;
+    the vectors are then taken in order, and a v of another length is
+    refused only when reached.
     """
-    if all(e.is_zero for e in x):
+    ratios = [None if e.angle is None else e.angle.as_integer_ratio() for e in x]
+    if ratios.count(None) == len(ratios):
         raise ZeroVectorError("membership is defined for non-zero vectors only")
     for v in vs:
-        if len(v) != len(x):
+        if len(v) != len(ratios):
             raise LengthMismatchError(f"vector lengths differ: {len(v)} vs {len(x)}")
-        if not contains_zero([a * b for a, b in zip(v, x)]):
+        pairs = [
+            (a, b.angle.as_integer_ratio())
+            for a, b in zip(ratios, v)
+            if a is not None and b.angle is not None
+        ]
+        h = math.lcm(*(q for (_, q), _ in pairs), *(t for _, (_, t) in pairs))
+        m = 2 * h
+        if not zero_in_residue_sum([p * (m // q) + s * (m // t) for (p, q), (s, t) in pairs], h):
             return False
     return True
 
@@ -456,7 +471,8 @@ def format_gp(phi: GPFunction) -> str:
 
 
 def parse_gp_file(text: str) -> GPFunction:
-    """Parse the file form; tuples not listed get the value zero."""
+    """Parse the file form; tuples not listed get the value zero.  The
+    header and the tuple indices are integers by parse_int."""
     lines = list(file_lines(text))
     if not lines:
         raise ValueError("empty function file")
@@ -464,7 +480,7 @@ def parse_gp_file(text: str) -> GPFunction:
     if len(header) != 2:
         raise ValueError(f"bad header {lines[0]!r}: expected 'n r'")
     try:
-        n, r = int(header[0]), int(header[1])
+        n, r = parse_int(header[0]), parse_int(header[1])
     except ValueError:
         raise ValueError(f"bad header {lines[0]!r}: expected 'n r'") from None
     values = {}
@@ -473,7 +489,7 @@ def parse_gp_file(text: str) -> GPFunction:
             raise ValueError(f"bad line {ln!r}: expected 'i1 .. ir : value'")
         left, right = ln.rsplit(":", 1)
         try:
-            key = tuple(int(tok) for tok in left.split())
+            key = tuple(parse_int(tok) for tok in left.split())
         except ValueError:
             raise ValueError(
                 f"bad tuple {left.strip()!r} in line {ln!r}: expected integers"

@@ -54,6 +54,15 @@ def test_hfcalc_bad_value(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("expr", ["1_0/3 + 1/2", "\u0661/\u0662 + 0/1"])
+def test_hfcalc_refuses_digits_only_int_takes(capsys, expr):
+    # int() reads '1_0' as 10 and Arabic-Indic digits as 1/2; a scalar
+    # takes ASCII digits only
+    code, out, err = run(capsys, "hfcalc", expr)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad scalar {expr.split(' + ')[0]!r}: expected '0' or 'p/q'\n"
+
+
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
 

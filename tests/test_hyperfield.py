@@ -294,8 +294,13 @@ def test_fold_examples():
     )
     assert boxplus_fold([ZERO]) == ZERO_ONLY
     assert boxplus_fold([unit(2, 3)]) == arcset_of(unit(2, 3))
-    with pytest.raises(EmptySumError):
-        boxplus_fold([])
+    # a generator is read once, like a list or a tuple
+    assert boxplus_fold(t for t in (ONE, ZERO, unit(1, 4))) == ArcSet(arcs=(_arc(0, 1, 1, 4),))
+    assert boxplus_fold(t for t in (ZERO, ZERO)) == ZERO_ONLY
+    assert boxplus_fold((ONE, unit(1, 2))) == FULL_WITH_ZERO
+    for empty in ([], (), (t for t in ())):
+        with pytest.raises(EmptySumError):
+            boxplus_fold(empty)
 
 
 def test_fold_order_invariance_small():
@@ -317,8 +322,14 @@ def test_criterion_examples():
     assert not contains_zero([ZERO, unit(1, 5)])
     # duplicates are immaterial
     assert not contains_zero([ONE, ONE, unit(1, 4), unit(1, 4)])
-    with pytest.raises(EmptySumError):
-        contains_zero([])
+    # a generator is read once, like a list or a tuple
+    assert contains_zero(t for t in (ONE, unit(1, 3), unit(2, 3)))
+    assert not contains_zero(t for t in (ONE, unit(1, 4)))
+    assert contains_zero(t for t in (ZERO, ZERO))
+    assert contains_zero((unit(1, 7), unit(9, 14)))
+    for empty in ([], (), (t for t in ())):
+        with pytest.raises(EmptySumError):
+            contains_zero(empty)
 
 
 def test_gap_of_exactly_half_turn_is_antipodal():
@@ -398,10 +409,20 @@ def test_formatting():
     assert format_value(unit(2, 4)) == "1/2"
     assert parse_value("3/4") == unit(3, 4)
     assert parse_value("0") == ZERO
+    assert parse_value(" -1/3 ") == unit(2, 3)
+    assert parse_value("007/8") == unit(7, 8)
     with pytest.raises(ValueError):
         parse_value("1/0")
     with pytest.raises(ValueError):
         parse_value("x")
+    # int() takes both parts of each text in refused, and the scalar rule
+    # takes none of these: it takes ASCII digits, and a '-' on the numerator
+    refused = ("1_0/3", "1/2_0", "\u0661/\u0662", "1/\u0662", "\uff11/2", "+1/2", "1/+2", "1 /2", "1/ 2")
+    for text in refused + ("--1/2", "-/2"):
+        with pytest.raises(ValueError, match="bad scalar"):
+            parse_value(text)
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        parse_value("1/-2")
     assert format_arcset(FULL_WITH_ZERO) == "FULL +0"
     assert format_arcset(ZERO_ONLY) == "+0"
     assert format_arcset(EMPTY) == "EMPTY"

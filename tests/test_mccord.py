@@ -17,6 +17,7 @@ import pytest
 
 from test_acceptance import _model_battery
 from test_homology import cycle_complex, octahedron, oracle_posets, projective_plane
+from test_phased import reference_perp_membership
 from tphi.errors import SizeCapExceededError, UnknownElementError
 from tphi.homology import homology_groups
 from tphi.hyperfield import ONE, scalars
@@ -35,7 +36,6 @@ from tphi.mccord import (
     finite_space_homology,
 )
 from tphi.models import build_perp_poset, build_tphi_power, expected_join_betti
-from tphi.phased import perp_membership
 from tphi.poset import build_poset, core, discrete_type_classes
 from tphi.simplicial import (
     DEFAULT_SIMPLEX_CAP,
@@ -326,7 +326,7 @@ def seeded_perps(count, seed) -> list:
         vs = []
         while len(vs) < m:
             v = nonzero(pool, n)
-            if perp_membership([v], x):
+            if reference_perp_membership([v], x):
                 vs.append(v)
         out.append(build_perp_poset(vs, k).poset)
     return out

@@ -3,7 +3,9 @@
 Enumeration results are frozen from hand derivations and double-checked
 against a brute-force filter written inline, so the library path and the
 oracle stay separate: perp_enumerate searches residue rows, and
-reference_perp filters scalar tuples through perp_membership.
+reference_perp filters scalar tuples through reference_perp_membership,
+the membership test on TPhi products that perp_membership's residue sums
+replaced.  The residue search is thus never checked against residue code.
 """
 
 import functools
@@ -27,6 +29,7 @@ from tphi.hyperfield import (
     ZERO,
     angle_residues,
     boxplus_fold,
+    contains_zero,
     phase_key,
     scalars,
     unit,
@@ -80,15 +83,70 @@ def test_perp_membership_hand_cases():
         perp_membership([(P, P)], (ZERO, ZERO))
     with pytest.raises(LengthMismatchError):
         perp_membership([(P, P, P)], (P, M))
+    # a zero x is refused first; a short v only once every v before it
+    # holds, so a failing v ahead of it decides
+    with pytest.raises(ZeroVectorError):
+        perp_membership([(P,)], (ZERO, ZERO))
+    with pytest.raises(ZeroVectorError):
+        perp_membership([], ())
+    assert not perp_membership([(P, P), (P,)], (P, P))
+    with pytest.raises(LengthMismatchError):
+        perp_membership([(P,), (P, P)], (P, P))
+    with pytest.raises(LengthMismatchError):
+        perp_membership([(P, P), (P, P, P)], (P, M))
+
+
+def reference_perp_membership(vs, x):
+    """perp_membership as it was before it decided on residue sums: every
+    entrywise product made as a TPhi, and the sum given to contains_zero."""
+    if all(e.is_zero for e in x):
+        raise ZeroVectorError("membership is defined for non-zero vectors only")
+    for v in vs:
+        if len(v) != len(x):
+            raise LengthMismatchError(f"vector lengths differ: {len(v)} vs {len(x)}")
+        if not contains_zero([a * b for a, b in zip(v, x)]):
+            return False
+    return True
+
+
+def _outcome(test, *args):
+    try:
+        return test(*args)
+    except (ZeroVectorError, LengthMismatchError) as exc:
+        return type(exc), str(exc)
+
+
+def test_perp_membership_matches_the_product_reference():
+    # seeded vectors over odd and even k, with zero entries and off-grid
+    # units, and now and then a zero x or a constraint of another length
+    rng = random.Random(20261021)
+    off_grid = [unit(1, 7), unit(3, 7), unit(3, 101), unit(50, 101), unit(5, 14)]
+    outcomes = []
+    for k in (1, 2, 3, 4, 5, 6, 8, 12):
+        pool = scalars(k) + [ZERO] * (k // 2 + 1)
+        for _ in range(400):
+            n = rng.randint(1, 5)
+            draw = lambda: rng.choice(pool) if rng.random() < 0.8 else rng.choice(off_grid)
+            x = tuple(draw() for _ in range(n))
+            vs = [tuple(draw() for _ in range(n)) for _ in range(rng.randint(0, 3))]
+            if vs and rng.random() < 0.1:
+                i = rng.randrange(len(vs))
+                vs[i] = vs[i] + (draw(),) if rng.random() < 0.5 else vs[i][1:]
+            want = _outcome(reference_perp_membership, vs, x)
+            assert _outcome(perp_membership, vs, x) == want, (vs, x)
+            outcomes.append(want)
+    assert outcomes.count(True) >= 500 and outcomes.count(False) >= 500
+    assert sum(isinstance(o, tuple) and o[0] is ZeroVectorError for o in outcomes) >= 50
+    assert sum(isinstance(o, tuple) and o[0] is LengthMismatchError for o in outcomes) >= 50
 
 
 def reference_perp(vs, k):
     """The search perp_enumerate ran on scalars: every non-zero candidate
-    over scalars(k), kept when perp_membership holds."""
+    over scalars(k), kept when reference_perp_membership holds."""
     return [
         cand
         for cand in itertools.product(scalars(k), repeat=len(vs[0]))
-        if not all(e.is_zero for e in cand) and perp_membership(vs, cand)
+        if not all(e.is_zero for e in cand) and reference_perp_membership(vs, cand)
     ]
 
 
@@ -543,3 +601,13 @@ def test_gp_file_round_trip():
         parse_gp_file("2 1\n1 : 0/1\n1 : 1/2\n")
     with pytest.raises(ValueError):
         parse_gp_file("2 1\n1 0/1\n")
+    # the header and the indices take ASCII digits only, as scalars do
+    for text in ("2_0 1\n", "+2 1\n", "2 \u0661\n"):
+        with pytest.raises(ValueError, match="bad header"):
+            parse_gp_file(text)
+    for index in ("1_0", "+1", "\u0661", "--1"):
+        with pytest.raises(ValueError, match="bad tuple"):
+            parse_gp_file(f"2 1\n{index} : 0/1\n")
+    # a '-' is read, and the index then refused as out of range
+    with pytest.raises(IndexOutOfRangeError):
+        parse_gp_file("2 1\n-1 : 0/1\n")
