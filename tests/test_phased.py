@@ -124,9 +124,9 @@ def test_perp_membership_matches_the_product_reference():
     outcomes = []
     for k in (1, 2, 3, 4, 5, 6, 8, 12):
         pool = scalars(k) + [ZERO] * (k // 2 + 1)
+        draw = lambda: rng.choice(pool) if rng.random() < 0.8 else rng.choice(off_grid)
         for _ in range(400):
             n = rng.randint(1, 5)
-            draw = lambda: rng.choice(pool) if rng.random() < 0.8 else rng.choice(off_grid)
             x = tuple(draw() for _ in range(n))
             vs = [tuple(draw() for _ in range(n)) for _ in range(rng.randint(0, 3))]
             if vs and rng.random() < 0.1:
