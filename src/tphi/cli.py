@@ -40,7 +40,7 @@ import itertools
 import math
 import sys
 
-from .errors import DEFAULT_SIMPLEX_CAP, TphiError
+from .errors import DEFAULT_SIMPLEX_CAP, TphiError, parse_int
 
 
 def _read(path: str) -> str:
@@ -299,21 +299,30 @@ def cmd_model_build(args) -> int:
     return 0
 
 
+def _int_flag(text: str) -> int:
+    """An integer flag by the file formats' rule, parse_int; a refusal
+    reads as argparse's own for type=int."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 _FORMAT = ("--format", {
     "choices": ("text", "json-lines"), "default": "text", "help": "output encoding (default text)",
 })
 _CAP = ("--cap", {
-    "type": int, "default": DEFAULT_SIMPLEX_CAP,
+    "type": _int_flag, "default": DEFAULT_SIMPLEX_CAP,
     "help": "size guard for generated complexes and enumerations",
 })
 _FILE = ("file", {})
-_N, _R, _K = (("--" + v, {"type": int, "required": True}) for v in "nrk")
+_N, _R, _K = (("--" + v, {"type": _int_flag, "required": True}) for v in "nrk")
 
 # name -> (help, arguments in the order they are added); cmd_<name> runs it
 _SUBCOMMANDS = {
     "hfcalc": ("evaluate a multivalued sum like '0/1 + 1/2'", (("expr", {}), _FORMAT)),
     "perp": ("enumerate the perp set of constraint vectors", (
-        ("--k", {"type": int, "required": True, "help": "roots-of-unity order"}),
+        ("--k", {"type": _int_flag, "required": True, "help": "roots-of-unity order"}),
         ("vector", {"nargs": "+", "help": "constraint vectors like 0/1,1/2"}),
         _FORMAT,
     )),
@@ -340,7 +349,7 @@ _SUBCOMMANDS = {
         ("--family", {"choices": ("power", "perp", "grassmannian"), "required": True}),
         _N,
         _K,
-        ("--r", {"type": int}),
+        ("--r", {"type": _int_flag}),
         ("vector", {"nargs": "*", "help": "constraint vectors (perp family)"}),
         _CAP,
         _FORMAT,

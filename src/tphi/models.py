@@ -12,6 +12,15 @@ residue j+1 is j/k turns, the positions of ``scalars(k)``.  Labels are joined
 from one ``format_scalars(k)`` table, so no scalar object is made per
 element; the order is read off the non-zero residues.  Perp members arrive
 as such residue rows from the perp search, so no scalar is made at all.
+
+Both builders make their elements in label order, so the ids of the poset
+are the builders' own and nothing is sorted or renumbered after.  ","
+sorts below "/" and every digit, so joined labels compare as their
+coordinate tuples, and vectors taken lexicographically over the scalar
+labels in sorted order come out sorted.  "0" is the least label, so the
+zero vector is the first of them.  The power builder takes the product over
+``sorted(format_scalars(k))``; the perp search is handed the residues in
+label order as its alphabet, so its rows arrive sorted by label.
 """
 
 from __future__ import annotations
@@ -72,11 +81,11 @@ def build_tphi_power(n: int, k: int, cap: int = DEFAULT_SIMPLEX_CAP) -> Mirrored
         raise SizeCapExceededError(f"power poset has more elements than the cap {cap}")
     if _power_pair_count(n, k, cap) > cap:
         raise SizeCapExceededError(f"power poset has more order pairs than the cap {cap}")
-    table = format_scalars(k)
-    # a vector with z zero residues lies in stratum n - z
+    # a vector with z zero coordinates lies in stratum n - z
     stratum = [str(n - z) for z in range(n + 1)]
-    # zeroing residue e at coordinate i moves a vector e * weight[i] places
-    # back in lexicographic order
+    # the coordinates are positions in the sorted scalar labels, position
+    # 0 being "0"; zeroing position e at coordinate i moves a vector
+    # e * weight[i] places back in lexicographic order
     weight = [(k + 1) ** (n - 1 - i) for i in range(n)]
 
     def vectors(values):
@@ -84,15 +93,16 @@ def build_tphi_power(n: int, k: int, cap: int = DEFAULT_SIMPLEX_CAP) -> Mirrored
         # one, so vector number x + 1 gets id x
         return itertools.islice(itertools.product(values, repeat=n), 1, None)
 
-    labels = list(map(",".join, vectors(table)))
+    # sorted, as the module docstring says, so they are _of_ids's ids
+    labels = list(map(",".join, vectors(sorted(format_scalars(k)))))
     zeros = list(map(operator.countOf, vectors(range(k + 1)), itertools.repeat(0)))
-    # only vectors with two or more non-zero residues have a vector below
+    # only vectors with two or more non-zero coordinates have a vector below
     upper = itertools.compress(enumerate(vectors(range(k + 1))), map((n - 1).__gt__, zeros))
     # a generator, so the pairs go straight into _of_ids's lists
     pairs = ((x - e * w, x) for x, v in upper for e, w in zip(v, weight) if e)
     poset = FinitePoset._of_ids(labels, pairs)
     index = _chain_poset(str(s) for s in range(1, n + 1))
-    return MirroredPoset(poset, index, tuple(zip(labels, map(stratum.__getitem__, zeros))))
+    return MirroredPoset._of_strata(poset, index, map(stratum.__getitem__, zeros))
 
 
 def build_perp_poset(vs, k: int, cap: int = DEFAULT_SIMPLEX_CAP) -> MirroredPoset:
@@ -108,7 +118,9 @@ def build_perp_poset(vs, k: int, cap: int = DEFAULT_SIMPLEX_CAP) -> MirroredPose
     the sum of these lookups bounds the order pairs and is refused above
     cap before any is made.
     """
-    rows = _perp_rows(vs, k, cap)
+    table = format_scalars(k)
+    # the residues in label order, so the rows, and the ids, are sorted
+    rows = _perp_rows(vs, k, cap, sorted(range(k + 1), key=table.__getitem__))
     if not rows:
         raise EmptyPerpError("no nonzero vector is orthogonal to the constraints")
     lookups = 0
@@ -118,7 +130,6 @@ def build_perp_poset(vs, k: int, cap: int = DEFAULT_SIMPLEX_CAP) -> MirroredPose
             raise SizeCapExceededError(
                 f"perp poset has more order-pair lookups than the cap {cap}"
             )
-    table = format_scalars(k)
     id_of = {r: x for x, r in enumerate(rows)}
     labels, stratum, pairs = [], [], []
     for x, r in enumerate(rows):
@@ -132,7 +143,7 @@ def build_perp_poset(vs, k: int, cap: int = DEFAULT_SIMPLEX_CAP) -> MirroredPose
                 pairs.append((y, x))
     poset = FinitePoset._of_ids(labels, pairs)
     index = _chain_poset(sorted(set(stratum), key=int))
-    return MirroredPoset(poset, index, tuple(zip(labels, stratum)))
+    return MirroredPoset._of_strata(poset, index, stratum)
 
 
 def perp_pruned_strata(mp: MirroredPoset, n: int) -> tuple:

@@ -110,14 +110,17 @@ def perp_enumerate(
     The search runs on residues (_perp_rows); only its members are made
     into scalars.
     """
-    rows = _perp_rows(vs, k, cap)
+    rows = _perp_rows(vs, k, cap, range(k + 1))
     pool = scalars(k)
     return [tuple(map(pool.__getitem__, row)) for row in rows]
 
 
-def _perp_rows(vs: Sequence[PhasedVector], k: int, cap: int) -> list:
+def _perp_rows(vs: Sequence[PhasedVector], k: int, cap: int, alphabet: Sequence[int]) -> list:
     """perp_enumerate as rows of positions in scalars(k): 0 is zero and
-    j + 1 is j/k turns.  The rows come in lexicographic order.
+    j + 1 is j/k turns.  alphabet lists the k + 1 positions, 0 first, and
+    the rows come in lexicographic order over it: perp_enumerate passes
+    range(k + 1), for the residue order, and build_perp_poset the residues
+    in label order, so its rows arrive sorted by label.
 
     k is even, so the products of a constraint with a candidate are
     decided mod k with h = k/2: a constraint entry at i/k turns is residue
@@ -147,7 +150,7 @@ def _perp_rows(vs: Sequence[PhasedVector], k: int, cap: int) -> list:
         for v in vs
     ]
     h = k // 2
-    candidates = itertools.product(range(k + 1), repeat=n)
+    candidates = itertools.product(alphabet, repeat=n)
     next(candidates)  # the zero vector
     return [
         row
@@ -178,7 +181,7 @@ class GPFunction(Frozen):
             for i in key:
                 if isinstance(i, bool) or not isinstance(i, (int, str)):
                     raise ValueError(f"index {i!r} is a {type(i).__name__}; give an int")
-            key = tuple(int(i) for i in key)
+            key = tuple(i if isinstance(i, int) else parse_int(i) for i in key)
             if len(key) != r:
                 raise BadArityError(f"key {key} is not an {r}-tuple")
             for i in key:

@@ -4,10 +4,10 @@ A poset is stored on integer ids: element i is ``labels[i]``, with the
 labels in sorted order, so id order is label order.  Every poset goes
 through one closure pass, ``FinitePoset._close``, by one of two ways in.
 The constructor checks its label pairs and turns them into ids.
-``FinitePoset._of_ids`` checks nothing: it takes labels in any order with
-pairs of their positions and renumbers them into label order.  The model
-builders, ``opposite`` and ``induced`` use it, as they make or hold the
-ids.  The pass takes each element's direct successors, rejects cycles by
+``FinitePoset._of_ids`` checks nothing and renumbers nothing: it takes
+labels already sorted and distinct, with pairs of their positions, as the
+ids.  The model builders, ``opposite`` and ``induced`` use it, as they make
+or hold the ids in label order.  The pass takes each element's direct successors, rejects cycles by
 Kahn's algorithm, and walks the elements in reverse topological order.
 The elements above i are its direct successors together with everything
 above them, and the direct successors outside that union are i's
@@ -17,7 +17,9 @@ tuples of ids, so covers are read, never recomputed.  A sorted tuple
 costs 8 bytes a pair where a frozenset cost about 60, and membership goes
 through ``bisect``.  The number of chains with each minimum is counted on
 first use and cached on the poset, so ``chain_count``, ``order_complex``
-and ``basis_certificates`` share one count.
+and ``basis_certificates`` share one count.  The label-to-id dict is built
+on first use too, by ``index_of`` and what calls it, equality aside: the
+model pipeline reads ids and never a label's id.
 
 A mirrored poset carries a monotone map onto a second poset of stratum
 indices, mimicking how a graded space records the stratum of each point.
@@ -38,7 +40,7 @@ class FinitePoset:
     """Strict partial order on string labels, stored transitively closed
     on the ids of the labels in sorted order."""
 
-    __slots__ = ("labels", "_pos", "above", "below", "up_covers", "_counts")
+    __slots__ = ("labels", "_ids", "above", "below", "up_covers", "_counts")
 
     def __init__(self, elements: Iterable[str], pairs: Iterable[tuple]):
         labels = tuple(sorted(elements))
@@ -54,30 +56,28 @@ class FinitePoset:
             if a == b:
                 raise CycleDetectedError(f"{a!r} < {a!r}")
             direct[pos[a]].add(pos[b])
-        self._close(labels, pos, direct)
+        self._close(labels, direct)
+        self._ids = pos
 
     @classmethod
     def _of_ids(cls, labels, pairs: Iterable[tuple]) -> "FinitePoset":
-        """The poset on distinct labels, given in any order, with strict
+        """The poset on labels already sorted and distinct, with strict
         pairs (a, b) of positions in that list, each pair once.  Nothing is
-        checked and no label is looked up: for callers that make or hold
-        the ids, which are renumbered into label order."""
-        order = sorted(range(len(labels)), key=labels.__getitem__)
-        new = dict(zip(order, range(len(order))))
+        checked, sorted or looked up: for callers that make or hold the
+        ids in label order, which the positions are taken as."""
         direct = defaultdict(list)
         for a, b in pairs:
-            direct[new[a]].append(new[b])
-        ordered = tuple(map(labels.__getitem__, order))
+            direct[a].append(b)
         p = cls.__new__(cls)
-        p._close(ordered, dict(zip(ordered, range(len(ordered)))), direct)
+        p._close(tuple(labels), direct)
         return p
 
-    def _close(self, labels: tuple, pos: dict, direct: dict) -> None:
-        """The closure pass of both ways in: labels sorted, pos the id of
-        each, and direct, which the pass empties, mapping an id to its
-        direct successors, each once; ids with none may be left out.  above
-        and below come out as sorted tuples of ids; no set outlives the
-        element it is built for."""
+    def _close(self, labels: tuple, direct: dict) -> None:
+        """The closure pass of both ways in: labels sorted, and direct,
+        which the pass empties, mapping an id to its direct successors,
+        each once; ids with none may be left out.  above and below come
+        out as sorted tuples of ids; no set outlives the element it is
+        built for.  The label-to-id dict waits for its first use."""
         n = len(labels)
         indegree = [0] * n
         for ds in direct.values():
@@ -119,7 +119,7 @@ class FinitePoset:
             j, b = below.popitem()
             downs[j] = tuple(b)
         self.labels = labels
-        self._pos = pos
+        self._ids = None
         self.above = tuple(above)
         self.below = tuple(downs)
         self.up_covers = tuple(up_covers)
@@ -139,6 +139,13 @@ class FinitePoset:
     def __repr__(self) -> str:
         pairs = sum(len(s) for s in self.above)
         return f"FinitePoset({len(self.labels)} elements, {pairs} strict pairs)"
+
+    @property
+    def _pos(self) -> dict:
+        """Label -> id, built on first use and then kept."""
+        if self._ids is None:
+            self._ids = dict(zip(self.labels, range(len(self.labels))))
+        return self._ids
 
     def index_of(self, label: str) -> int:
         try:
@@ -263,7 +270,8 @@ class MirroredPoset(Frozen):
 
     ``assignments`` pairs each element label with its stratum label.  Use
     ``mirror_check`` for the actual axioms; construction only demands that
-    the assignment is total and mentions known labels.
+    the assignment is total and mentions known labels.  ``_of_strata``
+    checks nothing: it takes the stratum labels in id order.
     """
 
     __slots__ = _fields = ("poset", "index_poset", "assignments")
@@ -284,6 +292,15 @@ class MirroredPoset(Frozen):
             missing = [lab for lab, idx in zip(poset.labels, stratum) if idx is None]
             raise UnknownElementError(f"no stratum for {missing[:4]}")
         Frozen.__init__(self, poset, index_poset, tuple(zip(poset.labels, stratum)))
+
+    @classmethod
+    def _of_strata(cls, poset: FinitePoset, index_poset: FinitePoset, strata) -> "MirroredPoset":
+        """The mirrored poset whose element i lies in stratum strata[i], a
+        label of index_poset; nothing is checked or looked up, for the
+        model builders, which make the strata in id order."""
+        mp = cls.__new__(cls)
+        Frozen.__init__(mp, poset, index_poset, tuple(zip(poset.labels, strata)))
+        return mp
 
     @property
     def mirror(self) -> dict:

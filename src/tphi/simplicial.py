@@ -54,10 +54,11 @@ class SimplicialComplex:
     Iterating the complex walks the lists, and homology_groups hands them
     to the element matching.  The face set serves membership alone
     (`has_face`, equality and `faces`); it is built from the lists on
-    first use of `faces` and then kept.
+    first use of `faces` and then kept.  So is the label-to-index dict,
+    which only `has_face` and equality read.
     """
 
-    __slots__ = ("labels", "_pos", "_faces", "_lists", "_layout", "_size", "dim")
+    __slots__ = ("labels", "_ids", "_faces", "_lists", "_layout", "_size", "dim")
 
     def __init__(self, labels: Iterable[str], faces: Iterable[Iterable[int]]):
         labels = tuple(sorted(labels))
@@ -71,9 +72,10 @@ class SimplicialComplex:
         self._keep(labels, lists, len(face_set), max(map(len, face_set), default=0) - 1)
 
     def _keep(self, labels: tuple, lists: list, size: int, dim: int) -> None:
-        """Set every slot; the face set waits for its first use."""
+        """Set every slot; the face set and the label-to-index dict wait
+        for their first use."""
         self.labels = labels
-        self._pos = dict(zip(labels, range(len(labels))))
+        self._ids = None
         self._faces = None
         self._lists = lists
         self._layout = None
@@ -88,6 +90,13 @@ class SimplicialComplex:
         c = cls.__new__(cls)
         c._keep(labels, lists, size, dim)
         return c
+
+    @property
+    def _pos(self) -> dict:
+        """Label -> vertex index, built on first use and then kept."""
+        if self._ids is None:
+            self._ids = dict(zip(self.labels, range(len(self.labels))))
+        return self._ids
 
     @property
     def faces(self) -> frozenset:

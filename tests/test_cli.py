@@ -63,6 +63,26 @@ def test_hfcalc_refuses_digits_only_int_takes(capsys, expr):
     assert err == f"error: bad scalar {expr.split(' + ')[0]!r}: expected '0' or 'p/q'\n"
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("transversal", "--n", "\u0663", "--r", "2"), "--n"),
+        (("transversal", "--n", "3", "--r", "1_0"), "--r"),
+        (("gp-enum", "--n", "3", "--r", "1", "--k", "+2"), "--k"),
+        (("model-build", "--family", "power", "--n", "2", "--k", " 2"), "--k"),
+        (("order-complex", "x.poset", "--cap", "1_000"), "--cap"),
+    ],
+)
+def test_integer_flags_refuse_digits_only_int_takes(capsys, argv, flag):
+    # int() reads Arabic-Indic three as 3 and '1_0' as 10; an integer flag
+    # takes ASCII digits only, as the file formats do
+    value = argv[argv.index(flag) + 1]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: tphi ")
+    assert err.endswith(f": error: argument {flag}: invalid int value: {value!r}\n")
+
+
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -628,7 +648,7 @@ def test_byte_identical_reruns(tmp_path, capsys):
 # unit test cannot afford (model-build power --n 4 --k 40 holds 2.8M
 # elements, transversal --n 40 --r 4 takes seconds).
 FUZZ_VALUES = (("0", "0/1", "1/2", "1/4", "3/4", "2/3"), ("5/4", "-1/2", "1/0", "0/0", "a", "1/", ""))
-FUZZ_INTS = (("-1", "0", "1", "2", "3", "4"), ("x", "2.5", ""))
+FUZZ_INTS = (("-1", "0", "1", "2", "3", "4"), ("x", "2.5", "", "\u0663", "1_0"))
 FUZZ_LABELS = ("a", "b", "c", "d", "0/1", "x,y", "é", "a:b")
 
 

@@ -27,6 +27,7 @@ from tphi.poset import (
     mirrored,
     parse_poset_file,
 )
+from tphi.homology import homology_groups
 from tphi.simplicial import order_complex
 
 
@@ -381,10 +382,10 @@ def test_model_posets_match_reference_closure():
         assert_matches_reference(built.poset, elements, pairs)
 
 
-def former_on_ids(labels, pos, direct):
+def former_on_ids(labels, direct):
     """FinitePoset._on_ids before _of_ids replaced it."""
     p = FinitePoset.__new__(FinitePoset)
-    p._close(labels, pos, direct)
+    p._close(labels, direct)
     return p
 
 
@@ -395,8 +396,7 @@ def former_from_ids(labels, pairs):
     direct = defaultdict(list)
     for a, b in pairs:
         direct[new[a]].append(new[b])
-    ordered = tuple(map(labels.__getitem__, order))
-    return former_on_ids(ordered, dict(zip(ordered, range(len(ordered)))), direct)
+    return former_on_ids(tuple(map(labels.__getitem__, order)), direct)
 
 
 def former_opposite(p):
@@ -405,7 +405,7 @@ def former_opposite(p):
     for i, ups in enumerate(p.up_covers):
         for j in ups:
             downs[j].append(i)
-    return former_on_ids(p.labels, p._pos, downs)
+    return former_on_ids(p.labels, downs)
 
 
 def former_induced(p, subset):
@@ -418,7 +418,7 @@ def former_induced(p, subset):
         ds = [new[j] for j in p.above[i] if j in new]
         if ds:
             direct[r] = ds
-    return former_on_ids(labels, dict(zip(labels, range(len(labels)))), direct)
+    return former_on_ids(labels, direct)
 
 
 def assert_same_internals(p, q):
@@ -449,13 +449,19 @@ def test_construction_routes_keep_the_former_internals(monkeypatch):
     assert len(calls) == len(built)
     posets = []
     for mp, (labels, pairs) in zip(built, calls):
+        # _of_ids takes the builders' ids as they are: labels strictly sorted
+        assert all(a < b for a, b in zip(labels, labels[1:]))
         assert_same_internals(mp.poset, former_from_ids(labels, pairs))
         posets.append(mp.poset)
-    # seeded random posets on shuffled labels, each pair once by id
+    # seeded random posets, each pair once by id: the former path renumbers
+    # the shuffled labels, _of_ids is handed them sorted with the pairs
+    # remapped to match
     for labels, label_pairs in random_pair_posets(150, 20261020):
         ids = {lab: i for i, lab in enumerate(labels)}
         pairs = list(dict.fromkeys((ids[a], ids[b]) for a, b in label_pairs))
-        p = FinitePoset._of_ids(labels, pairs)
+        ordered = sorted(labels)
+        new = {ids[lab]: r for r, lab in enumerate(ordered)}
+        p = FinitePoset._of_ids(ordered, [(new[a], new[b]) for a, b in pairs])
         assert_same_internals(p, former_from_ids(labels, pairs))
         posets.append(p)
     rng = random.Random(20261020)
@@ -468,6 +474,20 @@ def test_construction_routes_keep_the_former_internals(monkeypatch):
             rng.shuffle(keep)
             assert_same_internals(p.induced(keep), former_induced(p, keep))
             assert_same_internals(q.induced(keep), former_induced(q, keep))
+
+
+def test_label_dicts_wait_for_their_first_use():
+    # the model pipeline reads ids only: build, order complex and homology
+    # leave both label-to-id dicts unbuilt, and the first look-up builds each
+    mp = build_tphi_power(1, 2000)
+    c = order_complex(mp.poset)
+    assert homology_groups(c).betti(0) == 2000
+    p = mp.poset
+    assert (p._ids, c._ids) == (None, None)
+    assert p.index_of("7/2000") == p.labels.index("7/2000")
+    assert p._ids == {lab: i for i, lab in enumerate(p.labels)}
+    assert c.has_face(["7/2000"]) and not c.has_face(["7/2000", "0/1"])
+    assert c._ids == {lab: i for i, lab in enumerate(c.labels)}
 
 
 def test_closure_store_costs_eight_bytes_a_side_per_pair():

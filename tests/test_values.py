@@ -291,6 +291,9 @@ def test_gp_function_normalises_and_checks_its_entries():
         ((3, 1, (((1.7,), unit(0)),)), ValueError, r"^index 1\.7 is a float; give an int$"),
         ((3, 1, (((True,), unit(0)),)), ValueError, r"^index True is a bool; give an int$"),
         ((3, 1, (((Fraction(3, 2),), unit(0)),)), ValueError, r"^index Fraction\(3, 2\) is a Fraction"),
+        # a string index takes ASCII digits only, as the file format does
+        ((3, 1, ((("\u0662",), unit(0)),)), ValueError, r"^'\u0662' is not an integer in ASCII digits$"),
+        ((3, 1, ((("1_0",), unit(0)),)), ValueError, r"^'1_0' is not an integer in ASCII digits$"),
     ]
     for args, error, message in cases:
         with pytest.raises(error, match=message):
