@@ -13,14 +13,11 @@ from one ``format_scalars(k)`` table, so no scalar object is made per
 element; the order is read off the non-zero residues.  Perp members arrive
 as such residue rows from the perp search, so no scalar is made at all.
 
-Both builders make their elements in label order, so the ids of the poset
-are the builders' own and nothing is sorted or renumbered after.  ","
-sorts below "/" and every digit, so joined labels compare as their
-coordinate tuples, and vectors taken lexicographically over the scalar
-labels in sorted order come out sorted.  "0" is the least label, so the
-zero vector is the first of them.  The power builder takes the product over
-``sorted(format_scalars(k))``; the perp search is handed the residues in
-label order as its alphabet, so its rows arrive sorted by label.
+Both builders make their elements in label order, which ``_of_ids`` takes
+as the ids: "," sorts below "/" and every digit, so a joined label compares
+like its tuple of scalar labels, of which "0" is the least.  The power
+builder takes its vectors over ``sorted(format_scalars(k))``, and the perp
+search is handed the residues in label order.
 """
 
 from __future__ import annotations
@@ -93,7 +90,7 @@ def build_tphi_power(n: int, k: int, cap: int = DEFAULT_SIMPLEX_CAP) -> Mirrored
         # one, so vector number x + 1 gets id x
         return itertools.islice(itertools.product(values, repeat=n), 1, None)
 
-    # sorted, as the module docstring says, so they are _of_ids's ids
+    # in label order (see the module docstring), as _of_ids takes them
     labels = list(map(",".join, vectors(sorted(format_scalars(k)))))
     zeros = list(map(operator.countOf, vectors(range(k + 1)), itertools.repeat(0)))
     # only vectors with two or more non-zero coordinates have a vector below

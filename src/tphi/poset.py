@@ -4,22 +4,23 @@ A poset is stored on integer ids: element i is ``labels[i]``, with the
 labels in sorted order, so id order is label order.  Every poset goes
 through one closure pass, ``FinitePoset._close``, by one of two ways in.
 The constructor checks its label pairs and turns them into ids.
-``FinitePoset._of_ids`` checks nothing and renumbers nothing: it takes
-labels already sorted and distinct, with pairs of their positions, as the
+``FinitePoset._of_ids`` checks, sorts and renumbers nothing: it takes labels
+already sorted and distinct, with pairs of their positions, which are the
 ids.  The model builders, ``opposite`` and ``induced`` use it, as they make
-or hold the ids in label order.  The pass takes each element's direct successors, rejects cycles by
-Kahn's algorithm, and walks the elements in reverse topological order.
-The elements above i are its direct successors together with everything
-above them, and the direct successors outside that union are i's
-up-covers.  The pass stores ``above`` and ``below`` as sorted tuples of
-ids, the one empty tuple where there is nothing, and ``up_covers`` as
-tuples of ids, so covers are read, never recomputed.  A sorted tuple
-costs 8 bytes a pair where a frozenset cost about 60, and membership goes
-through ``bisect``.  The number of chains with each minimum is counted on
+or hold the ids in label order.  The pass takes each element's direct
+successors, rejects cycles by Kahn's algorithm, and walks the elements in
+reverse topological order.  The elements above i are its direct successors
+together with everything above them, and the direct successors outside
+that union are i's up-covers.  The pass stores ``above`` and ``below`` as
+sorted tuples of ids, the one empty tuple where there is nothing, and
+``up_covers`` as tuples of ids, so covers are read, never recomputed.  A
+sorted tuple costs 8 bytes a pair where a frozenset cost about 60, and
+membership goes through ``bisect``.  The number of chains with each minimum is counted on
 first use and cached on the poset, so ``chain_count``, ``order_complex``
 and ``basis_certificates`` share one count.  The label-to-id dict is built
-on first use too, by ``index_of`` and what calls it, equality aside: the
-model pipeline reads ids and never a label's id.
+on first use too, by ``index_of`` (and so ``less``, ``upset`` and
+``induced``) or the checked ``MirroredPoset``: the model pipeline reads
+ids only.
 
 A mirrored poset carries a monotone map onto a second poset of stratum
 indices, mimicking how a graded space records the stratum of each point.
