@@ -10,6 +10,7 @@ import pytest
 
 from test_models import _label_pair_perp, _label_pair_power
 from tphi.errors import CycleDetectedError, UnknownElementError
+from tphi.homology import homology_groups
 from tphi.hyperfield import ONE, unit
 from tphi.models import build_perp_poset, build_tphi_power
 from tphi.poset import (
@@ -27,7 +28,6 @@ from tphi.poset import (
     mirrored,
     parse_poset_file,
 )
-from tphi.homology import homology_groups
 from tphi.simplicial import order_complex
 
 
