@@ -115,9 +115,11 @@ def build_perp_poset(vs, k: int, cap: int = DEFAULT_SIMPLEX_CAP) -> MirroredPose
     the sum of these lookups bounds the order pairs and is refused above
     cap before any is made.
     """
-    table = format_scalars(k)
-    # the residues in label order, so the rows, and the ids, are sorted
-    rows = _perp_rows(vs, k, cap, sorted(range(k + 1), key=table.__getitem__))
+    def label_order(k):
+        # the residues in label order, so the rows, and the ids, are sorted
+        return sorted(range(k + 1), key=format_scalars(k).__getitem__)
+
+    rows = _perp_rows(vs, k, cap, label_order)
     if not rows:
         raise EmptyPerpError("no nonzero vector is orthogonal to the constraints")
     lookups = 0
@@ -127,6 +129,7 @@ def build_perp_poset(vs, k: int, cap: int = DEFAULT_SIMPLEX_CAP) -> MirroredPose
             raise SizeCapExceededError(
                 f"perp poset has more order-pair lookups than the cap {cap}"
             )
+    table = format_scalars(k)
     id_of = {r: x for x, r in enumerate(rows)}
     labels, stratum, pairs = [], [], []
     for x, r in enumerate(rows):

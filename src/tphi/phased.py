@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import (
     DEFAULT_SIMPLEX_CAP,
@@ -110,17 +110,21 @@ def perp_enumerate(
     The search runs on residues (_perp_rows); only its members are made
     into scalars.
     """
-    rows = _perp_rows(vs, k, cap, range(k + 1))
+    rows = _perp_rows(vs, k, cap, lambda k: range(k + 1))
     pool = scalars(k)
     return [tuple(map(pool.__getitem__, row)) for row in rows]
 
 
-def _perp_rows(vs: Sequence[PhasedVector], k: int, cap: int, alphabet: Sequence[int]) -> list:
+def _perp_rows(
+    vs: Sequence[PhasedVector], k: int, cap: int, alphabet: Callable[[int], Sequence[int]]
+) -> list:
     """perp_enumerate as rows of positions in scalars(k): 0 is zero and
-    j + 1 is j/k turns.  alphabet lists the k + 1 positions, 0 first, and
-    the rows come in lexicographic order over it: perp_enumerate passes
-    range(k + 1), for the residue order, and build_perp_poset the residues
-    in label order, so its rows arrive sorted by label.
+    j + 1 is j/k turns.  alphabet(k) lists the k + 1 positions, 0 first,
+    and the rows come in lexicographic order over it: perp_enumerate
+    passes range(k + 1), for the residue order, and build_perp_poset the
+    residues in label order, so its rows arrive sorted by label.  It is
+    called only once k and the candidate count have passed their checks,
+    so a refused k builds nothing of size k.
 
     k is even, so the products of a constraint with a candidate are
     decided mod k with h = k/2: a constraint entry at i/k turns is residue
@@ -150,7 +154,7 @@ def _perp_rows(vs: Sequence[PhasedVector], k: int, cap: int, alphabet: Sequence[
         for v in vs
     ]
     h = k // 2
-    candidates = itertools.product(alphabet, repeat=n)
+    candidates = itertools.product(alphabet(k), repeat=n)
     next(candidates)  # the zero vector
     return [
         row

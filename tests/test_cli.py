@@ -177,6 +177,29 @@ def test_perp_refuses_oversized_search_at_once(capsys):
     assert time.monotonic() - start < 5
 
 
+def test_perp_model_refuses_huge_k_at_once(capsys):
+    # 200000001 candidates: refused before any k-sized table is built
+    start = time.monotonic()
+    code, out, err = run(
+        capsys, "model-build", "--family", "perp", "--n", "1", "--k", "200000000", "0/1"
+    )
+    assert code == 2
+    assert "cap" in err
+    assert out == ""
+    assert time.monotonic() - start < 5
+
+
+def test_perp_model_refuses_huge_odd_k_at_once(capsys):
+    start = time.monotonic()
+    code, out, err = run(
+        capsys, "model-build", "--family", "perp", "--n", "1", "--k", "999999999", "0/1"
+    )
+    assert code == 2
+    assert "even" in err
+    assert out == ""
+    assert time.monotonic() - start < 5
+
+
 def test_power_refuses_too_many_order_pairs_at_once(capsys):
     # 41^4 - 1 = 2,825,760 elements pass the default cap, but their
     # 37,395,200 strict order pairs do not: refused before anything is built
