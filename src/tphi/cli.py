@@ -308,11 +308,20 @@ def _int_flag(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
+def _cap_flag(text: str) -> int:
+    """A size guard: an integer flag that is at least 0.  A negative one
+    is refused as _int_flag refuses a malformed one."""
+    cap = _int_flag(text)
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return cap
+
+
 _FORMAT = ("--format", {
     "choices": ("text", "json-lines"), "default": "text", "help": "output encoding (default text)",
 })
 _CAP = ("--cap", {
-    "type": _int_flag, "default": DEFAULT_SIMPLEX_CAP,
+    "type": _cap_flag, "default": DEFAULT_SIMPLEX_CAP,
     "help": "size guard for generated complexes and enumerations",
 })
 _FILE = ("file", {})

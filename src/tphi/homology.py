@@ -3,17 +3,18 @@
 homology_groups runs one element matching over the faces (Jonsson,
 "Simplicial Complexes of Graphs", LNM 1928): taking the vertices v in
 index order, it pairs every still unmatched face f containing v with
-f - v when that face is unmatched too.  It reads the faces by least
-vertex, as every complex keeps them, and works on integer ids: a face's
-id is its place in the concatenation of those lists, and one list, mate,
-says of each face whether it is critical, matched with a face below it,
-or matched with a face above it, whose id it then holds.  A face first
-tries its least vertex, and only a face whose try fails joins a retry
-list, at its next vertex.  The id of f - v comes from the order complex's
-own layout, in which ids are sums of block offsets, so the first tries
-pair ranges of ids with no tuple made or hashed; the faces of a complex
+f - v when that face is unmatched too.  It works on integer ids: a
+face's id is its place in the concatenation of the lists that keep the
+faces by least vertex, and one list, mate, says of each face whether it
+is critical, matched with a face below it, or matched with a face above
+it, whose id it then holds.  A face first tries its least vertex, and
+only a face whose try fails joins a retry list, at its next vertex.  On
+an order complex the matching reads only the layout: the faces that
+share a prefix have consecutive ids, and it pairs and queues such runs
+whole, with no face made (`_element_matching`).  The faces of a complex
 built the checked way, or of a face poset, are numbered once by one dict,
-which the tries read instead.  A sequence of element matchings is
+which the tries read one face at a time (`_face_matching`).  A sequence
+of element matchings is
 acyclic, so by Forman ("Morse theory for cell complexes", Adv. Math. 134,
 1998) the faces left over, the critical cells, span a chain complex with
 the homology of the whole.  Its boundary follows each critical cell's
@@ -272,19 +273,22 @@ class HomologySummary(Frozen):
         return self.group(d)[0]
 
 
-def _element_matching(lists: list, layout: tuple | None) -> tuple:
+def _face_matching(lists: list, top: int) -> tuple:
     """One element-matching pass, in vertex index order, over the faces of
-    a complex closed under taking facets, given by least vertex: lists[r]
-    holds the faces whose least vertex is r.  A face's id is its position
-    in faces, the concatenation of the lists.
+    a complex of dimension top closed under taking facets, given by least
+    vertex: lists[r] holds the faces whose least vertex is r.  A face's id
+    is its position in faces, the concatenation of the lists, and number,
+    built here, maps every face to its id; a missing facet raises
+    KeyError.
 
     For each vertex r in turn, every unmatched face f that contains r and
     has two or more vertices is matched with f - r when that face is
     unmatched too.  A face whose try fails is retried at its next vertex,
-    so it sits in one retry list at a time.  Returns (faces, number, mate):
-    mate[i] is None when face i is critical, _BELOW when it is matched with
-    a face below it, and the id of its partner when it is matched with a
-    face above it.
+    so it sits in one retry list at a time.  Returns (faces, number, mate,
+    critical): mate[i] is None when face i is critical, _BELOW when it is
+    matched with a face below it, and the id of its partner when it is
+    matched with a face above it; critical[d] lists the ids of the
+    critical d-faces, in increasing order.
 
     The tries run in two sweeps.  A face's first try, at its least vertex
     r, pairs it with f[1:], whose least vertex is later than r; a retry at
@@ -297,60 +301,13 @@ def _element_matching(lists: list, layout: tuple | None) -> tuple:
     skipping it saves only the look-up: before the turn of r, a face with
     no vertex below r is matched exactly when some vertex below r extends
     it to a face, and a vertex that extends f extends f[1:].
-
-    The id of f - r comes from one of two sources.  Without a layout,
-    number, built here, maps every face to its id, and a missing facet
-    raises KeyError.  With the layout (order, below) of `order_complex`,
-    number is None and ids are sums.  There lists[r] holds, for each j of
-    below[order[r]] in sorted id order, (r,) joined to every face of
-    lists[s], s the rank of j, and then (r,) alone.  Let off[r][s] be
-    where s's block starts in lists[r], L[r] the length of lists[r] and
-    base[r] where it starts in faces.  Then f = (f0, ..., fk) has
-
-        id(f) = base[f0] + off[f0][f1] + ... + off[fk-1][fk] + L[fk] - 1,
-
-    by induction on k: (fk,) is last in lists[fk], and f[i:] sits in
-    fi's block for fi+1 at the place that f[i+1:] has in lists[fi+1].  So
-    the first tries pair the ids of r's blocks, a range, with the ranges of
-    the lists they repeat, and a retry at the t-th vertex r of f, t >= 1,
-    after p and before s, trades off[p][r] + off[r][s] for off[p][s], or,
-    at the last vertex, off[p][r] + L[r] for L[p].  At the last vertex of
-    an edge (p, r) that is the id of (p,), base[p + 1] - 1.  The table
-    off[r] of an element is built the first time a retry needs it, so a
-    complex of edges builds none.  The walk reads below[order[r]], the very
-    sorted tuple that order_complex walked, so it meets the blocks in the
-    order they were built in.
     """
     faces = list(itertools.chain.from_iterable(lists))
     mate = [None] * len(faces)
-    base = list(itertools.accumulate(map(len, lists), initial=0))
-    if layout is None:
-        number = dict(zip(faces, range(len(faces))))
-        kept = [len(f) > 1 for f in faces]
-        ups = itertools.compress(range(len(faces)), kept)
-        downs = [number[f[1:]] for f in itertools.compress(faces, kept)]
-    else:
-        number = None
-        order, below = layout
-        size = list(map(len, lists))
-        # rank[i]: the vertex of the element i; ids[i]: the ids of its list
-        rank = sorted(range(len(order)), key=order.__getitem__)
-        ids = list(map(list(map(range, base, base[1:])).__getitem__, rank))
-        tables = [None] * len(order)
-
-        def offsets(r):
-            """off[r], keyed by rank, built on first use and then kept."""
-            tables[r] = off = {}
-            o = 0
-            for j in below[order[r]]:
-                off[rank[j]] = o
-                o += len(ids[j])
-            return off
-
-        # every face but the last of each list, (r,), and f[1:] for each
-        ups = itertools.chain.from_iterable(map(range, base, [end - 1 for end in base[1:]]))
-        heads = itertools.chain.from_iterable(map(below.__getitem__, order))
-        downs = itertools.chain.from_iterable(map(ids.__getitem__, heads))
+    number = dict(zip(faces, range(len(faces))))
+    kept = [len(f) > 1 for f in faces]
+    ups = itertools.compress(range(len(faces)), kept)
+    downs = [number[f[1:]] for f in itertools.compress(faces, kept)]
     tried = [[] for _ in lists]
     for u, d in zip(ups, downs):
         if mate[u] is None:
@@ -365,25 +322,137 @@ def _element_matching(lists: list, layout: tuple | None) -> tuple:
                 continue
             f = faces[u]
             t = f.index(r)
-            more = t + 1 < len(f)
-            if layout is None:
-                d = number[f[:t] + f[t + 1 :]]
-            elif more:
-                p, s = f[t - 1], f[t + 1]
-                off_p = tables[p] or offsets(p)
-                d = u - off_p[r] - (tables[r] or offsets(r))[s] + off_p[s]
-            elif t == 1:
-                d = base[f[0] + 1] - 1
-            else:
-                p = f[t - 1]
-                d = u - (tables[p] or offsets(p))[r] - size[r] + size[p]
+            d = number[f[:t] + f[t + 1 :]]
             if mate[d] is None:
                 mate[u] = _BELOW
                 mate[d] = u
-            elif more:
+            elif t + 1 < len(f):
                 tried[f[t + 1]].append(u)
         tried[r] = None
-    return faces, number, mate
+    critical = [[] for _ in range(top + 1)]
+    for i, m in enumerate(mate):
+        if m is None:
+            critical[len(faces[i]) - 1].append(i)
+    return faces, number, mate, critical
+
+
+def _element_matching(layout: tuple, top: int) -> tuple:
+    """The matching of _face_matching on the order complex of dimension
+    top laid out by layout = (order, below, size), made a run of face ids
+    at a time, with no face built.  Returns (mate, critical), which
+    _face_matching gives on the complex's lists too.
+
+    Runs.  Vertex r is the element order[r], and lists[r] holds, for each
+    j of below[order[r]] in sorted id order, (r,) joined to every face of
+    the list of j, and then (r,) alone: size[order[r]] faces.  So the
+    faces that begin with a given chain, a prefix, have consecutive ids;
+    they are its run.  Elements stand for their vertices below.  Let
+    start[i] be the first id of the list of i, and for a prefix P ending
+    at p, x the first id of the run of P, so x = start[p] when P = (p,).
+    The run of P + (j,), for j below p, begins at x + off[p][j], off[p][j]
+    being where j's block begins in the list of p, and holds size[j]
+    faces; P itself is the last face of its run, at x + size[p] - 1.
+
+    A first try at i pairs, for each j below i, the run of (i, j) with the
+    run of (j,), at start[j].  A run of P + (j,) whose pair is taken is
+    queued at j, its next vertex, as (first, x, p, depth): its first id, the
+    first id of the run of P, the last element of P and the length of P;
+    at a first try P = (i,).  Its retry pairs, for each k below j, the
+    run of P + (j, k) with the run of P + (k,), at x + off[p][k], or
+    queues it at k as (its first id, first, j, depth + 1); then it pairs the
+    face P + (j,) with P.  When P is taken, P + (j,) has no vertex left to
+    try: it is a candidate critical cell of dimension depth, and stays
+    critical unless a later pairing takes it, as mate says at the end.
+    Every critical cell of positive dimension is a candidate, and the
+    critical vertices are the singletons left unmatched.  The offsets
+    off[p] are built the first time a retry reads them, so a complex whose
+    first tries all succeed builds none.
+
+    Each pairing is decided by reading mate at the first face of each
+    side, on two grounds, and so it makes, grouped, the pairs that
+    _face_matching makes face by face.
+
+    (a) A face whose top element is not maximal is matched before its own
+    first try.  Everything above that top element ranks earlier, and the
+    smallest vertex w that extends the face pairs with it at w's first
+    try: no vertex before w extends the face, or the face with w added, so
+    neither was matched before.  So the first tries run only at maximal
+    elements, and any other is passed over on one read of mate at its
+    first face.  No face with a maximal top is matched before its first
+    try, since the first tries of earlier vertices match only faces whose
+    top is lower.
+
+    (b) Each run is matched or free as a whole when it is read.  Two runs
+    nest or are disjoint, and every pairing, whether a first try, a run or
+    a single last-vertex pair, is between two runs or two faces.  Every
+    vertex of a run's suffix ranks after the vertex v being processed, and
+    so does the last vertex of its prefix, but for a queued run read at v,
+    before its own pairings.  A pairing made at w <= v has the sides
+    P + (w, k) and P + (k,), runs, or P + (w,) and P, faces, for a prefix P
+    of vertices before w.  A side lies strictly inside the run only if the
+    run's prefix is a proper prefix of the side's, or a prefix of the
+    face, and every such prefix ends at w or before.  At w = v that leaves
+    the sides P + (v, k) and P + (v,) of a queued run of P + (v,), which
+    are its own pairings.  So every earlier pairing either contains the
+    run or misses it.
+    """
+    order, below, size = layout
+    # the candidates for critical cells: every singleton, and every face
+    # whose last try failed, by dimension
+    found = [[] for _ in range(top + 1)]
+    start = [0] * len(order)
+    end = 0
+    for i in order:
+        start[i] = end
+        end += size[i]
+        found[0].append(end - 1)
+    mate = [None] * end
+    tried = [[] for _ in order]
+    tables = [None] * len(order)
+
+    def offsets(p):
+        """off[p], by element: where each block of lists[p] begins."""
+        blocks = below[p]
+        starts = itertools.accumulate(map(size.__getitem__, blocks), initial=0)
+        tables[p] = off = dict(zip(blocks, starts))
+        return off
+
+    for i in order:
+        u = x = start[i]
+        if mate[u] is not None:
+            continue
+        for j in below[i]:
+            m = size[j]
+            d = start[j]
+            if mate[d] is None:
+                mate[u : u + m] = [_BELOW] * m
+                mate[d : d + m] = range(u, u + m)
+            else:
+                tried[j].append((u, x, i, 1))
+            u += m
+    for i in order:
+        for first, x, p, depth in tried[i]:
+            if mate[first] is not None:
+                continue
+            off = tables[p] or offsets(p)
+            u = first
+            for j in below[i]:
+                m = size[j]
+                d = x + off[j]
+                if mate[d] is None:
+                    mate[u : u + m] = [_BELOW] * m
+                    mate[d : d + m] = range(u, u + m)
+                else:
+                    tried[j].append((u, first, i, depth + 1))
+                u += m
+            d = x + size[p] - 1
+            if mate[d] is None:
+                mate[u] = _BELOW
+                mate[d] = u
+            else:
+                found[depth].append(u)
+        tried[i] = None
+    return mate, [sorted(u for u in ids if mate[u] is None) for ids in found]
 
 
 def _facets(u: tuple) -> list:
@@ -448,39 +517,42 @@ def _morse_rows(faces: list, number: dict, mate: list, critical: list, d: int) -
 
 
 def homology_groups(c: SimplicialComplex, reduced: bool = False) -> HomologySummary:
-    """Homology in every dimension through one element matching, on the
-    faces the complex keeps by least vertex, with the layout of an order
-    complex when it has one; its face set stays unbuilt."""
-    return _face_homology(c._lists, c.dim, reduced, c._layout)
+    """Homology in every dimension through one element matching: on the
+    runs of an order complex's layout, whose face lists stay unbuilt
+    unless a Morse boundary needs them, or on the faces any other complex
+    keeps by least vertex.  The face set stays unbuilt."""
+    if c._layout is None:
+        return _face_homology(c._lists, c.dim, reduced)
+    mate, critical = _element_matching(c._layout, c.dim)
+    return _morse_homology(c, None, mate, critical, reduced)
 
 
-def _face_homology(lists: list, top: int, reduced: bool, layout: tuple | None = None) -> HomologySummary:
+def _face_homology(lists: list, top: int, reduced: bool) -> HomologySummary:
     """Homology of the complex of dimension top whose faces, increasing
     tuples closed under taking facets, lists[r] holds by least vertex r,
-    laid out as `order_complex` lays them out when layout is given.
+    through _face_matching."""
+    return _morse_homology(*_face_matching(lists, top), reduced)
 
-    Without a layout the faces are numbered once, by one dict; with it,
-    only when a Morse boundary is built.  The critical cells of the
-    matching span the Morse complex, which has the homology of the
-    complex.  Its boundary from d is zero unless critical cells lie in
-    both d and d-1, and from 1 also when one vertex is critical, so only
-    the remaining maps are built and reduced; reduced only lowers rank in
-    dimension 0."""
-    if top < 1:
-        # points only, or nothing: no boundary to reduce
-        return _assemble((sum(map(len, lists)),) if top == 0 else (), {}, reduced)
-    faces, number, mate = _element_matching(lists, layout)
-    critical = [[] for _ in range(top + 1)]
-    for i, m in enumerate(mate):
-        if m is None:
-            critical[len(faces[i]) - 1].append(i)
+
+def _morse_homology(
+    faces, number: dict | None, mate: list, critical: list, reduced: bool
+) -> HomologySummary:
+    """The homology of the Morse complex that the critical cells of the
+    matching mate span, which has the homology of the complex.  Its
+    boundary from d is zero unless critical cells lie in both d and d-1,
+    and from 1 also when one vertex is critical, so only the remaining
+    maps are built and reduced; reduced only lowers rank in dimension 0.
+    faces lists the faces in id order and number numbers them; with
+    number None, faces is an order complex, listed and numbered only when
+    a map is built."""
     counts = tuple(map(len, critical))
     wanted = [
         d
-        for d in range(1, top + 1)
+        for d in range(1, len(counts))
         if counts[d] and counts[d - 1] and not (d == 1 and counts[0] == 1)
     ]
     if wanted and number is None:
+        faces = list(faces)
         number = dict(zip(faces, range(len(faces))))
     factors = {d: _eliminate(_morse_rows(faces, number, mate, critical, d)) for d in wanted}
     return _assemble(counts, factors, reduced)

@@ -3,17 +3,18 @@ source.
 
 A complex stores its vertex labels and every face as an increasing
 tuple of vertex indices, in one store: a list per vertex of the faces
-whose least vertex it is, which the element matching of `homology` reads
-as it is.  A complex is built one of two ways: checked and closed
-downward from generators (the constructor and `from_simplices`, and so
-the file reader and `join`), or unchecked from faces already kept by
-least vertex (`order_complex`), which alone keeps the layout its lists
-follow, for `homology` to number the faces by.  The order complex of a
-poset has one vertex per element and one face per non-empty chain;
-building it is guarded by a simplex-count cap because chain counts
-explode much faster than poset sizes.  Joins, Euler characteristics,
-cone detection, greedy free-face collapsing, face posets, and
-barycentric subdivision live here too.
+whose least vertex it is.  A complex is built one of two ways: checked
+and closed downward from generators (the constructor and
+`from_simplices`, and so the file reader and `join`), or unchecked
+(`order_complex`), which computes only the layout its lists follow and
+builds them on their first read.  The element matching of `homology`
+reads the lists of a checked complex as they are and the layout of an
+order complex, which needs no face.  The order complex of a poset has
+one vertex per element and one face per non-empty chain; building it is
+guarded by a simplex-count cap because chain counts explode much faster
+than poset sizes.  Joins, Euler characteristics, cone detection, greedy
+free-face collapsing, face posets, and barycentric subdivision live here
+too.
 """
 
 from __future__ import annotations
@@ -40,25 +41,25 @@ class SimplicialComplex:
     (non-empty, no vertex twice, known vertex indices) and close the faces
     downward.  `_of_lists`, which `order_complex` calls, takes faces kept
     by least vertex as given, with no check.  Only `order_complex` sets
-    _layout, the (order, below) its lists are laid out by, from which the
-    element matching of homology_groups finds face ids by arithmetic;
-    every other complex has None there, and the matching numbers its faces
-    by one dict.  The vertex indices are the order in which homology_groups
-    matches faces: order_complex numbers the vertices from the poset, the
-    checked way in label order.  Equality and hash see only the labels,
-    so one complex numbered two ways compares equal.
+    _layout, (order, below, size), from which its lists are built and the
+    element matching of homology_groups reads runs of face ids; every
+    other complex has None there.  The vertex indices are the order in
+    which homology_groups matches faces: order_complex numbers the
+    vertices from the poset, the checked way in label order.  Equality and
+    hash see only the labels, so one complex numbered two ways compares
+    equal.
 
     Every complex keeps its faces in one store, _lists, where _lists[r]
-    holds the faces whose least vertex is r: an order complex in the order
-    it built them, a checked complex bucketed once when it is built.
-    Iterating the complex walks the lists, and homology_groups hands them
-    to the element matching.  The face set serves membership alone
-    (`has_face`, equality and `faces`); it is built from the lists on
-    first use of `faces` and then kept.  So is the label-to-index dict,
-    which only `has_face` and equality read.
+    holds the faces whose least vertex is r: a checked complex buckets
+    them once when it is built, an order complex builds them from its
+    layout on first read and then keeps them.  Iterating the complex walks
+    the lists.  The face set serves membership alone (`has_face`,
+    equality and `faces`); it is built from the lists on first use of
+    `faces` and then kept.  So is the label-to-index dict, which only
+    `has_face` and equality read.
     """
 
-    __slots__ = ("labels", "_ids", "_faces", "_lists", "_layout", "_size", "dim")
+    __slots__ = ("labels", "_ids", "_faces", "_store", "_layout", "_size", "dim")
 
     def __init__(self, labels: Iterable[str], faces: Iterable[Iterable[int]]):
         labels = tuple(sorted(labels))
@@ -71,25 +72,52 @@ class SimplicialComplex:
         # the largest face has dim + 1 vertices; -1 for the empty complex
         self._keep(labels, lists, len(face_set), max(map(len, face_set), default=0) - 1)
 
-    def _keep(self, labels: tuple, lists: list, size: int, dim: int) -> None:
+    def _keep(self, labels: tuple, lists: list | None, size: int, dim: int) -> None:
         """Set every slot; the face set and the label-to-index dict wait
-        for their first use."""
+        for their first use, and so do the lists when None is given."""
         self.labels = labels
         self._ids = None
         self._faces = None
-        self._lists = lists
+        self._store = lists
         self._layout = None
         self._size = size
         self.dim = dim
 
     @classmethod
-    def _of_lists(cls, labels: tuple, lists: list, size: int, dim: int) -> "SimplicialComplex":
+    def _of_lists(
+        cls, labels: tuple, lists: list | None, size: int, dim: int
+    ) -> "SimplicialComplex":
         """A complex from distinct labels and its size faces by least
         vertex, closed and increasing by construction, with no check; for
-        order_complex."""
+        order_complex, which gives None and sets the layout they are built
+        from."""
         c = cls.__new__(cls)
         c._keep(labels, lists, size, dim)
         return c
+
+    @property
+    def _lists(self) -> list:
+        """The faces by least vertex.  An order complex builds them on
+        first read, from its layout (order, below, size): the faces of
+        vertex r are, for each j of below[order[r]] in sorted id order,
+        (r,) joined to every face of the vertex of j, and then (r,) alone.
+        The elements below order[r] come after it in the order, so walking
+        it backwards finds their lists built: one comprehension per
+        element, one tuple concatenation per face, every face increasing.
+        A minimal element holds its singleton face alone."""
+        if self._store is None:
+            order, below, _ = self._layout
+            chains = [None] * len(order)
+            for r in range(len(order) - 1, -1, -1):
+                i = order[r]
+                head = (r,)
+                if below[i]:
+                    chains[i] = own = [head + g for j in below[i] for g in chains[j]]
+                    own.append(head)
+                else:
+                    chains[i] = (head,)
+            self._store = list(map(chains.__getitem__, order))
+        return self._store
 
     @property
     def _pos(self) -> dict:
@@ -238,49 +266,33 @@ def order_complex(p: FinitePoset, cap: int = DEFAULT_SIMPLEX_CAP) -> SimplicialC
     """The complex of non-empty chains of p, its vertices numbered in the
     order of _hasse_order.
 
-    Chain counts are computed first; anything beyond the cap raises
-    SizeCapExceededError instead of building.  The dimension is the
-    longest chain's length less one.  The complex keeps its layout,
-    (order, p.below): the faces of vertex r are, for each j of
-    below[order[r]] in sorted id order, (r,) joined to every face of the
-    vertex of j, and then (r,) alone.  homology_groups reads face ids off
-    it.
+    Only the layout is computed, in O(elements + pairs): the order, the
+    number of chains with each top element, and the longest chain, whose
+    length less one is the dimension.  More chains than the cap raise
+    SizeCapExceededError.  The faces are built on their first read (see
+    `SimplicialComplex._lists`); homology_groups matches them on the
+    layout alone.
     """
-    from .poset import chain_count
-
-    total = chain_count(p)
+    order = _hasse_order(p)
+    below = p.below
+    # size[i]: the chains with top i; longest[i]: the most elements in one
+    # of them.  The elements below i come after i in the order, so walking
+    # it backwards finds them counted.
+    size = [1] * len(order)
+    longest = [1] * len(order)
+    for i in reversed(order):
+        if below[i]:
+            size[i] += sum(map(size.__getitem__, below[i]))
+            longest[i] += max(map(longest.__getitem__, below[i]))
+    total = sum(size)
     if total > cap:
         raise SizeCapExceededError(
             f"order complex would hold {total} chains, cap is {cap}"
         )
-    order = _hasse_order(p)
-    below = p.below
-    # chains[i]: the chains with maximum i, as tuples of ranks in the order;
-    # longest[i]: the most elements in one of them.  The elements below i
-    # come after i in the order, so walking it backwards finds their chains
-    # built, and each chain of i is (rank of i,) joined to one of theirs:
-    # one comprehension per element, one tuple concatenation per face, every
-    # face increasing.  A minimal element holds its singleton face alone.
-    # The chains of order[r] are the faces with least vertex r, which the
-    # complex keeps as they are; total, already counted, is their number.
-    chains = [None] * len(order)
-    longest = [1] * len(order)
-    for r in range(len(order) - 1, -1, -1):
-        i = order[r]
-        head = (r,)
-        if below[i]:
-            chains[i] = own = [head + g for j in below[i] for g in chains[j]]
-            own.append(head)
-            longest[i] += max(map(longest.__getitem__, below[i]))
-        else:
-            chains[i] = (head,)
     c = SimplicialComplex._of_lists(
-        tuple(map(p.labels.__getitem__, order)),
-        list(map(chains.__getitem__, order)),
-        total,
-        max(longest, default=0) - 1,
+        tuple(map(p.labels.__getitem__, order)), None, total, max(longest, default=0) - 1
     )
-    c._layout = (order, below)
+    c._layout = (order, below, size)
     return c
 
 

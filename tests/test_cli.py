@@ -71,11 +71,16 @@ def test_hfcalc_refuses_digits_only_int_takes(capsys, expr):
         (("gp-enum", "--n", "3", "--r", "1", "--k", "+2"), "--k"),
         (("model-build", "--family", "power", "--n", "2", "--k", " 2"), "--k"),
         (("order-complex", "x.poset", "--cap", "1_000"), "--cap"),
+        (("gp-enum", "--n", "3", "--r", "2", "--k", "1", "--cap", "-3"), "--cap"),
+        (("order-complex", "x.poset", "--cap", "-1"), "--cap"),
+        (("model-build", "--family", "power", "--n", "2", "--k", "2", "--cap", "-1"), "--cap"),
+        (("mccord-verify", "x.poset", "--cap", "-2"), "--cap"),
     ],
 )
 def test_integer_flags_refuse_digits_only_int_takes(capsys, argv, flag):
     # int() reads Arabic-Indic three as 3 and '1_0' as 10; an integer flag
-    # takes ASCII digits only, as the file formats do
+    # takes ASCII digits only, as the file formats do, and a cap is at
+    # least 0
     value = argv[argv.index(flag) + 1]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
@@ -400,6 +405,11 @@ def test_order_complex_cap(tmp_path, capsys):
     code, _, err = run(capsys, "order-complex", str(f), "--cap", "3")
     assert code == 2
     assert "cap" in err
+    # a cap of 0 is legal: it refuses every chain, and holds the empty poset
+    code, _, err = run(capsys, "order-complex", str(f), "--cap", "0")
+    assert (code, err) == (2, "error: order complex would hold 7 chains, cap is 0\n")
+    f.write_text("")
+    assert run(capsys, "order-complex", str(f), "--cap", "0") == (0, "", "")
 
 
 def test_order_complex_refuses_a_label_its_file_would_lose(tmp_path, capsys):

@@ -12,6 +12,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -23,13 +24,15 @@ from tphi.homology import (
     _BELOW,
     _element_matching,
     _eliminate,
+    _face_matching,
     _row_sub,
     boundary_matrix,
     format_homology,
     homology_groups,
     smith_normal_form,
 )
-from tphi.models import build_tphi_power, expected_join_betti
+from tphi.hyperfield import ONE, unit
+from tphi.models import build_perp_poset, build_tphi_power, expected_join_betti
 from tphi.poset import build_poset
 from tphi.simplicial import (
     SimplicialComplex,
@@ -389,17 +392,29 @@ def test_power_models_leave_betti_plus_one_critical_cells():
 
 
 def test_power_7_1_order_complex_homology_within_budget():
-    # 94,585 faces matched on ids read off the layout of the lists
-    # order_complex built, no face tuple hashed and the face set never
-    # made: about 0.05 s on a 2-core host, half of it the order complex
+    # order_complex computes only its layout and the element matching pairs
+    # runs of ids on it, so no face tuple is made: power(7,1), 94,585
+    # faces, takes about 2 ms on a 2-core host, and power(8,1), 1,091,669
+    # faces, about 25 ms.  What both hold at their peak is the mate list
+    # and the layout, about 25 bytes a face on power(7,1); building every
+    # face tuple took 120
+    for n, faces in ((7, 94_585), (8, 1_091_669)):
+        p = build_tphi_power(n, 1).poset
+        start = time.perf_counter()
+        c = order_complex(p)
+        h = homology_groups(c, reduced=True)
+        assert time.perf_counter() - start < 2
+        assert len(c) == faces
+        assert h == expected_join_betti(n, 1)
+        assert h.critical == (1,) + (0,) * (n - 1)
     p = build_tphi_power(7, 1).poset
-    start = time.perf_counter()
-    c = order_complex(p)
-    h = homology_groups(c, reduced=True)
-    assert time.perf_counter() - start < 2
-    assert len(c) == 94_585
-    assert h == expected_join_betti(7, 1)
-    assert h.critical == (1, 0, 0, 0, 0, 0, 0)
+    tracemalloc.start()
+    try:
+        homology_groups(order_complex(p), reduced=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 94_585
 
 
 def test_long_gradient_paths_need_no_recursion():
@@ -518,22 +533,39 @@ def assert_same_matching(faces, mate, want):
 
 def test_element_matching_matches_the_former_matching():
     # the same (lower, upper) pairs and critical cells per dimension, on
-    # each order complex, numbered through its layout; on the same lists
-    # with the layout dropped, numbered through the dict; and on its
-    # label-order copy read back from the file form, from the lists its
+    # each order complex, matched a run at a time on its layout; on the
+    # same lists with the layout dropped, numbered through the dict; and on
+    # its label-order copy read back from the file form, from the lists its
     # face set was bucketed into.  The copy leaves critical cells that need
     # Morse boundaries.  homology_groups then agrees with the full Smith
-    # forms, twice over
+    # forms, twice over.  Besides oracle_posets: more seeded random posets
+    # and two perps of k = 2, each also as its opposite
+    from test_mccord import random_posets
+
+    extra = random_posets(300, 99)
+    extra += [
+        build_perp_poset([(ONE,) * 5], 2).poset,
+        build_perp_poset([(ONE,) * 5, (ONE, unit(1, 2), ONE, unit(1, 2), ONE)], 2).poset,
+    ]
     built = 0
-    for p in oracle_posets():
+    for p in oracle_posets() + extra + [p.opposite() for p in extra]:
         c = order_complex(p)
         bare = SimplicialComplex._of_lists(c.labels, c._lists, len(c), c.dim)
         back = parse_complex_lines(complex_to_lines(c))
         for x in (c, bare, back):
-            faces, number, mate = _element_matching(x._lists, x._layout)
-            assert (number is None) == (x is c)
             want = reference_element_matching(x)
+            if x is c:
+                mate, critical = _element_matching(x._layout, x.dim)
+                faces = list(x)
+            else:
+                faces, number, mate, critical = _face_matching(x._lists, x.dim)
+                assert number == dict(zip(faces, range(len(faces))))
             assert_same_matching(faces, mate, want)
+            unmatched = [[] for _ in range(x.dim + 1)]
+            for i, f in enumerate(faces):
+                if mate[i] is None:
+                    unmatched[len(f) - 1].append(i)
+            assert critical == unmatched
             if x.dim < 1:
                 continue
             h = homology_groups(x)
@@ -558,7 +590,7 @@ def test_missing_facet_after_a_retry_is_a_key_error():
     c = unchecked_complex(("a", "b", "c", "d"), faces)
     for lists in (c._lists, [bucket[::-1] for bucket in c._lists]):
         with pytest.raises(KeyError):
-            _element_matching(lists, None)
+            _face_matching(lists, 2)
         with pytest.raises(KeyError):
             homology_groups(SimplicialComplex._of_lists(c.labels, lists, 10, 2))
     with pytest.raises(KeyError):

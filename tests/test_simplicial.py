@@ -277,21 +277,57 @@ def test_order_complex_matches_the_depth_first_reference():
 
 
 def test_order_complex_keeps_the_layout_of_its_lists():
-    # the element matching numbers an order complex's faces from its
-    # layout (order, below): lists[r] holds, for each j of below[order[r]]
-    # in sorted id order, (r,) joined to every face of the
-    # list of j's rank, and then (r,) alone.  Every other way in keeps none
+    # an order complex keeps its layout (order, below, size), which the
+    # element matching reads and the lists are built from: lists[r] holds,
+    # for each j of below[order[r]] in sorted id order, (r,) joined to
+    # every face of the list of j's rank, and then (r,) alone, size[i]
+    # faces for the rank of i.  Every other way in keeps none
     for p in oracle_posets():
         c = order_complex(p)
-        order, below = c._layout
+        order, below, size = c._layout
         assert below is p.below and sorted(order) == list(range(len(p)))
+        assert sum(size) == len(c) and len(size) == len(p)
         rank = {i: r for r, i in enumerate(order)}
         for r, faces in enumerate(c._lists):
             laid = [(r,) + g for j in below[order[r]] for g in c._lists[rank[j]]]
             assert list(faces) == laid + [(r,)]
+            assert len(faces) == size[order[r]]
         back = parse_complex_lines(complex_to_lines(c))
         assert back._layout is None
     assert join(cycle_complex(4), two_points("p", "q"))._layout is None
+
+
+def eager_order_complex_lists(p):
+    """The former `order_complex` list builder, which built every face
+    when the complex was made: the faces by least vertex."""
+    order = tphi.simplicial._hasse_order(p)
+    below = p.below
+    chains = [None] * len(order)
+    for r in range(len(order) - 1, -1, -1):
+        i = order[r]
+        head = (r,)
+        if below[i]:
+            chains[i] = own = [head + g for j in below[i] for g in chains[j]]
+            own.append(head)
+        else:
+            chains[i] = (head,)
+    return list(map(chains.__getitem__, order))
+
+
+def test_order_complex_face_lists_wait_for_their_first_read():
+    # order_complex computes only its layout, and homology_groups matches
+    # runs of ids on it with no Morse boundary to build on power(7,1), so
+    # no face list is made; the first read builds the lists, in the order
+    # and with the faces the former eager builder gave
+    c = order_complex(build_tphi_power(7, 1).poset)
+    assert homology_groups(c, reduced=True).critical == (1, 0, 0, 0, 0, 0, 0)
+    assert c._store is None and c._faces is None
+    for p in oracle_posets() + [build_poset([], []), build_poset(["x"], [])]:
+        c = order_complex(p)
+        assert c._store is None
+        want = eager_order_complex_lists(p)
+        assert list(c) == list(itertools.chain.from_iterable(want))
+        assert c._lists == want and c._lists is c._store
 
 
 def test_order_complex_builds_its_face_set_when_asked():
