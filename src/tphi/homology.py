@@ -351,7 +351,9 @@ def _element_matching(layout: tuple, top: int) -> tuple:
     at p, x the first id of the run of P, so x = start[p] when P = (p,).
     The run of P + (j,), for j below p, begins at x + off[p][j], off[p][j]
     being where j's block begins in the list of p, and holds size[j]
-    faces; P itself is the last face of its run, at x + size[p] - 1.
+    faces; P itself is the last face of its run, at x + size[p] - 1.  Two
+    runs are paired by two slice assignments of mate, or by two stores
+    when they hold one face each, as the runs of a minimal element do.
 
     A first try at i pairs, for each j below i, the run of (i, j) with the
     run of (j,), at start[j].  A run of P + (j,) whose pair is taken is
@@ -365,8 +367,9 @@ def _element_matching(layout: tuple, top: int) -> tuple:
     critical unless a later pairing takes it, as mate says at the end.
     Every critical cell of positive dimension is a candidate, and the
     critical vertices are the singletons left unmatched.  The offsets
-    off[p] are built the first time a retry reads them, so a complex whose
-    first tries all succeed builds none.
+    off[p] are built the first time a retry at an element with elements
+    below it reads them, so a complex whose first tries all succeed, or
+    one of dimension 1, builds none.
 
     Each pairing is decided by reading mate at the first face of each
     side, on two grounds, and so it makes, grouped, the pairs that
@@ -425,8 +428,12 @@ def _element_matching(layout: tuple, top: int) -> tuple:
             m = size[j]
             d = start[j]
             if mate[d] is None:
-                mate[u : u + m] = [_BELOW] * m
-                mate[d : d + m] = range(u, u + m)
+                if m == 1:
+                    mate[u] = _BELOW
+                    mate[d] = u
+                else:
+                    mate[u : u + m] = [_BELOW] * m
+                    mate[d : d + m] = range(u, u + m)
             else:
                 tried[j].append((u, x, i, 1))
             u += m
@@ -434,14 +441,19 @@ def _element_matching(layout: tuple, top: int) -> tuple:
         for first, x, p, depth in tried[i]:
             if mate[first] is not None:
                 continue
-            off = tables[p] or offsets(p)
             u = first
+            # a minimal i has no blocks, and so no use for off[p]
+            off = below[i] and (tables[p] or offsets(p))
             for j in below[i]:
                 m = size[j]
                 d = x + off[j]
                 if mate[d] is None:
-                    mate[u : u + m] = [_BELOW] * m
-                    mate[d : d + m] = range(u, u + m)
+                    if m == 1:
+                        mate[u] = _BELOW
+                        mate[d] = u
+                    else:
+                        mate[u : u + m] = [_BELOW] * m
+                        mate[d : d + m] = range(u, u + m)
                 else:
                     tried[j].append((u, first, i, depth + 1))
                 u += m
@@ -523,6 +535,9 @@ def homology_groups(c: SimplicialComplex, reduced: bool = False) -> HomologySumm
     keeps by least vertex.  The face set stays unbuilt."""
     if c._layout is None:
         return _face_homology(c._lists, c.dim, reduced)
+    if c.dim < 1:
+        # points only, or nothing: no matching and no boundary
+        return _assemble((len(c),) if c.dim == 0 else (), {}, reduced)
     mate, critical = _element_matching(c._layout, c.dim)
     return _morse_homology(c, None, mate, critical, reduced)
 
@@ -531,6 +546,9 @@ def _face_homology(lists: list, top: int, reduced: bool) -> HomologySummary:
     """Homology of the complex of dimension top whose faces, increasing
     tuples closed under taking facets, lists[r] holds by least vertex r,
     through _face_matching."""
+    if top < 1:
+        # points only, or nothing: no matching and no boundary
+        return _assemble((sum(map(len, lists)),) if top == 0 else (), {}, reduced)
     return _morse_homology(*_face_matching(lists, top), reduced)
 
 
