@@ -533,11 +533,11 @@ def homology_groups(c: SimplicialComplex, reduced: bool = False) -> HomologySumm
     runs of an order complex's layout, whose face lists stay unbuilt
     unless a Morse boundary needs them, or on the faces any other complex
     keeps by least vertex.  The face set stays unbuilt."""
-    if c._layout is None:
-        return _face_homology(c._lists, c.dim, reduced)
     if c.dim < 1:
         # points only, or nothing: no matching and no boundary
         return _assemble((len(c),) if c.dim == 0 else (), {}, reduced)
+    if c._layout is None:
+        return _face_homology(c._lists, c.dim, reduced)
     mate, critical = _element_matching(c._layout, c.dim)
     return _morse_homology(c, None, mate, critical, reduced)
 
@@ -546,9 +546,6 @@ def _face_homology(lists: list, top: int, reduced: bool) -> HomologySummary:
     """Homology of the complex of dimension top whose faces, increasing
     tuples closed under taking facets, lists[r] holds by least vertex r,
     through _face_matching."""
-    if top < 1:
-        # points only, or nothing: no matching and no boundary
-        return _assemble((sum(map(len, lists)),) if top == 0 else (), {}, reduced)
     return _morse_homology(*_face_matching(lists, top), reduced)
 
 

@@ -397,7 +397,7 @@ def test_power_7_1_order_complex_homology_within_budget():
     # faces, takes about 2 ms on a 2-core host, and power(8,1), 1,091,669
     # faces, about 25 ms.  What both hold at their peak is the mate list
     # and the layout, about 25 bytes a face on power(7,1); building every
-    # face tuple took 120
+    # face tuple as well took about 110
     for n, faces in ((7, 94_585), (8, 1_091_669)):
         p = build_tphi_power(n, 1).poset
         start = time.perf_counter()
