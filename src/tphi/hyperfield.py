@@ -24,7 +24,7 @@ everywhere.  All values are immutable; nothing here keeps hidden state.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from typing import Sequence
 
 from .errors import EmptySumError, Frozen, parse_int
@@ -102,13 +102,6 @@ def neg(v: TPhi) -> TPhi:
     return -v
 
 
-def phase_key(v: TPhi):
-    """Sort key: zero first, then units by increasing angle."""
-    if v.is_zero:
-        return (0, Fraction(0))
-    return (1, v.angle)
-
-
 def units(k: int) -> list[TPhi]:
     """The k circle points at angles j/k, in angle order."""
     if k < 1:
@@ -117,7 +110,7 @@ def units(k: int) -> list[TPhi]:
 
 
 def scalars(k: int) -> list[TPhi]:
-    """Zero followed by the k-th roots of unity; the order matches phase_key."""
+    """Zero followed by the k-th roots of unity in angle order."""
     return [ZERO] + units(k)
 
 
@@ -348,13 +341,14 @@ def format_scalars(k: int) -> list[str]:
     The table is filled one divisor q of k at a time, in increasing order:
     p/q turns is position p*(k/q) + 1, and the first q to reach a position
     is the denominator of its lowest terms, so no position needs a gcd.
+    The divisors are found by trial up to isqrt(k), each with its cofactor.
     """
     if k < 1:
         raise ValueError("k must be positive")
+    small = [q for q in range(1, isqrt(k) + 1) if not k % q]
+    large = [k // q for q in reversed(small) if q * q != k]
     out = ["0"] + [None] * k
-    for q in range(1, k + 1):
-        if k % q:
-            continue
+    for q in small + large:
         tail = "/" + str(q)
         for p, j in enumerate(range(1, k + 1, k // q)):
             if out[j] is None:

@@ -15,9 +15,11 @@ that union are i's up-covers.  The pass stores ``above`` and ``below`` as
 sorted tuples of ids, the one empty tuple where there is nothing, and
 ``up_covers`` as tuples of ids, so covers are read, never recomputed.  A
 sorted tuple costs 8 bytes a pair where a frozenset cost about 60, and
-membership goes through ``bisect``.  The number of chains with each minimum is counted on
-first use and cached on the poset, so ``chain_count``, ``order_complex``
-and ``basis_certificates`` share one count.  The label-to-id dict is built
+membership goes through ``bisect``.  Two chain counts are made on first
+use and cached on the poset: the chains with each top element, with the
+length of the longest chain, which ``chain_count`` and ``order_complex``
+share, and the chains with each minimum, which ``basis_certificates``
+reads.  The label-to-id dict is built
 on first use too, by ``index_of`` (and so ``less``, ``upset`` and
 ``induced``) or the checked ``MirroredPoset``: the model pipeline reads
 ids only.
@@ -41,7 +43,7 @@ class FinitePoset:
     """Strict partial order on string labels, stored transitively closed
     on the ids of the labels in sorted order."""
 
-    __slots__ = ("labels", "_ids", "above", "below", "up_covers", "_counts")
+    __slots__ = ("labels", "_ids", "above", "below", "up_covers", "_tops", "_counts")
 
     def __init__(self, elements: Iterable[str], pairs: Iterable[tuple]):
         labels = tuple(sorted(elements))
@@ -124,6 +126,7 @@ class FinitePoset:
         self.above = tuple(above)
         self.below = tuple(downs)
         self.up_covers = tuple(up_covers)
+        self._tops = None
         self._counts = None
 
     def __len__(self) -> int:
@@ -209,7 +212,7 @@ def build_poset(elements: Iterable[str], pairs: Iterable[tuple]) -> FinitePoset:
 def _chains_by_minimum(p: FinitePoset) -> tuple:
     """c(x) for every element x in label order: the number of chains whose
     minimum is x, c(x) = 1 + sum of c(y) over y > x.  Counted once per
-    poset and cached on it."""
+    poset and cached on it, for basis_certificates."""
     if p._counts is None:
         above = p.above
         sizes = list(map(len, above))
@@ -222,10 +225,30 @@ def _chains_by_minimum(p: FinitePoset) -> tuple:
     return p._counts
 
 
+def _chains_by_top(p: FinitePoset) -> tuple:
+    """(size, dim): size[i], for every element i in label order, is the
+    number of chains whose top is i, 1 + the sum of size[j] over j < i, and
+    dim the length of the longest chain less one, -1 on the empty poset.
+    Counted once per poset and cached on it; order_complex keeps size as
+    its layout, so nothing may change it."""
+    if p._tops is None:
+        below = p.below
+        sizes = list(map(len, below))
+        size = [1] * len(below)
+        longest = [1] * len(below)
+        # j < i has fewer elements below it than i, so comes first; a
+        # minimal element keeps its 1s
+        for i in sorted(filter(sizes.__getitem__, range(len(below))), key=sizes.__getitem__):
+            size[i] += sum(map(size.__getitem__, below[i]))
+            longest[i] += max(map(longest.__getitem__, below[i]))
+        p._tops = (tuple(size), max(longest, default=0) - 1)
+    return p._tops
+
+
 def chain_count(p: FinitePoset) -> int:
-    """Number of non-empty chains, counted by their minimum without
-    enumerating them."""
-    return sum(_chains_by_minimum(p))
+    """Number of non-empty chains, counted by their top without
+    enumerating them: the count order_complex shares."""
+    return sum(_chains_by_top(p)[0])
 
 
 def core(p: FinitePoset) -> tuple:

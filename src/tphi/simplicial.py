@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import operator
-from collections import Counter, defaultdict
+from collections import Counter
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import DEFAULT_SIMPLEX_CAP, Frozen, SizeCapExceededError, check_file_labels, file_lines
@@ -234,65 +233,68 @@ def _hasse_order(p: FinitePoset) -> list:
     by BFS layer in the undirected cover graph from the first of them,
     then by index.  Homology matches the order complex's faces in this
     order; without the BFS layer, ties fall to label order, which leaves
-    hundreds of extra critical cells on some relabeled power models."""
+    hundreds of extra critical cells on some relabeled power models.
+
+    An antichain, such as a power model with n = 1, ties everywhere and
+    its first element alone has layer 0, so it keeps index order, with no
+    list per element made.  Otherwise the walk follows up_covers and one
+    down-cover list per element, and one stable sort on the integer key
+    height * (n + 1) + layer, height = above * (n + 1) + n - below, leaves
+    ties by index."""
     n = len(p.labels)
-    if n == 0:
-        return []
-    height = list(zip(map(len, p.above), map(operator.neg, map(len, p.below))))
-    covers = defaultdict(list)
-    for i, ups in enumerate(p.up_covers):
+    up_covers = p.up_covers
+    if not any(up_covers):
+        return list(range(n))
+    m = n + 1
+    height = [a * m + n - b for a, b in zip(map(len, p.above), map(len, p.below))]
+    downs = [[] for _ in up_covers]
+    for i, ups in enumerate(up_covers):
         for j in ups:
-            covers[i].append(j)
-            covers[j].append(i)
+            downs[j].append(i)
     first = min(range(n), key=height.__getitem__)
     layer = [n] * n
     layer[first] = 0
     frontier = [first]
+    depth = 0
     while frontier:
+        depth += 1
         nxt = []
         for i in frontier:
-            for j in covers[i]:
+            for j in up_covers[i]:
                 if layer[j] == n:
-                    layer[j] = layer[i] + 1
+                    layer[j] = depth
+                    nxt.append(j)
+            for j in downs[i]:
+                if layer[j] == n:
+                    layer[j] = depth
                     nxt.append(j)
         frontier = nxt
-    # sorting is stable: by layer, then by height, leaves ties by index
-    order = sorted(range(n), key=layer.__getitem__)
-    order.sort(key=height.__getitem__)
-    return order
+    key = [h * m + d for h, d in zip(height, layer)]
+    return sorted(range(n), key=key.__getitem__)
 
 
 def order_complex(p: FinitePoset, cap: int = DEFAULT_SIMPLEX_CAP) -> SimplicialComplex:
     """The complex of non-empty chains of p, its vertices numbered in the
     order of _hasse_order.
 
-    Only the layout is computed, in O(elements + pairs): the order, the
-    number of chains with each top element, and the longest chain, whose
-    length less one is the dimension.  More chains than the cap raise
-    SizeCapExceededError.  The faces are built on their first read (see
-    `SimplicialComplex._lists`); homology_groups matches them on the
-    layout alone.
+    Only the layout is computed: the order, and the number of chains with
+    each top element and the dimension, which come from the count that
+    chain_count shares (`poset._chains_by_top`), cached on p.  More chains
+    than the cap raise SizeCapExceededError.  The faces are built on their
+    first read (see `SimplicialComplex._lists`); homology_groups matches
+    them on the layout alone.
     """
-    order = _hasse_order(p)
-    below = p.below
-    # size[i]: the chains with top i; longest[i]: the most elements in one
-    # of them.  The elements below i come after i in the order, so walking
-    # it backwards finds them counted.
-    size = [1] * len(order)
-    longest = [1] * len(order)
-    for i in reversed(order):
-        if below[i]:
-            size[i] += sum(map(size.__getitem__, below[i]))
-            longest[i] += max(map(longest.__getitem__, below[i]))
+    from .poset import _chains_by_top
+
+    size, dim = _chains_by_top(p)
     total = sum(size)
     if total > cap:
         raise SizeCapExceededError(
             f"order complex would hold {total} chains, cap is {cap}"
         )
-    c = SimplicialComplex._of_lists(
-        tuple(map(p.labels.__getitem__, order)), None, total, max(longest, default=0) - 1
-    )
-    c._layout = (order, below, size)
+    order = _hasse_order(p)
+    c = SimplicialComplex._of_lists(tuple(map(p.labels.__getitem__, order)), None, total, dim)
+    c._layout = (order, p.below, size)
     return c
 
 

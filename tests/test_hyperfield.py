@@ -35,13 +35,19 @@ from tphi.hyperfield import (
     neg_arcset,
     parse_terms,
     parse_value,
-    phase_key,
     scalars,
     scale_arcset,
     unit,
     units,
     zero_in_residue_sum,
 )
+
+
+def phase_key(v: TPhi):
+    """Sort key of a scalar: zero first, then units by increasing angle."""
+    if v.is_zero:
+        return (0, Fraction(0))
+    return (1, v.angle)
 
 
 def reference_pair(a: TPhi, b: TPhi) -> ArcSet:

@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import random
 from functools import reduce
+from math import gcd
 
 import pytest
 
@@ -21,7 +22,6 @@ from tphi.hyperfield import (
     ZERO,
     format_scalars,
     format_value,
-    phase_key,
     scalars,
     unit,
     units,
@@ -61,6 +61,7 @@ from tphi.simplicial import (
     order_complex,
 )
 
+from test_hyperfield import phase_key
 from test_phased import reference_perp_membership, sweep_report
 
 P = ONE
@@ -361,8 +362,14 @@ def test_id_builders_match_label_pair_loops_byte_for_byte():
 
 
 def test_format_scalars_matches_format_value():
-    for k in list(range(1, 241)) + [720, 840, 1680, 1999]:
+    for k in list(range(1, 241)) + [720, 840, 1680, 1849, 1936, 1999]:
         assert format_scalars(k) == [format_value(s) for s in scalars(k)], k
+    # every k of the n = 1 row of criterion 03, squares such as 1849 = 43^2
+    # among them, against j/k in lowest terms by gcd, which is what
+    # format_value prints; building every scalar would take seconds
+    for k in range(1, 2001):
+        lowest = [f"{j // g}/{k // g}" for j in range(k) for g in (gcd(j, k),)]
+        assert format_scalars(k) == ["0"] + lowest, k
     with pytest.raises(ValueError):
         format_scalars(0)
 

@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from test_hyperfield import phase_key
 from tphi.errors import (
     BadArityError,
     IdenticallyZeroError,
@@ -30,7 +31,6 @@ from tphi.hyperfield import (
     angle_residues,
     boxplus_fold,
     contains_zero,
-    phase_key,
     scalars,
     unit,
     units,

@@ -7,19 +7,31 @@ give circles, and the octahedron shows up as a triple join.
 
 import gc
 import itertools
+import operator
 import random
+from collections import defaultdict
 
 import pytest
 
 import tphi.simplicial
 from test_acceptance import _model_battery
-from test_homology import oracle_posets, projective_plane, unchecked_complex
+from test_homology import oracle_posets, projective_plane, relabeled_poset, unchecked_complex
 from test_mccord import cell_test_complexes, dunce_hat, icosahedron_disk, random_posets
+from test_poset import reference_chain_counts
 from tphi.errors import SizeCapExceededError
 from tphi.homology import homology_groups
 from tphi.mccord import cw_type_report
 from tphi.models import build_tphi_power
-from tphi.poset import FinitePoset, build_poset, chain_count, core, format_poset_file, mirrored, parse_poset_file
+from tphi.poset import (
+    FinitePoset,
+    _chains_by_top,
+    build_poset,
+    chain_count,
+    core,
+    format_poset_file,
+    mirrored,
+    parse_poset_file,
+)
 from tphi.simplicial import (
     DEFAULT_SIMPLEX_CAP,
     CollapseResult,
@@ -295,6 +307,132 @@ def test_order_complex_keeps_the_layout_of_its_lists():
         back = parse_complex_lines(complex_to_lines(c))
         assert back._layout is None
     assert join(cycle_complex(4), two_points("p", "q"))._layout is None
+
+
+def reference_hasse_order(p):
+    """The former `_hasse_order`: a defaultdict of undirected cover lists,
+    a BFS over them from the first element of least height, and two
+    stable sorts, by layer and then by height."""
+    n = len(p.labels)
+    if n == 0:
+        return []
+    height = list(zip(map(len, p.above), map(operator.neg, map(len, p.below))))
+    covers = defaultdict(list)
+    for i, ups in enumerate(p.up_covers):
+        for j in ups:
+            covers[i].append(j)
+            covers[j].append(i)
+    first = min(range(n), key=height.__getitem__)
+    layer = [n] * n
+    layer[first] = 0
+    frontier = [first]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for j in covers[i]:
+                if layer[j] == n:
+                    layer[j] = layer[i] + 1
+                    nxt.append(j)
+        frontier = nxt
+    order = sorted(range(n), key=layer.__getitem__)
+    order.sort(key=height.__getitem__)
+    return order
+
+
+def brute_chains_by_top(p):
+    """Every chain listed once, as the run a < b < ... that grows upward
+    through above from its least element, and counted by its top; with the
+    length of the longest, less one."""
+    size = [0] * len(p)
+    longest = 0
+    stack = [(i, 1) for i in range(len(p))]
+    while stack:
+        i, length = stack.pop()
+        size[i] += 1
+        longest = max(longest, length)
+        stack += [(j, length + 1) for j in p.above[i]]
+    return size, longest - 1
+
+
+def layout_test_posets():
+    """The posets the order-complex layout is checked on: oracle_posets,
+    each also as its opposite; seeded random posets with shuffled labels,
+    so that ids and the order disagree, from antichains (density 0) and
+    sparse, mostly disconnected, ones to dense ones, the empty poset among
+    them; a poset whose first element alone has no cover; and the
+    pipeline-large power models, relabeled."""
+    rng = random.Random(20261021)
+    posets = oracle_posets()
+    posets += [build_poset([], []), build_poset(["a", "b", "c"], [("b", "c")])]
+    for _ in range(200):
+        n = rng.randint(0, 14)
+        labels = [f"u{i:02d}" for i in range(n)]
+        rng.shuffle(labels)
+        density = rng.choice((0.0, 0.05, 0.15, 0.3, 0.6))
+        pairs = [
+            (labels[i], labels[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < density
+        ]
+        p = build_poset(labels, pairs)
+        posets += [p, p.opposite()]
+    for n, k in ((7, 1), (4, 5), (5, 2), (3, 11)):
+        base = build_tphi_power(n, k).poset
+        posets += [relabeled_poset(base, rng) for _ in range(2)]
+    return posets
+
+
+def criterion_03_posets(most_faces=10_000):
+    """Every criterion-03 power model of at most most_faces chains, one at
+    a time: the n = 1 row alone holds about two million elements."""
+    for n in range(1, 11):
+        for k in range(1, 2001):
+            if (k + 1) ** n - 1 > 2000:
+                break
+            p = build_tphi_power(n, k).poset
+            if chain_count(p) <= most_faces:
+                yield p
+
+
+def test_hasse_order_matches_the_former_order():
+    # the antichain exit, the flat cover lists and the one integer sort
+    # give the order of the defaultdict, BFS and two sorts
+    for p in layout_test_posets():
+        assert tphi.simplicial._hasse_order(p) == reference_hasse_order(p)
+
+
+def test_chains_by_top_matches_a_brute_force_count():
+    # size[i] counts the chains with top i and dim is the longest chain
+    # less one, as listing every chain finds; chain_count, their sum,
+    # still agrees with the count by minimum
+    for p in layout_test_posets():
+        size, dim = _chains_by_top(p)
+        assert (list(size), dim) == brute_chains_by_top(p)
+        assert chain_count(p) == sum(reference_chain_counts(p.above))
+
+
+def test_layout_matches_its_references_on_criterion_03_models():
+    seen = 0
+    for p in criterion_03_posets():
+        assert tphi.simplicial._hasse_order(p) == reference_hasse_order(p)
+        size, dim = _chains_by_top(p)
+        assert (list(size), dim) == brute_chains_by_top(p)
+        seen += 1
+    assert seen == 2056
+
+
+def test_order_complex_shares_the_count_by_top():
+    # the layout keeps the cached count itself, so nothing may change it:
+    # a second complex of the same poset has the same layout and homology
+    for p in oracle_posets()[::3] + [build_tphi_power(3, 4).poset]:
+        c = order_complex(p)
+        assert c._layout[2] is _chains_by_top(p)[0]
+        assert c.dim == _chains_by_top(p)[1]
+        h = homology_groups(c)
+        again = order_complex(p)
+        assert again._layout == c._layout and again.labels == c.labels
+        assert homology_groups(again) == h
 
 
 def eager_order_complex_lists(p):
