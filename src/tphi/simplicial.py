@@ -237,20 +237,20 @@ def _hasse_order(p: FinitePoset) -> list:
 
     An antichain, such as a power model with n = 1, ties everywhere and
     its first element alone has layer 0, so it keeps index order, with no
-    list per element made.  Otherwise the walk follows up_covers and one
-    down-cover list per element, and one stable sort on the integer key
-    height * (n + 1) + layer, height = above * (n + 1) + n - below, leaves
-    ties by index."""
+    list per element made.  Otherwise the walk follows one list per
+    element, its up-covers and then its down-covers, and one stable sort on
+    the integer key height * (n + 1) + layer, height = above * (n + 1) +
+    n - below, leaves ties by index."""
     n = len(p.labels)
     up_covers = p.up_covers
     if not any(up_covers):
         return list(range(n))
     m = n + 1
     height = [a * m + n - b for a, b in zip(map(len, p.above), map(len, p.below))]
-    downs = [[] for _ in up_covers]
+    covers = list(map(list, up_covers))
     for i, ups in enumerate(up_covers):
         for j in ups:
-            downs[j].append(i)
+            covers[j].append(i)
     first = min(range(n), key=height.__getitem__)
     layer = [n] * n
     layer[first] = 0
@@ -260,11 +260,7 @@ def _hasse_order(p: FinitePoset) -> list:
         depth += 1
         nxt = []
         for i in frontier:
-            for j in up_covers[i]:
-                if layer[j] == n:
-                    layer[j] = depth
-                    nxt.append(j)
-            for j in downs[i]:
+            for j in covers[i]:
                 if layer[j] == n:
                     layer[j] = depth
                     nxt.append(j)
