@@ -15,15 +15,18 @@ and one scan of the gaps between the sorted distinct residues settles the
 sum.  Zero lies in it exactly when no gap is wider than half a turn;
 otherwise the sum is the arc that the one wider gap leaves.  Every caller
 with residues of its own, such as the exchange relations and the perp
-tests of ``phased``, reaches the same scan through ``zero_in_residue_sum``.
+tests of ``phased``, reaches the same scan through ``zero_in_residue_sum``,
+or through a ``zero_test`` that decides each distinct sum of a sweep once.
 No ``Fraction`` arithmetic is done on the way; ``Fraction`` appears only at
 the endpoints of ``boxplus_fold``'s arc, and a float is refused
-everywhere.  All values are immutable; nothing here keeps hidden state.
+everywhere.  All values are immutable.  The only state is a ``zero_test``
+memo, which lives for one sweep and holds at most 2^16 residue tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, partial
 from math import isqrt, lcm
 from typing import Sequence
 
@@ -293,6 +296,14 @@ def zero_in_residue_sum(residues, h: int) -> bool:
     """
     m = 2 * h
     return _wide_gap(sorted({x % m for x in residues}), h) is None
+
+
+def zero_test(h: int):
+    """zero_in_residue_sum(residues, h) for this h, taking the residues as
+    a tuple and deciding each distinct tuple once, for a sweep whose sums
+    repeat.  A sweep makes its own test and drops it when it returns; the
+    memo keeps the 2^16 tuples asked most recently."""
+    return lru_cache(maxsize=1 << 16)(partial(zero_in_residue_sum, h=h))
 
 
 def angle_residues(values: Sequence[TPhi]) -> tuple[list[int], int]:

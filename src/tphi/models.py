@@ -35,11 +35,10 @@ from .errors import (
     capped_comb,
     capped_product,
 )
-from .hyperfield import format_scalars, unit
+from .hyperfield import format_scalars, unit, zero_test
 from .phased import (
     DISCRETIZATION_CAVEAT,
     GPFunction,
-    _gp_relation_holds,
     _gp_relations_by_last_tuple,
     _perp_rows,
     _relation_count,
@@ -197,10 +196,12 @@ def enum_grassmannian(
     Once tuple p has its value, every exchange relation whose last tuple
     is p is checked (none needs checking before a second nonzero value),
     so the leaves are exactly the functions gp_verify_all passes, in
-    sorted order.
+    sorted order, made unchecked by GPFunction._of_entries.  Each distinct
+    sum is decided once, by a zero_test made for this search.
 
     The cap counts search steps: one per value tried and one per relation
-    checked, stopping at the first that fails.  A search whose lower bound
+    checked, stopping at the first that fails; a relation whose sum was
+    decided before counts as checked.  A search whose lower bound
     _min_search_steps exceeds cap is refused before anything is built; any
     other raises once its steps go over cap.
     """
@@ -219,6 +220,7 @@ def enum_grassmannian(
     value = [None] * count
     # the scalars of the functions found, one object per choice
     scalar = functools.cache(lambda e: unit(e - 1, k))
+    zero_in = zero_test(k)
     # options[p]: the values still to try at p; started[p]: some value
     # before p is nonzero
     options = [iter((0, 1))] + [None] * (count - 1)
@@ -237,7 +239,12 @@ def enum_grassmannian(
         holds = True
         for terms in closing[p] if started[p] else ():
             steps += 1
-            if not _gp_relation_holds(terms, value, k):
+            residues = [
+                value[a] + value[b] + k * q
+                for a, b, q in terms
+                if value[a] is not None and value[b] is not None
+            ]
+            if not zero_in(tuple(residues)):
                 holds = False
                 break
         if steps > cap:
@@ -249,7 +256,7 @@ def enum_grassmannian(
                 options[p] = iter(range(k + 1) if started[p] else (0, 1))
             elif started[p] or e > 0:
                 entries = tuple((t, scalar(c)) for t, c in zip(tuples, chosen) if c)
-                found.append(GPFunction(n, r, entries))
+                found.append(GPFunction._of_entries(n, r, entries))
     return found
 
 

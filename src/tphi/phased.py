@@ -42,6 +42,7 @@ from .hyperfield import (
     scalars,
     unit,
     zero_in_residue_sum,
+    zero_test,
 )
 
 PhasedVector = tuple
@@ -128,7 +129,8 @@ def _perp_rows(
 
     k is even, so the products of a constraint with a candidate are
     decided mod k with h = k/2: a constraint entry at i/k turns is residue
-    i, and the product with entry j + 1 is residue i + j.
+    i, and the product with entry j + 1 is residue i + j.  Each distinct
+    sum is decided once, by a zero_test made for this search.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -153,16 +155,13 @@ def _perp_rows(
         [(i, int(e.angle * k) - 1) for i, e in enumerate(v) if not e.is_zero]
         for v in vs
     ]
-    h = k // 2
+    zero_in = zero_test(k // 2)
     candidates = itertools.product(alphabet(k), repeat=n)
     next(candidates)  # the zero vector
     return [
         row
         for row in candidates
-        if all(
-            zero_in_residue_sum([r + row[i] for i, r in c if row[i]], h)
-            for c in constraints
-        )
+        if all(zero_in(tuple([r + row[i] for i, r in c if row[i]])) for c in constraints)
     ]
 
 
@@ -182,15 +181,9 @@ class GPFunction(Frozen):
             raise BadArityError(f"arity r={r} outside 1..{n}")
         seen = {}
         for key, val in entries:
-            for i in key:
-                if isinstance(i, bool) or not isinstance(i, (int, str)):
-                    raise ValueError(f"index {i!r} is a {type(i).__name__}; give an int")
-            key = tuple(i if isinstance(i, int) else parse_int(i) for i in key)
+            key = _indices(key, n)
             if len(key) != r:
                 raise BadArityError(f"key {key} is not an {r}-tuple")
-            for i in key:
-                if not 1 <= i <= n:
-                    raise IndexOutOfRangeError(f"index {i} outside 1..{n}")
             if any(a >= b for a, b in zip(key, key[1:])):
                 raise BadArityError(f"key {key} must be strictly increasing")
             if key in seen:
@@ -198,6 +191,14 @@ class GPFunction(Frozen):
             seen[key] = val
         kept = tuple(sorted((k, v) for k, v in seen.items() if not v.is_zero))
         Frozen.__init__(self, n, r, kept, dict(kept))
+
+    @classmethod
+    def _of_entries(cls, n: int, r: int, entries: tuple) -> "GPFunction":
+        """The function with these entries, unchecked: for enum_grassmannian,
+        whose entries are sorted, keyed in range and non-zero by construction."""
+        phi = cls.__new__(cls)
+        Frozen.__init__(phi, n, r, entries, dict(entries))
+        return phi
 
     @classmethod
     def from_values(cls, n: int, r: int, mapping: Mapping) -> "GPFunction":
@@ -212,16 +213,29 @@ class GPFunction(Frozen):
         return not self.entries
 
 
+def _indices(tup, n: int) -> tuple:
+    """tup as a tuple of ground-set indices in 1..n, each an int or a
+    string by parse_int.  A float or a bool is refused, not read as the
+    int it equals or truncated to, and so is any other type."""
+    out = []
+    for i in tup:
+        if isinstance(i, bool) or not isinstance(i, (int, str)):
+            raise ValueError(f"index {i!r} is a {type(i).__name__}; give an int")
+        i = i if isinstance(i, int) else parse_int(i)
+        if not 1 <= i <= n:
+            raise IndexOutOfRangeError(f"index {i} outside 1..{n}")
+        out.append(i)
+    return tuple(out)
+
+
 def gp_eval(phi: GPFunction, tup: Sequence[int]) -> TPhi:
-    """Evaluate on an arbitrary r-tuple: zero on repeats, otherwise the
-    stored value times the sign of the sorting permutation (a half-turn
-    when odd)."""
+    """Evaluate on an arbitrary r-tuple of indices, taken as GPFunction
+    takes them: zero on repeats, otherwise the stored value times the
+    sign of the sorting permutation (a half-turn when odd)."""
     tup = tuple(tup)
     if len(tup) != phi.r:
         raise BadArityError(f"expected an {phi.r}-tuple, got {tup}")
-    for i in tup:
-        if not 1 <= i <= phi.n:
-            raise IndexOutOfRangeError(f"index {i} outside 1..{phi.n}")
+    tup = _indices(tup, phi.n)
     if len(set(tup)) < len(tup):
         return ZERO
     val = phi._map.get(tuple(sorted(tup)), ZERO)
@@ -250,13 +264,15 @@ def gp_relation_terms(phi: GPFunction, xs: Sequence[int], ys: Sequence[int]) -> 
 
 def gp_relation_check(phi: GPFunction, xs: Sequence[int], ys: Sequence[int]) -> bool:
     """Whether zero lies in the multivalued sum of the exchange terms for
-    the given sorted index tuples (xs of size r+1, ys of size r-1)."""
+    the given sorted index tuples (xs of size r+1, ys of size r-1), with
+    indices taken as GPFunction takes them."""
     xs = tuple(xs)
     ys = tuple(ys)
     if len(xs) != phi.r + 1:
         raise BadArityError(f"xs must have size {phi.r + 1}")
     if len(ys) != phi.r - 1:
         raise BadArityError(f"ys must have size {phi.r - 1}")
+    xs, ys = _indices(xs, phi.n), _indices(ys, phi.n)
     for t in (xs, ys):
         if any(a >= b for a, b in zip(t, t[1:])):
             raise BadArityError(f"{t} must be strictly increasing")
@@ -283,7 +299,8 @@ def gp_verify_all(phi: GPFunction, all_tuples: bool = False) -> GPReport:
     tested as _gp_sweep yields it: the cap allows millions of relations,
     so no table of them is held.  The sweep makes each look-up that does
     not depend on ys once, but keeps the order of the relations and tests
-    each one, so the report is the one a term-by-term sweep gives.
+    each one, so the report is the one a term-by-term sweep gives.  Each
+    distinct sum is decided once, by a zero_test made for this sweep.
     """
     if phi.is_zero:
         return GPReport(False, "not identically zero")
@@ -300,8 +317,9 @@ def gp_verify_all(phi: GPFunction, all_tuples: bool = False) -> GPReport:
     def weigh(i, p):
         return None if value[i] is None else value[i] + h * p
 
+    zero_in = zero_test(h)
     for xs, ys, pairs in _gp_sweep(n, r, all_tuples, weigh):
-        if not zero_in_residue_sum([a + b for a, b in pairs], h):
+        if not zero_in(tuple([a + b for a, b in pairs])):
             return GPReport(False, "exchange relation failed", xs, ys)
     return GPReport(True)
 
@@ -313,20 +331,6 @@ def _relation_count(n: int, r: int, all_tuples: bool, cap: int) -> int:
         return capped_product(itertools.repeat(n, 2 * r), cap)
     # C(n, r+1) is 0 only for r = n, and then it comes first
     return capped_product((capped_comb(n, r + 1, cap), capped_comb(n, r - 1, cap)), cap)
-
-
-def _gp_relation_holds(terms, value, h: int) -> bool:
-    """One relation of _gp_relations_by_last_tuple on residues mod 2h:
-    value[i] is the residue of phi on the i-th increasing tuple, None
-    where phi is zero."""
-    return zero_in_residue_sum(
-        [
-            value[a] + value[b] + h * p
-            for a, b, p in terms
-            if value[a] is not None and value[b] is not None
-        ],
-        h,
-    )
 
 
 def _gp_sweep(n: int, r: int, all_tuples: bool, weigh):

@@ -230,18 +230,25 @@ def _chains_by_top(p: FinitePoset) -> tuple:
     number of chains whose top is i, 1 + the sum of size[j] over j < i, and
     dim the length of the longest chain less one, -1 on the empty poset.
     Counted once per poset and cached on it; order_complex keeps size as
-    its layout, so nothing may change it."""
+    its layout, so nothing may change it.  The longest chains are pushed
+    along up-covers, not read off every pair: a non-minimal element starts
+    at 2, and once final lifts its up-covers to one more than its own."""
     if p._tops is None:
-        below = p.below
+        below, up_covers = p.below, p.up_covers
         sizes = list(map(len, below))
         size = [1] * len(below)
-        longest = [1] * len(below)
+        longest = [2] * len(below)
         # j < i has fewer elements below it than i, so comes first; a
-        # minimal element keeps its 1s
-        for i in sorted(filter(sizes.__getitem__, range(len(below))), key=sizes.__getitem__):
+        # minimal element keeps its size of 1
+        order = sorted(filter(sizes.__getitem__, range(len(below))), key=sizes.__getitem__)
+        for i in order:
             size[i] += sum(map(size.__getitem__, below[i]))
-            longest[i] += max(map(longest.__getitem__, below[i]))
-        p._tops = (tuple(size), max(longest, default=0) - 1)
+            up = longest[i] + 1
+            for j in up_covers[i]:
+                if longest[j] < up:
+                    longest[j] = up
+        dim = max(map(longest.__getitem__, order), default=min(len(below), 1)) - 1
+        p._tops = (tuple(size), dim)
     return p._tops
 
 

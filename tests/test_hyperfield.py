@@ -40,6 +40,7 @@ from tphi.hyperfield import (
     unit,
     units,
     zero_in_residue_sum,
+    zero_test,
 )
 
 
@@ -520,6 +521,21 @@ def test_residue_zero_test_scales_and_wraps():
     assert zero_in_residue_sum([0, 2, 4], 3)
     assert zero_in_residue_sum([-2, 2, 6], 3)
     assert zero_in_residue_sum([0, 4, 8], 6)
+
+
+def test_zero_test_matches_the_residue_scan_exhaustively():
+    # every residue tuple of length 0 to 4 with entries below 4h, so that
+    # points also come a turn late, each asked twice: the second ask is a
+    # memo hit.  h = 4 makes 69,905 tuples, more than the memo keeps
+    for h in range(1, 5):
+        zero_in = zero_test(h)
+        for size in range(5):
+            for residues in itertools.product(range(4 * h), repeat=size):
+                want = zero_in_residue_sum(residues, h)
+                assert zero_in(residues) == want == zero_in(residues), (h, residues)
+        info = zero_in.cache_info()
+        assert info.hits == info.misses == sum((4 * h) ** s for s in range(5))
+        assert info.maxsize == 1 << 16 and info.currsize == min(info.misses, 1 << 16)
 
 
 def test_contains_zero_mixed_denominators_seeded():

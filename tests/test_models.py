@@ -7,15 +7,18 @@ antichains have known reduced homology.  Grassmannian counts are frozen
 from the brute-force filter, which is re-run here as the oracle.
 """
 
+import functools
 import hashlib
 import itertools
 import random
+import weakref
 from functools import reduce
 from math import gcd
 
 import pytest
 
 from tphi.errors import BadArityError, EmptyPerpError, SizeCapExceededError
+from tphi import hyperfield, models, phased
 from tphi.homology import homology_groups
 from tphi.hyperfield import (
     ONE,
@@ -25,6 +28,7 @@ from tphi.hyperfield import (
     scalars,
     unit,
     units,
+    zero_in_residue_sum,
 )
 from tphi.models import (
     DISCRETIZATION_CAVEAT,
@@ -463,6 +467,112 @@ def test_grassmannian_equals_pinned_loop():
         assert enum_grassmannian(n, r, k) == _pinned_loop_grassmannian(n, r, k), (n, r, k)
 
 
+def reference_relation_holds(terms, value, h):
+    """One relation of _gp_relations_by_last_tuple on residues mod 2h,
+    decided afresh: the helper the search used before its zero_test."""
+    return zero_in_residue_sum(
+        [
+            value[a] + value[b] + h * p
+            for a, b, p in terms
+            if value[a] is not None and value[b] is not None
+        ],
+        h,
+    )
+
+
+def reference_enum_grassmannian(n, r, k, cap=DEFAULT_SIMPLEX_CAP):
+    """The search as it was before each distinct sum was decided once and
+    before the functions found were made unchecked: every relation is
+    decided afresh and every function goes through GPFunction."""
+    if not 1 <= r <= n:
+        raise BadArityError(f"rank {r} not in 1..{n}")
+    if k < 1:
+        raise ValueError("k must be positive")
+    if _min_search_steps(n, r, k, cap) > cap:
+        raise SizeCapExceededError(f"the search needs at least {cap + 1} steps, cap is {cap}")
+    tuples = list(itertools.combinations(range(1, n + 1), r))
+    count = len(tuples)
+    closing = _gp_relations_by_last_tuple(n, r)
+    chosen = [0] * count
+    value = [None] * count
+    scalar = functools.cache(lambda e: unit(e - 1, k))
+    options = [iter((0, 1))] + [None] * (count - 1)
+    started = [False] * count
+    found = []
+    steps = 0
+    p = 0
+    while p >= 0:
+        e = next(options[p], None)
+        if e is None:
+            p -= 1
+            continue
+        chosen[p] = e
+        value[p] = 2 * e - 2 if e else None
+        steps += 1
+        holds = True
+        for terms in closing[p] if started[p] else ():
+            steps += 1
+            if not reference_relation_holds(terms, value, k):
+                holds = False
+                break
+        if steps > cap:
+            raise SizeCapExceededError(f"search steps exceed cap {cap}")
+        if holds:
+            if p + 1 < count:
+                p += 1
+                started[p] = started[p - 1] or e > 0
+                options[p] = iter(range(k + 1) if started[p] else (0, 1))
+            elif started[p] or e > 0:
+                entries = tuple((t, scalar(c)) for t, c in zip(tuples, chosen) if c)
+                found.append(GPFunction(n, r, entries))
+    return found
+
+
+def test_grassmannian_matches_the_former_search():
+    # back to back in one process, so no search can lean on another's sums
+    cases = [(4, 2, 2), (4, 2, 3), (4, 2, 4), (5, 2, 1), (5, 3, 1), (2, 2, 4), (3, 1, 4), (4, 2, 8)]
+    counts = []
+    for n, r, k in cases:
+        got, want = enum_grassmannian(n, r, k), reference_enum_grassmannian(n, r, k)
+        assert got == want, (n, r, k)
+        # the unchecked functions equal checked ones field by field
+        assert [(g.entries, g._map) for g in got] == [(w.entries, w._map) for w in want]
+        counts.append(len(got))
+    assert counts == [146, 375, 1190, 131, 131, 1, 31, 17702]
+
+
+def test_search_steps_and_refusals_match_the_former_search():
+    # a relation whose sum is decided from the memo still counts a step
+    for n, r, k in [(3, 2, 2), (4, 2, 2), (5, 2, 1), (5, 3, 1), (3, 1, 4), (4, 1, 3), (4, 3, 2)]:
+        steps = _search_steps(n, r, k)
+        assert steps == _search_steps(n, r, k, reference_enum_grassmannian), (n, r, k)
+        for cap in (steps - 1, _min_search_steps(n, r, k) - 1):
+            with pytest.raises(SizeCapExceededError) as got:
+                enum_grassmannian(n, r, k, cap=cap)
+            with pytest.raises(SizeCapExceededError) as want:
+                reference_enum_grassmannian(n, r, k, cap=cap)
+            assert str(got.value) == str(want.value), (n, r, k, cap)
+
+
+def test_each_sweep_makes_its_own_zero_test_and_drops_it(monkeypatch):
+    made = []
+
+    def recording(h):
+        zero_in = hyperfield.zero_test(h)
+        made.append(weakref.ref(zero_in))
+        return zero_in
+
+    monkeypatch.setattr(models, "zero_test", recording)
+    monkeypatch.setattr(phased, "zero_test", recording)
+    vs = [(ONE, unit(1, 2), ZERO)]
+    for _ in range(2):
+        phi = enum_grassmannian(4, 2, 2)[-1]
+        assert gp_verify_all(phi).ok
+        assert perp_enumerate(vs, 4)
+        assert build_perp_poset(vs, 2)
+    assert len(made) == 8 and all(ref() is None for ref in made)
+
+
 def test_grassmannian_pinned_counts_and_step_cap():
     # counts pinned from the output of the exhaustive loop
     assert len(enum_grassmannian(4, 2, 4)) == 1190
@@ -477,13 +587,13 @@ def test_grassmannian_pinned_counts_and_step_cap():
             enum_grassmannian(n, r, 0)
 
 
-def _search_steps(n, r, k):
-    """The least cap under which enum_grassmannian(n, r, k) finishes."""
+def _search_steps(n, r, k, search=enum_grassmannian):
+    """The least cap under which search(n, r, k) finishes."""
     lo, hi = 0, 1 << 20
     while lo < hi:
         mid = (lo + hi) // 2
         try:
-            enum_grassmannian(n, r, k, cap=mid)
+            search(n, r, k, cap=mid)
             hi = mid
         except SizeCapExceededError:
             lo = mid + 1

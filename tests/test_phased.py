@@ -294,6 +294,27 @@ def test_gp_eval_alternating():
         gp_eval(phi, (0, 2))
 
 
+def test_gp_eval_and_relation_check_take_indices_as_gp_function_does():
+    phi = GPFunction.from_values(3, 2, {(1, 2): unit(1, 4), (2, 3): P})
+    refusals = [
+        ((1.5, 2), r"^index 1\.5 is a float; give an int$"),
+        ((1.0, 2), r"^index 1\.0 is a float; give an int$"),
+        ((True, 2), r"^index True is a bool; give an int$"),
+    ]
+    for tup, message in refusals:
+        with pytest.raises(ValueError, match=message):
+            gp_eval(phi, tup)
+        with pytest.raises(ValueError, match=message):
+            GPFunction(3, 2, ((tup, P),))
+    with pytest.raises(ValueError, match=r"^index 3\.5 is a float; give an int$"):
+        gp_relation_check(phi, (1, 2, 3.5), (1,))
+    with pytest.raises(ValueError, match=r"^index False is a bool; give an int$"):
+        gp_relation_check(phi, (1, 2, 3), (False,))
+    # a string index is read by parse_int everywhere
+    assert gp_eval(phi, ("2", 1)) == gp_eval(phi, (2, 1)) == unit(3, 4)
+    assert gp_relation_check(phi, ("1", 2, 3), ("2",)) == gp_relation_check(phi, (1, 2, 3), (2,))
+
+
 def test_gp_eval_sign_is_permutation_parity():
     phi = GPFunction.from_values(4, 3, {(1, 2, 3): P})
     for perm in itertools.permutations((1, 2, 3)):
