@@ -7,6 +7,8 @@ scan, so both are checked against it exhaustively on small
 discretizations and on seeded random batches.  reference_canonical_arcs
 is the split-merge-fold canonicalizer that the sorted sweep in ArcSet
 replaced; the sweep is checked against it on seeded random unions.
+zero_test, the memoized residue scan of the sweeps, is checked against
+zero_in_residue_sum on every small residue tuple, memo hits included.
 """
 
 import itertools

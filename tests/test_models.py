@@ -4,7 +4,10 @@ The power-model homology oracle is independent of the pipeline: the order
 complex must coincide with the barycentric subdivision of a join of
 antichains under the explicit vector-to-face relabeling, and joins of
 antichains have known reduced homology.  Grassmannian counts are frozen
-from the brute-force filter, which is re-run here as the oracle.
+from the brute-force filter, which is re-run here as the oracle, and the
+search is checked against reference_enum_grassmannian, the search as it was
+before it decided each distinct sum once, for its output, its steps and
+its refusals.
 """
 
 import functools
