@@ -13,10 +13,13 @@ simplicial complex when the poset is that complex's face poset, one face
 per element, and from the order complex, one face per chain, otherwise;
 either way through the one element matching of `homology`.
 
-Certificates come in decreasing strength.  A cone or a collapse sequence
-proves contractibility outright; trivial reduced homology (which includes
-the abelianized edge-path group through dimension one) is only evidence,
-and is labeled as such.  Collapse failure never certifies anything.
+Every certificate that `basis_certificates` gives is a cone.  The ladder
+of `contractibility_certificate` grades one complex in decreasing
+strength: a cone or a collapse sequence proves contractibility outright;
+trivial reduced homology (which includes the abelianized edge-path group
+through dimension one) is only evidence, and is labeled as such; collapse
+failure never certifies anything.  No command calls it, and ROADMAP item 7
+removes it once the benchmark of item 6 no longer wraps it.
 """
 
 from __future__ import annotations

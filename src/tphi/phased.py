@@ -318,8 +318,8 @@ def gp_verify_all(phi: GPFunction, all_tuples: bool = False) -> GPReport:
         return None if value[i] is None else value[i] + h * p
 
     zero_in = zero_test(h)
-    for xs, ys, pairs in _gp_sweep(n, r, all_tuples, weigh):
-        if not zero_in(tuple([a + b for a, b in pairs])):
+    for xs, ys, terms in _gp_sweep(n, r, all_tuples, weigh):
+        if not zero_in(terms):
             return GPReport(False, "exchange relation failed", xs, ys)
     return GPReport(True)
 
@@ -334,15 +334,15 @@ def _relation_count(n: int, r: int, all_tuples: bool, cap: int) -> int:
 
 
 def _gp_sweep(n: int, r: int, all_tuples: bool, weigh):
-    """Yield (xs, ys, pairs) for each exchange relation of the
+    """Yield (xs, ys, terms) for each exchange relation of the
     gp_verify_all sweep that has a non-zero term, xs outer and ys inner.
 
     weigh(i, p) is the caller's entry for phi on the i-th increasing
     r-tuple times a half turn when p is odd, None where that is zero.
-    pairs lists the terms of gp_relation_terms in order, as (a, b): a for
-    xs less x_k with the relation's sign for k, b for (x_k,) + ys.  The a
-    entries are weighed once per xs, the b entries once per call as one
-    column over the ys sweep for each x.  Each relation keeps its place
+    terms is the tuple of the non-zero terms of gp_relation_terms in
+    order, each a + b: a for xs less x_k with the relation's sign for k, b
+    for (x_k,) + ys.  The a entries are weighed once per xs, the b entries
+    once per call as one column over the ys sweep for each x.  Each relation keeps its place
     and its own sum, so every verdict and the first failure are those of
     the term-by-term sweep; one left out has an empty sum, which holds.
     """
@@ -377,9 +377,9 @@ def _gp_sweep(n: int, r: int, all_tuples: bool, weigh):
                 tails.append(columns[x])
         # with no a entry there are no rows of b entries: every sum is empty
         for ys, bs in zip(ys_sweep, zip(*tails)):
-            pairs = [(a, b) for a, b in zip(heads, bs) if b is not None]
-            if pairs:
-                yield xs, ys, pairs
+            terms = tuple([a + b for a, b in zip(heads, bs) if b is not None])
+            if terms:
+                yield xs, ys, terms
 
 
 def _gp_relations_by_last_tuple(n: int, r: int) -> list:
@@ -387,10 +387,11 @@ def _gp_relations_by_last_tuple(n: int, r: int) -> list:
     tuple: entry q lists the terms of every relation whose largest tuple
     index is q, so it can be checked once tuples 0..q have values.  A
     term (a, b, p) is phi(A) * phi(B) times a half turn when p is 1, A
-    and B the a-th and b-th increasing r-tuples."""
+    and B the a-th and b-th increasing r-tuples.  The sweep weighs each
+    entry as (i, p), so each of its terms reads (a, p, b, q)."""
     closing = [[] for _ in range(math.comb(n, r))]
-    for _, _, pairs in _gp_sweep(n, r, False, lambda i, p: (i, p)):
-        terms = tuple((a, b, (p + q) % 2) for (a, p), (b, q) in pairs)
+    for _, _, sums in _gp_sweep(n, r, False, lambda i, p: (i, p)):
+        terms = tuple((a, b, (p + q) % 2) for a, p, b, q in sums)
         closing[max(max(a, b) for a, b, _ in terms)].append(terms)
     return closing
 

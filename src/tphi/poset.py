@@ -15,12 +15,12 @@ that union are i's up-covers.  The pass stores ``above`` and ``below`` as
 sorted tuples of ids, the one empty tuple where there is nothing, and
 ``up_covers`` as tuples of ids, so covers are read, never recomputed.  A
 sorted tuple costs 8 bytes a pair where a frozenset cost about 60, and
-membership goes through ``bisect``.  Two chain counts are made on first
-use and cached on the poset: the chains with each top element, with the
-length of the longest chain, which ``chain_count`` and ``order_complex``
-share, and the chains with each minimum, which ``basis_certificates``
-reads.  The label-to-id dict is built
-on first use too, by ``index_of`` (and so ``less``, ``upset`` and
+membership goes through ``bisect``.  The chains with each top element,
+with the length of the longest chain, are counted on first use and cached
+on the poset, for ``chain_count`` and ``order_complex`` to share; the
+chains with each minimum are counted afresh on each call, since
+``basis_certificates`` reads them once per report.  The label-to-id dict
+is built on first use too, by ``index_of`` (and so ``less``, ``upset`` and
 ``induced``) or the checked ``MirroredPoset``: the model pipeline reads
 ids only.
 
@@ -43,7 +43,7 @@ class FinitePoset:
     """Strict partial order on string labels, stored transitively closed
     on the ids of the labels in sorted order."""
 
-    __slots__ = ("labels", "_ids", "above", "below", "up_covers", "_tops", "_counts")
+    __slots__ = ("labels", "_ids", "above", "below", "up_covers", "_tops")
 
     def __init__(self, elements: Iterable[str], pairs: Iterable[tuple]):
         labels = tuple(sorted(elements))
@@ -127,7 +127,6 @@ class FinitePoset:
         self.below = tuple(downs)
         self.up_covers = tuple(up_covers)
         self._tops = None
-        self._counts = None
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -211,18 +210,16 @@ def build_poset(elements: Iterable[str], pairs: Iterable[tuple]) -> FinitePoset:
 
 def _chains_by_minimum(p: FinitePoset) -> tuple:
     """c(x) for every element x in label order: the number of chains whose
-    minimum is x, c(x) = 1 + sum of c(y) over y > x.  Counted once per
-    poset and cached on it, for basis_certificates."""
-    if p._counts is None:
-        above = p.above
-        sizes = list(map(len, above))
-        counts = [1] * len(above)
-        # y > x has fewer elements above it than x, so comes first
-        for i in sorted(range(len(above)), key=sizes.__getitem__):
-            if sizes[i]:
-                counts[i] += sum(map(counts.__getitem__, above[i]))
-        p._counts = tuple(counts)
-    return p._counts
+    minimum is x, c(x) = 1 + sum of c(y) over y > x, counted afresh on
+    each call."""
+    above = p.above
+    sizes = list(map(len, above))
+    counts = [1] * len(above)
+    # y > x has fewer elements above it than x, so comes first
+    for i in sorted(range(len(above)), key=sizes.__getitem__):
+        if sizes[i]:
+            counts[i] += sum(map(counts.__getitem__, above[i]))
+    return tuple(counts)
 
 
 def _chains_by_top(p: FinitePoset) -> tuple:

@@ -599,6 +599,109 @@ def test_missing_facet_after_a_retry_is_a_key_error():
         homology_groups(c)
 
 
+# ------------------------------------ the former two-pass matching as oracle
+
+
+def reference_face_matching(lists: list, top: int) -> tuple:
+    """The former `_face_matching`, verbatim but for its name: every first
+    try, in vertex order, ran before every retry, in vertex order."""
+    faces = list(itertools.chain.from_iterable(lists))
+    mate = [None] * len(faces)
+    number = dict(zip(faces, range(len(faces))))
+    kept = [len(f) > 1 for f in faces]
+    ups = itertools.compress(range(len(faces)), kept)
+    downs = [number[f[1:]] for f in itertools.compress(faces, kept)]
+    tried = [[] for _ in lists]
+    for u, d in zip(ups, downs):
+        if mate[u] is None:
+            if mate[d] is None:
+                mate[u] = _BELOW
+                mate[d] = u
+            else:
+                tried[faces[u][1]].append(u)
+    for r, retries in enumerate(tried):
+        for u in retries:
+            if mate[u] is not None:
+                continue
+            f = faces[u]
+            t = f.index(r)
+            d = number[f[:t] + f[t + 1 :]]
+            if mate[d] is None:
+                mate[u] = _BELOW
+                mate[d] = u
+            elif t + 1 < len(f):
+                tried[f[t + 1]].append(u)
+        tried[r] = None
+    critical = [[] for _ in range(top + 1)]
+    for i, m in enumerate(mate):
+        if m is None:
+            critical[len(faces[i]) - 1].append(i)
+    return faces, number, mate, critical
+
+
+def random_checked_complexes(count, seed):
+    """Seeded complexes built the checked way: random generators on up to
+    9 of up to 12 vertices, so some vertices lie in no face, with labels
+    drawn apart from the generation order."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        labels = rng.sample([f"x{i:02d}" for i in range(40)], n)
+        used = rng.sample(range(n), rng.randint(1, min(n, 9)))
+        gens = [
+            rng.sample(used, rng.randint(1, min(len(used), 4)))
+            for _ in range(rng.randint(1, 8))
+        ]
+        out.append(SimplicialComplex(labels, gens))
+    return out
+
+
+def test_face_matching_matches_the_former_two_passes(monkeypatch):
+    # the same faces, numbers, mates and critical cells as the former
+    # two passes: on checked complexes, with their buckets as built and
+    # shuffled; on the file copies of three power models' order complexes;
+    # and on the face lists that finite_space_homology hands over for
+    # every poset _complex_faces accepts
+    from test_mccord import cell_test_complexes, dunce_hat, random_posets
+    from tphi import homology
+    from tphi.mccord import _complex_faces, finite_space_homology
+
+    rng = random.Random(20261022)
+    complexes = [projective_plane(), dunce_hat(), *cell_test_complexes()]
+    complexes += [
+        join(dunce_hat(), cycle_complex(3)),
+        join(projective_plane(), two_points("p", "q")),
+        join(cycle_complex(4), cycle_complex(5)),
+    ]
+    complexes += random_checked_complexes(50, 20261022)
+    for n, k in ((3, 5), (4, 3), (6, 1)):
+        complexes.append(parse_complex_lines(complex_to_lines(order_complex(build_tphi_power(n, k).poset))))
+    assert any(not bucket for c in complexes for bucket in c._lists)
+    for c in complexes:
+        lists = c._lists
+        for buckets in (lists, [rng.sample(b, len(b)) for b in lists]):
+            assert _face_matching(buckets, c.dim) == reference_face_matching(buckets, c.dim)
+
+    calls = []
+
+    def checked(lists, top):
+        got = reference_face_matching(lists, top)
+        assert got == face_matching(lists, top)
+        calls.append(len(got[0]))
+        return got
+
+    face_matching = homology._face_matching
+    monkeypatch.setattr(homology, "_face_matching", checked)
+    extra = random_posets(100, 20261022)
+    posets = oracle_posets() + extra + [p.opposite() for p in extra]
+    accepted = [p for p in posets if _complex_faces(p) is not None]
+    for p in accepted:
+        finite_space_homology(p)
+    assert len(calls) == len(accepted) > 100
+    assert max(calls) > 200
+
+
 # --------------------------------------------- the former eliminator as oracle
 
 # The former `_eliminate`, verbatim but for its name: it took the column

@@ -19,6 +19,7 @@ from tphi.poset import (
     MirroredPoset,
     MirrorReport,
     _chains_by_minimum,
+    _chains_by_top,
     build_poset,
     chain_count,
     discrete_type_classes,
@@ -515,12 +516,16 @@ def test_power_build_peaks_near_what_it_keeps():
 
 
 def test_chain_counts_are_cached():
+    # the count by top is cached, and order_complex keeps it as its
+    # layout; the count by minimum is made afresh on each call
     p = _diamond()
-    counts = _chains_by_minimum(p)
-    assert counts == (6, 2, 2, 1)  # a: {a}, ab, ac, ad, abd, acd
-    assert _chains_by_minimum(p) is counts
-    order_complex(p)
-    assert _chains_by_minimum(p) is counts
+    assert _chains_by_minimum(p) == (6, 2, 2, 1)  # a: {a}, ab, ac, ad, abd, acd
+    tops = _chains_by_top(p)
+    assert tops == ((1, 2, 2, 6), 2)  # d: {d}, ad, bd, cd, abd, acd
+    assert _chains_by_top(p) is tops
+    assert order_complex(p)._layout[2] is tops[0]
+    assert _chains_by_top(p) is tops
+    assert _chains_by_minimum(p) == (6, 2, 2, 1)
 
 
 def test_mirrored_validation_keeps_its_errors():
