@@ -16,14 +16,15 @@ built the checked way, or of a face poset, are numbered once by one dict,
 which the tries read one face at a time (`_face_matching`).  A sequence
 of element matchings is acyclic, so by Forman ("Morse theory for cell
 complexes", Adv. Math. 134, 1998) the faces left over, the critical
-cells, span a chain complex with the homology of the whole.  Its boundary follows each critical cell's
-boundary along the matching to the critical cells one dimension down, and
-is built only between dimensions that both hold critical cells.  On the
-order complexes of the power models, whose vertices order_complex numbers
-from the poset, only Betti + 1 cells are critical, so no boundary is
-built at all.  A finite space that is the face poset of a complex reaches
-the same matching on that complex's faces
-(`mccord.finite_space_homology`), with no complex object built.
+cells, span a chain complex with the homology of the whole.  Its
+boundary follows each critical cell's boundary along the matching to the
+critical cells one dimension down, and is built only between dimensions
+that both hold critical cells.  On the order complexes of the power
+models, whose vertices order_complex numbers from the poset, only
+Betti + 1 cells are critical, so no boundary is built at all.  A finite
+space that is the face poset of a complex reaches the same matching on
+that complex's faces (`mccord.finite_space_homology`), with no complex
+object built.
 
 The Morse boundaries are reduced by one eliminator, which consumes row
 dicts and keeps its own column index: a unit-pivot phase taking the

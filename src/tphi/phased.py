@@ -342,9 +342,10 @@ def _gp_sweep(n: int, r: int, all_tuples: bool, weigh):
     terms is the tuple of the non-zero terms of gp_relation_terms in
     order, each a + b: a for xs less x_k with the relation's sign for k, b
     for (x_k,) + ys.  The a entries are weighed once per xs, the b entries
-    once per call as one column over the ys sweep for each x.  Each relation keeps its place
-    and its own sum, so every verdict and the first failure are those of
-    the term-by-term sweep; one left out has an empty sum, which holds.
+    once per call as one column over the ys sweep for each x.  Each
+    relation keeps its place and its own sum, so every verdict and the
+    first failure are those of the term-by-term sweep; one left out has an
+    empty sum, which holds.
     """
     ground = range(1, n + 1)
     index = {t: i for i, t in enumerate(itertools.combinations(ground, r))}

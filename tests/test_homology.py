@@ -676,7 +676,8 @@ def test_face_matching_matches_the_former_two_passes(monkeypatch):
     ]
     complexes += random_checked_complexes(50, 20261022)
     for n, k in ((3, 5), (4, 3), (6, 1)):
-        complexes.append(parse_complex_lines(complex_to_lines(order_complex(build_tphi_power(n, k).poset))))
+        lines = complex_to_lines(order_complex(build_tphi_power(n, k).poset))
+        complexes.append(parse_complex_lines(lines))
     assert any(not bucket for c in complexes for bucket in c._lists)
     for c in complexes:
         lists = c._lists
