@@ -19,7 +19,7 @@ for cert in report.certificates:
 print()
 print("verdict:", report.verdict)
 print()
-for line in format_homology(finite_space_homology(mp.poset, reduced=True)):
+for line in format_homology(finite_space_homology(mp.poset)):
     print(line)
 
 # the space itself is a circle, so its comparability component cannot be

@@ -54,19 +54,21 @@ if TYPE_CHECKING:
 
 
 class IntegerMatrix(Frozen):
-    """Sparse integer matrix; entries is a sorted tuple of (row, col, value)."""
+    """Sparse integer matrix; entries is a sorted tuple of (row, col, value).
+    The shape and every entry must be of type int: a bool, which Python
+    counts as an int, is refused as a float is."""
 
     __slots__ = _fields = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: tuple = ()):
-        if not (isinstance(rows, int) and isinstance(cols, int)):
+        if not (type(rows) is int and type(cols) is int):
             raise ValueError(f"shape {rows!r}x{cols!r} is not integer")
         if rows < 0 or cols < 0:
             raise ValueError(f"shape {rows}x{cols} is negative")
         entries = tuple(entries)
         seen = set()
         for i, j, v in entries:
-            if not (isinstance(i, int) and isinstance(j, int) and isinstance(v, int)):
+            if not (type(i) is int and type(j) is int and type(v) is int):
                 raise ValueError(f"entry ({i!r},{j!r}) = {v!r} is not an integer")
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
@@ -84,8 +86,9 @@ class IntegerMatrix(Frozen):
         cols = len(grid[0]) if grid else 0
         if any(len(row) != cols for row in grid):
             raise ValueError(f"rows of lengths {sorted(set(map(len, grid)))} are ragged")
+        # False is kept, so that the constructor refuses it with True
         entries = [
-            (i, j, v) for i, row in enumerate(grid) for j, v in enumerate(row) if v
+            (i, j, v) for i, row in enumerate(grid) for j, v in enumerate(row) if v or v is False
         ]
         return cls(rows, cols, tuple(entries))
 

@@ -11,7 +11,9 @@ needs neither the order complex nor its homology.  The homology reported
 with the certificates, `finite_space_homology`, comes from the faces of a
 simplicial complex when the poset is that complex's face poset, one face
 per element, and from the order complex, one face per chain, otherwise;
-either way through the one element matching of `homology`.
+either way through the one element matching of `homology`, and never
+reduced: H_0 counts the components.  The certificate sizes come from the
+chains with each minimum, counted by the one chain recurrence of `poset`.
 
 Every certificate that `basis_certificates` gives is a cone.  The ladder
 of `contractibility_certificate` grades one complex in decreasing
@@ -27,7 +29,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .errors import DEFAULT_SIMPLEX_CAP, Frozen
-from .poset import FinitePoset, _chains_by_minimum, core, discrete_type_classes
+from .poset import FinitePoset, _chain_counts, core, discrete_type_classes
 
 # simplicial and homology are imported inside the functions that use them,
 # so `cw_type_report`, which decides on the poset, loads neither, and
@@ -117,16 +119,14 @@ def basis_certificates(p: FinitePoset, cap: int = DEFAULT_SIMPLEX_CAP) -> McCord
     c(x) - 1 that miss x (each of those but {x}, with x removed), so its
     size is 2c(x) - 1.
     """
-    counts = _chains_by_minimum(p)
+    counts, _ = _chain_counts(p.above)
     certs = tuple(BasisCertificate(x, CONE, x, 2 * c - 1) for x, c in zip(p.labels, counts))
     return McCordReport(certs, finite_space_homology(p, cap))
 
 
-def finite_space_homology(
-    p: FinitePoset, cap: int = DEFAULT_SIMPLEX_CAP, reduced: bool = False
-) -> HomologySummary:
+def finite_space_homology(p: FinitePoset, cap: int = DEFAULT_SIMPLEX_CAP) -> HomologySummary:
     """Weak homotopy invariants of the finite space: the homology of its
-    order complex.
+    order complex, not reduced.
 
     When p is the face poset of a simplicial complex K (`_complex_faces`),
     its order complex is the barycentric subdivision of K (Bjorner,
@@ -149,11 +149,11 @@ def finite_space_homology(
             lists = [[] for _ in range(sizes.count(1))]
             for face in faces:
                 lists[face[0]].append(face)
-            return _face_homology(lists, max(sizes, default=0) - 1, reduced)
+            return _face_homology(lists, max(sizes, default=0) - 1, False)
     from .homology import homology_groups
     from .simplicial import order_complex
 
-    return homology_groups(order_complex(p, cap), reduced)
+    return homology_groups(order_complex(p, cap))
 
 
 def _complex_faces(p: FinitePoset) -> list | None:

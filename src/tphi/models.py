@@ -114,9 +114,13 @@ def build_perp_poset(vs, k: int, cap: int = DEFAULT_SIMPLEX_CAP) -> MirroredPose
     the sum of these lookups bounds the order pairs and is refused above
     cap before any is made.
     """
+    table = []
+
     def label_order(k):
-        # the residues in label order, so the rows, and the ids, are sorted
-        return sorted(range(k + 1), key=format_scalars(k).__getitem__)
+        # the residues in label order, so the rows, and the ids, are sorted;
+        # the one label table is made here, once k has passed its checks
+        table[:] = format_scalars(k)
+        return sorted(range(k + 1), key=table.__getitem__)
 
     rows = _perp_rows(vs, k, cap, label_order)
     if not rows:
@@ -128,7 +132,6 @@ def build_perp_poset(vs, k: int, cap: int = DEFAULT_SIMPLEX_CAP) -> MirroredPose
             raise SizeCapExceededError(
                 f"perp poset has more order-pair lookups than the cap {cap}"
             )
-    table = format_scalars(k)
     id_of = {r: x for x, r in enumerate(rows)}
     labels, stratum, pairs = [], [], []
     for x, r in enumerate(rows):

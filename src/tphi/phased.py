@@ -99,19 +99,17 @@ def perp_membership(vs: Sequence[PhasedVector], x: PhasedVector) -> bool:
     return True
 
 
-def perp_enumerate(
-    vs: Sequence[PhasedVector], k: int, cap: int = DEFAULT_SIMPLEX_CAP
-) -> list:
+def perp_enumerate(vs: Sequence[PhasedVector], k: int) -> list:
     """All non-zero vectors with entries in the k-point discretization that
     are orthogonal to every vector of vs, in lexicographic order (zero
     before units, units by angle).
 
     k must be even so that the discretization is closed under negation.
-    The (k+1)^n - 1 candidates are counted first and refused above cap.
-    The search runs on residues (_perp_rows); only its members are made
-    into scalars.
+    The (k+1)^n - 1 candidates are counted first and refused above
+    DEFAULT_SIMPLEX_CAP.  The search runs on residues (_perp_rows); only
+    its members are made into scalars.
     """
-    rows = _perp_rows(vs, k, cap, lambda k: range(k + 1))
+    rows = _perp_rows(vs, k, DEFAULT_SIMPLEX_CAP, lambda k: range(k + 1))
     pool = scalars(k)
     return [tuple(map(pool.__getitem__, row)) for row in rows]
 
@@ -123,9 +121,11 @@ def _perp_rows(
     j + 1 is j/k turns.  alphabet(k) lists the k + 1 positions, 0 first,
     and the rows come in lexicographic order over it: perp_enumerate
     passes range(k + 1), for the residue order, and build_perp_poset the
-    residues in label order, so its rows arrive sorted by label.  It is
-    called only once k and the candidate count have passed their checks,
-    so a refused k builds nothing of size k.
+    residues in label order, so its rows arrive sorted by label.  The
+    (k+1)^n - 1 candidates are refused above cap: DEFAULT_SIMPLEX_CAP
+    from perp_enumerate, the caller's cap from build_perp_poset.
+    alphabet is called only once k and the candidate count have passed
+    their checks, so a refused k builds nothing of size k.
 
     k is even, so the products of a constraint with a candidate are
     decided mod k with h = k/2: a constraint entry at i/k turns is residue

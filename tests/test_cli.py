@@ -383,6 +383,24 @@ def test_poset_check_malformed_file(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_poset_check_refuses_a_second_index_line(tmp_path, capsys):
+    # two index blocks once read as one, and the file passed both checks
+    f = tmp_path / "twice.poset"
+    f.write_text(
+        "elem a\nelem b\nrel a < b\n"
+        "index\nelem 1\n"
+        "index\nelem 2\nrel 1 < 2\n"
+        "mirror a -> 1\nmirror b -> 2\n"
+    )
+    code, out, err = run(capsys, "poset-check", str(f))
+    assert (code, out) == (2, "")
+    assert err == "error: second index line; a poset file has one index block\n"
+    # one index line, with the same lines, is a good mirrored poset
+    f.write_text(f.read_text().replace("index\nelem 2", "elem 2"))
+    code, out, _ = run(capsys, "poset-check", str(f))
+    assert (code, out) == (0, "mirror: ok\ngeometric: ok\n")
+
+
 def test_order_complex_chain(tmp_path, capsys):
     f = tmp_path / "chain.poset"
     f.write_text(CHAIN_FILE)

@@ -168,6 +168,23 @@ def test_matrix_takes_integers_only():
     assert smith_normal_form(IntegerMatrix(2, 2, iter(((1, 1, 3), (0, 0, 2))))) == (1, 6)
 
 
+def test_matrix_refuses_bools():
+    # Python counts a bool as an int: True once passed as a shape, with
+    # rows=True in the repr, and as an entry
+    for shape in ((True, 2), (2, False)):
+        with pytest.raises(ValueError, match=rf"shape {shape[0]}x{shape[1]} is not integer"):
+            IntegerMatrix(*shape)
+    for entry in ((0, 1, True), (True, 1, 1), (0, False, 1), (0, 1, False)):
+        with pytest.raises(ValueError, match=r"\) = .* is not an integer"):
+            IntegerMatrix(2, 2, (entry,))
+    with pytest.raises(ValueError, match="shape Truex2 is not integer"):
+        IntegerMatrix(True, 2, ((0, 1, True),))
+    for grid in ([[True, 0], [0, 2]], [[False, 1]]):
+        with pytest.raises(ValueError, match=r"entry \(0,0\) = (True|False) is not an integer"):
+            IntegerMatrix.from_dense(grid)
+    assert IntegerMatrix.from_dense([[1, 0], [0, 2]]).entries == ((0, 0, 1), (1, 1, 2))
+
+
 # -------------------------------------------------------------- boundary
 
 

@@ -19,7 +19,7 @@ from test_acceptance import _model_battery
 from test_homology import cycle_complex, octahedron, oracle_posets, projective_plane
 from test_phased import reference_perp_membership
 from tphi.errors import SizeCapExceededError, UnknownElementError
-from tphi.homology import homology_groups
+from tphi.homology import HomologySummary, homology_groups
 from tphi.hyperfield import ONE, scalars
 import tphi.homology
 import tphi.simplicial
@@ -52,6 +52,13 @@ P = ONE
 
 CHAIN = build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
 CROWN = build_poset(["a", "b", "x", "y"], [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")])
+
+
+def join_homology(n, k):
+    """expected_join_betti(n, k), the reduced homology of the connected
+    power model power(n, k), n >= 2, with H_0 = Z put back."""
+    want = expected_join_betti(n, k)
+    return HomologySummary(((0, (1, ())),) + want.groups, want.top_dim)
 
 
 def comparison_fiber_complex(p, x, cap=DEFAULT_SIMPLEX_CAP):
@@ -353,7 +360,7 @@ def cell_test_complexes() -> list:
 
 def test_cell_path_matches_the_order_complex():
     # every face poset takes the face path and agrees with the order
-    # complex, reduced or not, in the groups and in the top dimension
+    # complex in the groups and in the top dimension
     posets = [p for _, p in _model_battery()] + random_posets(400, 20261020, largest=10)
     posets += [face_poset(c) for c in cell_test_complexes()] + seeded_perps(40, 20261020)
     posets += [p.opposite() for p in posets]
@@ -361,13 +368,12 @@ def test_cell_path_matches_the_order_complex():
     assert len(simplicial) > 150
     solid = 0
     for p, faces in simplicial:
-        for reduced in (False, True):
-            cells = finite_space_homology(p, reduced=reduced)
-            chains = homology_groups(order_complex(p), reduced)
-            assert (cells, cells.top_dim) == (chains, chains.top_dim), p
-            # matched pairs cancel in the Euler characteristic of K
-            euler = sum((-1) ** (len(f) - 1) for f in faces)
-            assert sum((-1) ** d * n for d, n in enumerate(cells.critical)) == euler
+        cells = finite_space_homology(p)
+        chains = homology_groups(order_complex(p))
+        assert (cells, cells.top_dim) == (chains, chains.top_dim), p
+        # matched pairs cancel in the Euler characteristic of K
+        euler = sum((-1) ** (len(f) - 1) for f in faces)
+        assert sum((-1) ** d * n for d, n in enumerate(cells.critical)) == euler
         solid += cells.top_dim >= 2
     assert solid >= 10
     assert finite_space_homology(face_poset(projective_plane())).groups == (
@@ -420,7 +426,7 @@ def test_cell_path_cap_bounds_cells_plus_pairs():
     p = build_tphi_power(4, 4).poset
     cells_and_pairs = len(p) + sum(map(len, p.below))
     assert cells_and_pairs < 10_000 < len(order_complex(p))
-    assert finite_space_homology(p, cap=cells_and_pairs, reduced=True) == expected_join_betti(4, 4)
+    assert finite_space_homology(p, cap=cells_and_pairs) == join_homology(4, 4)
     # one less and it is refused, by the order complex's chain cap
     with pytest.raises(SizeCapExceededError, match="chains, cap is"):
         finite_space_homology(p, cap=cells_and_pairs - 1)
@@ -432,22 +438,22 @@ def test_cell_path_on_power_5_3_within_budget():
     # 1,023 faces against 165,633 chains: about 5 ms on a 2-core host
     p = build_tphi_power(5, 3).poset
     start = time.perf_counter()
-    h = finite_space_homology(p, reduced=True)
+    h = finite_space_homology(p)
     assert time.perf_counter() - start < 1
-    assert h == expected_join_betti(5, 3)
+    assert h == join_homology(5, 3)
     assert h.critical == (1, 0, 0, 0, 32)
 
 
 def test_cell_path_on_power_5_6_within_budget():
-    # 16,806 faces, of which the matching leaves Betti + 1 critical: about
-    # 0.12 s on a 2-core host
+    # 16,806 faces, of which the matching leaves one critical face per
+    # Betti number: about 0.12 s on a 2-core host
     p = build_tphi_power(5, 6).poset
-    want = expected_join_betti(5, 6)
+    want = join_homology(5, 6)
     start = time.perf_counter()
-    h = finite_space_homology(p, reduced=True)
+    h = finite_space_homology(p)
     assert time.perf_counter() - start < 2
     assert h == want
-    assert sum(h.critical) == sum(b for _, (b, _) in want.groups) + 1
+    assert sum(h.critical) == sum(b for _, (b, _) in want.groups)
 
 
 def test_ladder_equals_two_cone_ladder():
@@ -653,8 +659,9 @@ def test_cw_report_obstructed():
     rep = cw_type_report(p)
     assert rep.verdict == "obstructed"
     assert len(rep.components[0].core) > 1
-    # soundness: this obstruction also shows in the weak homotopy type
-    assert finite_space_homology(p, reduced=True).groups != ()
+    # soundness: this obstruction also shows in the weak homotopy type,
+    # which is not a point's
+    assert finite_space_homology(p).groups != ((0, (1, ())),)
 
 
 def test_cw_report_mixed_components():

@@ -20,7 +20,7 @@ from math import gcd
 
 import pytest
 
-from tphi.errors import BadArityError, EmptyPerpError, SizeCapExceededError
+from tphi.errors import BadArityError, EmptyPerpError, SizeCapExceededError, TphiError
 from tphi import hyperfield, models, phased
 from tphi.homology import homology_groups
 from tphi.hyperfield import (
@@ -46,6 +46,7 @@ from tphi.models import (
 from tphi.phased import (
     GPFunction,
     _gp_relations_by_last_tuple,
+    _perp_rows,
     format_vector,
     gp_normalize,
     gp_verify_all,
@@ -255,10 +256,30 @@ def test_perp_refuses_too_many_order_pair_lookups():
     mp = build_perp_poset([(P, P, P)], 2, cap=48)
     assert len(mp.poset) == 12 and sum(map(len, mp.poset.below)) <= 48
     # the candidates fit under 47, the lookups do not
-    assert len(perp_enumerate([(P, P, P)], 2, cap=47)) == 12
+    assert len(_perp_rows([(P, P, P)], 2, 47, lambda k: range(k + 1))) == 12
     with pytest.raises(SizeCapExceededError) as caught:
         build_perp_poset([(P, P, P)], 2, cap=47)
     assert str(caught.value) == "perp poset has more order-pair lookups than the cap 47"
+
+
+def test_perp_build_makes_one_label_table(monkeypatch):
+    # one format_scalars(k) table per build, made once _perp_rows's checks
+    # have passed: a refused search makes none
+    calls = []
+
+    def counting(k):
+        calls.append(k)
+        return format_scalars(k)
+
+    monkeypatch.setattr(models, "format_scalars", counting)
+    for k in (2, 4, 6):
+        mp = build_perp_poset([(P, P, P)], k)
+        assert mp.poset.labels == tuple(sorted(mp.poset.labels)), k
+    assert calls == [2, 4, 6]
+    for vs, k, cap in (([(P, P, P)], 2, 25), ([(P, P)], 3, 100), ([], 2, 100)):
+        with pytest.raises(TphiError):
+            build_perp_poset(vs, k, cap)
+    assert calls == [2, 4, 6]
 
 
 def _reference_chain(labels):

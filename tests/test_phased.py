@@ -16,6 +16,7 @@ import pytest
 
 from test_hyperfield import phase_key
 from tphi.errors import (
+    DEFAULT_SIMPLEX_CAP,
     BadArityError,
     IdenticallyZeroError,
     IndexOutOfRangeError,
@@ -42,6 +43,7 @@ from tphi.phased import (
     GPReport,
     Transversal,
     _inversions,
+    _perp_rows,
     format_gp,
     format_vector,
     gp_eval,
@@ -247,7 +249,7 @@ def test_perp_search_error_messages():
         (([(P, P), (P,)], 2), LengthMismatchError, "constraint vectors must share one length"),
         (([(P, unit(1, 3))], 4), ValueError, "constraint entry 1/3 is not a 4-th root of unity"),
         (([(P, ZERO, unit(1, 8))], 4), ValueError, "constraint entry 1/8 is not a 4-th root of unity"),
-        (([(P, P, P)], 2, 25), SizeCapExceededError, "perp has more candidates than the cap 25"),
+        (([(P,) * 15], 2), SizeCapExceededError, "perp has more candidates than the cap 5000000"),
         (([(P, P)], 0), ValueError, "k must be positive"),
         (([(P, P)], -2), ValueError, "k must be positive"),
         (([(P, unit(1, 4))], -2), ValueError, "k must be positive"),
@@ -261,10 +263,15 @@ def test_perp_search_error_messages():
 
 
 def test_perp_enumerate_cap_counts_candidates():
-    # 3^3 - 1 = 26 candidates, of which 12 are members
-    assert len(perp_enumerate([(P, P, P)], 2, cap=26)) == 12
+    # the cap is checked in _perp_rows, which perp_enumerate runs at
+    # DEFAULT_SIMPLEX_CAP and build_perp_poset at its own cap: 3^3 - 1 =
+    # 26 candidates, of which 12 are members
+    assert len(_perp_rows([(P, P, P)], 2, 26, lambda k: range(k + 1))) == 12
     with pytest.raises(SizeCapExceededError, match="more candidates than the cap 25$"):
-        perp_enumerate([(P, P, P)], 2, cap=25)
+        _perp_rows([(P, P, P)], 2, 25, lambda k: range(k + 1))
+    # 3^15 - 1 candidates pass DEFAULT_SIMPLEX_CAP
+    with pytest.raises(SizeCapExceededError, match=f"the cap {DEFAULT_SIMPLEX_CAP}$"):
+        perp_enumerate([(P,) * 15], 2)
 
 
 def test_gp_construction_and_validation():

@@ -66,11 +66,10 @@ PINNED = [
     ),
     (MirrorReport(True), "MirrorReport(ok=True, violation=None)"),
     (MirrorReport(False, "empty stratum 1"), "MirrorReport(ok=False, violation='empty stratum 1')"),
-    (GeometricReport(True), "GeometricReport(ok=True, a1_violations=(), notes=())"),
+    (GeometricReport(True), "GeometricReport(ok=True, a1_violations=())"),
     (
-        GeometricReport(False, ("nothing above a in stratum 1",), ("note",)),
-        "GeometricReport(ok=False, a1_violations=('nothing above a in stratum 1',), "
-        "notes=('note',))",
+        GeometricReport(False, ("nothing above a in stratum 1",)),
+        "GeometricReport(ok=False, a1_violations=('nothing above a in stratum 1',))",
     ),
     (CollapseResult(False), "CollapseResult(collapsible=False, method=None, apex=None, steps=())"),
     (
@@ -124,7 +123,7 @@ FIELDS = {
     Transversal: ("n", "r", "tuples"),
     MirroredPoset: ("poset", "index_poset", "assignments"),
     MirrorReport: ("ok", "violation"),
-    GeometricReport: ("ok", "a1_violations", "notes"),
+    GeometricReport: ("ok", "a1_violations"),
     CollapseResult: ("collapsible", "method", "apex", "steps"),
     IntegerMatrix: ("rows", "cols", "entries"),
     HomologySummary: ("groups", "top_dim", "reduced", "critical"),
@@ -203,7 +202,7 @@ def test_defaults_and_keyword_arguments():
     assert ArcSet() == ArcSet(False, False, ()) == ArcSet(has_zero=False, arcs=())
     assert GPReport(ok=True) == GPReport(True, None, (), ())
     assert MirrorReport(ok=False).violation is None
-    assert GeometricReport(ok=True, notes=("n",)).a1_violations == ()
+    assert GeometricReport(ok=True).a1_violations == ()
     assert CollapseResult(collapsible=True, apex="x") == CollapseResult(True, None, "x", ())
     assert IntegerMatrix(rows=1, cols=2).entries == ()
     assert Certificate(kind="obstruction", homology=H).steps == ()
