@@ -86,9 +86,11 @@ class IntegerMatrix(Frozen):
         cols = len(grid[0]) if grid else 0
         if any(len(row) != cols for row in grid):
             raise ValueError(f"rows of lengths {sorted(set(map(len, grid)))} are ragged")
-        # False is kept, so that the constructor refuses it with True
+        # only an int zero is left out: every other entry, False and 0.0
+        # among them, goes to the constructor's check
         entries = [
-            (i, j, v) for i, row in enumerate(grid) for j, v in enumerate(row) if v or v is False
+            (i, j, v) for i, row in enumerate(grid)
+            for j, v in enumerate(row) if v or type(v) is not int
         ]
         return cls(rows, cols, tuple(entries))
 

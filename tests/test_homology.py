@@ -145,8 +145,9 @@ def test_matrix_validation():
 
 def test_matrix_takes_integers_only():
     # a non-integer value once came back as a factor, (1.5,), or failed
-    # inside math.gcd; every entry is now checked when the matrix is built
-    for v in (1.5, 2.0, Fraction(1, 2)):
+    # inside math.gcd, and a dense 0.0 or None was left out as a zero;
+    # every entry is now checked when the matrix is built
+    for v in (1.5, 2.0, Fraction(1, 2), 0.0, None):
         with pytest.raises(ValueError, match=r"entry \(1,0\) = .* is not an integer"):
             IntegerMatrix.from_dense([[1, 0], [v, 3]])
         with pytest.raises(ValueError, match="is not an integer"):
